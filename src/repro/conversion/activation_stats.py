@@ -1,9 +1,9 @@
 """Collection of per-layer pre-activation statistics from a trained DNN.
 
 Algorithm 1 and the analytical error model both consume the empirical
-distribution of each activation layer's inputs.  This module attaches
-:class:`~repro.nn.activations.ActivationRecorder` instances to every
-activation layer, drives calibration batches through the network, and
+distribution of each activation layer's inputs.  This module taps every
+activation layer with an :class:`~repro.nn.activations.ActivationRecorder`,
+drives calibration batches through the network, and
 summarises each layer into a :class:`LayerActivationStats` (percentiles,
 trained threshold ``mu``, observed maximum ``d_max``).
 
@@ -18,7 +18,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import ActivationRecorder, Module, ReLU, ThresholdReLU
+from ..nn import ActivationRecorder, Module, ReLU, ThresholdReLU, tap
 from ..tensor import Tensor, no_grad
 
 
@@ -65,11 +65,6 @@ def activation_layers(model: Module) -> List[Module]:
     return [m for m in model.modules() if isinstance(m, (ThresholdReLU, ReLU))]
 
 
-class _ReLURecorderShim(Module):
-    """Internal: lets a plain ReLU record pre-activations like a
-    ThresholdReLU does (used only during calibration)."""
-
-
 def collect_activation_stats(
     model: Module,
     batches: Iterable[Tuple[np.ndarray, np.ndarray]],
@@ -95,40 +90,24 @@ def collect_activation_stats(
     if not layers:
         raise ValueError("model has no activation layers to calibrate")
 
-    recorders: List[ActivationRecorder] = []
-    relu_wrappers = []
-    for layer in layers:
-        recorder = ActivationRecorder(max_samples=max_samples_per_layer)
-        recorders.append(recorder)
-        if isinstance(layer, ThresholdReLU):
-            layer.recorder = recorder
-        else:
-            # Monkey-patch a recording forward onto the plain ReLU for
-            # the duration of calibration.
-            original_forward = layer.forward
+    recorders = [
+        ActivationRecorder(max_samples=max_samples_per_layer) for _ in layers
+    ]
+    by_layer = {id(layer): rec for layer, rec in zip(layers, recorders)}
 
-            def recording_forward(x: Tensor, _rec=recorder, _orig=original_forward):
-                _rec.record(x.data)
-                return _orig(x)
-
-            object.__setattr__(layer, "forward", recording_forward)
-            relu_wrappers.append((layer, original_forward))
+    def record(layer, x, _out):
+        by_layer[id(layer)].record(x.data)
 
     was_training = model.training
     model.eval()
     try:
-        with no_grad():
+        with tap(layers, record), no_grad():
             for index, (images, _labels) in enumerate(batches):
                 if max_batches is not None and index >= max_batches:
                     break
                 model(Tensor(np.asarray(images)))
     finally:
         model.train(was_training)
-        for layer in layers:
-            if isinstance(layer, ThresholdReLU):
-                layer.recorder = None
-        for layer, original in relu_wrappers:
-            object.__setattr__(layer, "forward", original)
 
     stats: List[LayerActivationStats] = []
     for layer, recorder in zip(layers, recorders):

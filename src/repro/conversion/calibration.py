@@ -25,7 +25,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from ..nn import Module, ReLU, ThresholdReLU
+from ..nn import Module, tap
 from ..snn import SpikingNetwork, SpikingNeuron
 from ..tensor import Tensor, no_grad
 from .activation_stats import activation_layers
@@ -33,58 +33,41 @@ from .activation_stats import activation_layers
 
 def _dnn_layer_outputs(model: Module, images: np.ndarray) -> List[np.ndarray]:
     """Post-activation outputs of every activation layer, forward order."""
-    layers = activation_layers(model)
     outputs: List[np.ndarray] = []
-    patched = []
-    for layer in layers:
-        original = layer.forward
 
-        def recording(x, _orig=original):
-            out = _orig(x)
-            outputs.append(out.data.copy())
-            return out
+    def record(_layer, _x, out):
+        outputs.append(out.data.copy())
 
-        object.__setattr__(layer, "forward", recording)
-        patched.append((layer, original))
     was_training = model.training
     model.eval()
     try:
-        with no_grad():
+        with tap(activation_layers(model), record), no_grad():
             model(Tensor(images))
     finally:
         model.train(was_training)
-        for layer, original in patched:
-            object.__setattr__(layer, "forward", original)
     return outputs
 
 
 def _snn_average_outputs(snn: SpikingNetwork, images: np.ndarray) -> List[np.ndarray]:
     """Time-averaged spiking outputs of every neuron layer."""
     neurons = snn.spiking_neurons()
+    index = {id(neuron): i for i, neuron in enumerate(neurons)}
     sums: List[np.ndarray] = [None] * len(neurons)
-    patched = []
-    for index, neuron in enumerate(neurons):
-        original = neuron.forward
 
-        def recording(current, _orig=original, _index=index):
-            out = _orig(current)
-            if sums[_index] is None:
-                sums[_index] = out.data.copy()
-            else:
-                sums[_index] += out.data
-            return out
+    def accumulate(neuron, _current, out):
+        i = index[id(neuron)]
+        if sums[i] is None:
+            sums[i] = out.data.copy()
+        else:
+            sums[i] += out.data
 
-        object.__setattr__(neuron, "forward", recording)
-        patched.append((neuron, original))
     was_training = snn.training
     snn.eval()
     try:
-        with no_grad():
+        with tap(neurons, accumulate), no_grad():
             snn(images)
     finally:
         snn.train(was_training)
-        for neuron, original in patched:
-            object.__setattr__(neuron, "forward", original)
     return [
         (total / snn.timesteps if total is not None else None) for total in sums
     ]

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import Conv2d, Linear, Module
+from ..nn import Conv2d, Linear, Module, tap
 from ..snn import (
     SpikingNetwork,
     SpikingNeuron,
@@ -74,40 +74,27 @@ def trace_weight_layers(
     ``input_shape`` excludes the batch dimension, e.g. ``(3, 32, 32)``.
     """
     records: List[LayerFlops] = []
-    patched = []
-    index = 0
-    for module in model.modules():
-        if not isinstance(module, (Conv2d, Linear)):
-            continue
-        original = module.forward
-
-        def traced(x: Tensor, _mod=module, _orig=original):
-            out = _orig(x)
-            kind = "conv" if isinstance(_mod, Conv2d) else "linear"
-            records.append(
-                LayerFlops(
-                    name=f"{kind}{len(records)}",
-                    kind=kind,
-                    macs=_layer_macs(_mod, x.data.shape, out.data.shape),
-                )
-            )
-            return out
-
-        object.__setattr__(module, "forward", traced)
-        patched.append((module, original))
-        index += 1
-    if not patched:
+    layers = [m for m in model.modules() if isinstance(m, (Conv2d, Linear))]
+    if not layers:
         raise ValueError("model has no Conv2d/Linear layers")
+
+    def trace(layer, x, out):
+        kind = "conv" if isinstance(layer, Conv2d) else "linear"
+        records.append(
+            LayerFlops(
+                name=f"{kind}{len(records)}",
+                kind=kind,
+                macs=_layer_macs(layer, x.data.shape, out.data.shape),
+            )
+        )
 
     was_training = model.training
     model.eval()
     try:
-        dummy = Tensor(np.zeros((1,) + tuple(input_shape)))
-        model(dummy)
+        with tap(layers, trace):
+            model(Tensor(np.zeros((1,) + tuple(input_shape))))
     finally:
         model.train(was_training)
-        for module, original in patched:
-            object.__setattr__(module, "forward", original)
     return records
 
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..conversion import h_t_mu, k_mu, snn_staircase
-from ..nn import ActivationRecorder, ThresholdReLU
+from ..nn import ActivationRecorder, ThresholdReLU, tap
 from ..snn import SpikingNeuron
 from ..tensor import Tensor, no_grad
 from .config import ExperimentConfig, get_scale
@@ -35,20 +35,21 @@ def _collect_dnn_samples(
     layers = [
         m for m in context.model.modules() if isinstance(m, ThresholdReLU)
     ]
-    layer = layers[layer_index]
     recorder = ActivationRecorder(max_samples=500_000)
-    layer.recorder = recorder
+
+    def record(_layer, x, _out):
+        recorder.record(x.data)
+
     was_training = context.model.training
     context.model.eval()
     try:
-        with no_grad():
+        with tap(layers[layer_index], record), no_grad():
             for index, (images, _labels) in enumerate(context.calibration_loader()):
                 if index >= max_batches:
                     break
                 context.model(Tensor(images))
     finally:
         context.model.train(was_training)
-        layer.recorder = None
     return recorder.values()
 
 
@@ -61,20 +62,16 @@ def _collect_snn_average_currents(
     distribution ``f_S`` used by ``h(T, mu)``.
     """
     neurons: List[SpikingNeuron] = snn.spiking_neurons()
-    neuron = neurons[layer_index]
     collected: List[np.ndarray] = []
     window: List[np.ndarray] = []
-    original_forward = neuron.forward
 
-    def recording_forward(current, _orig=original_forward):
+    def record(_neuron, current, _spikes):
         window.append(current.data.copy())
-        return _orig(current)
 
-    object.__setattr__(neuron, "forward", recording_forward)
     was_training = snn.training
     snn.eval()
     try:
-        with no_grad():
+        with tap(neurons[layer_index], record), no_grad():
             for index, (images, _labels) in enumerate(loader):
                 if index >= max_batches:
                     break
@@ -84,7 +81,6 @@ def _collect_snn_average_currents(
                     collected.append(np.mean(window, axis=0).reshape(-1))
     finally:
         snn.train(was_training)
-        object.__setattr__(neuron, "forward", original_forward)
     if not collected:
         raise RuntimeError("no SNN currents were recorded")
     return np.concatenate(collected)

@@ -16,10 +16,10 @@ Mechanics, by fault domain:
   threshold and leak in place (again restored on exit) and install the
   neuron's dead-unit hook (:meth:`SpikingNeuron.set_unit_fault`), which
   both execution modes honour.  Also fused-safe.
-- **Transmission faults** are per-time-step, so they instance-patch the
-  neuron's ``forward`` — the library's probing idiom — which the fused
-  engine detects and gracefully degrades *for those modules only* to a
-  step-by-step replay; upstream/downstream stateless layers stay fused.
+- **Transmission faults** are per-time-step: a :class:`~repro.nn.tap`
+  on each targeted neuron replaces its spike output.  The fused engine
+  fires the tap once per time block in time order, so the whole network
+  stays fused.
 
 Randomness: every (domain, layer) pair gets an independent generator
 seeded from ``(spec.seed, domain, layer)``, so realised faults do not
@@ -31,12 +31,13 @@ execution.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..hw.quantization import quantize_array
-from ..nn import Conv2d, Linear, Module
+from ..nn import Conv2d, Linear, Module, tap
 from ..snn import SpikingNetwork, SpikingNeuron
 from ..tensor import Tensor
 from .spec import FaultSpec
@@ -83,7 +84,7 @@ class FaultInjector:
         session.summary()   # {"weights_pruned": ..., ...}
 
     The model is restored exactly on exit: weight arrays, thresholds and
-    leaks recover their original bits, instance patches are removed, and
+    leaks recover their original bits, transmission taps are removed, and
     dead-unit hooks are cleared.  A null spec installs nothing at all,
     so a fault-instrumented pass is bitwise-identical to a clean one.
     """
@@ -110,7 +111,8 @@ class FaultInjector:
         self._active = False
         self._saved_params: List[Tuple[np.ndarray, np.ndarray]] = []
         self._faulted_neurons: List[SpikingNeuron] = []
-        self._patched: List[Tuple[SpikingNeuron, bool, object, int, Dict]] = []
+        self._taps = ExitStack()
+        self._transmission: List[Tuple[int, Dict]] = []
         self._counters: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -294,7 +296,7 @@ class FaultInjector:
             )
 
     # ------------------------------------------------------------------
-    # Transmission faults (per-step: instance-patch -> stepwise replay)
+    # Transmission faults (per-step: a tap drops spikes after firing)
     # ------------------------------------------------------------------
     def _inject_transmission_faults(self) -> None:
         tf = self.spec.transmission
@@ -304,14 +306,9 @@ class FaultInjector:
             if tf.layers is not None and index not in tf.layers:
                 continue
             rng = _layer_rng(self.spec.seed, _DOMAIN_TRANSMISSION, index)
-            had_patch = "forward" in neuron.__dict__
-            previous = neuron.__dict__.get("forward")
-            original = neuron.forward  # bound method or earlier patch
             stats = {"steps": 0, "spikes_dropped": 0, "frames_dropped": 0}
 
-            def faulty_forward(current, _orig=original, _rng=rng, _tf=tf,
-                               _stats=stats):
-                spikes = _orig(current)
+            def drop(_neuron, _current, spikes, _rng=rng, _tf=tf, _stats=stats):
                 _stats["steps"] += 1
                 if _tf.frame_drop_rate > 0 and _rng.random() < _tf.frame_drop_rate:
                     _stats["frames_dropped"] += 1
@@ -325,23 +322,17 @@ class FaultInjector:
                         np.count_nonzero(spikes.data * ~keep)
                     )
                     return _mask_spikes(spikes, keep, "spike_drop")
-                return spikes
+                return None
 
-            # Instance patch: the fused engine sees it and replays this
-            # module per step (graceful degradation), keeping per-step
-            # drop semantics identical in both execution modes.
-            object.__setattr__(neuron, "forward", faulty_forward)
-            self._patched.append((neuron, had_patch, previous, index, stats))
+            self._taps.enter_context(tap(neuron, drop))
+            self._transmission.append((index, stats))
 
     # ------------------------------------------------------------------
     def _restore(self) -> None:
         if not self._active:
             return
-        for neuron, had_patch, previous, index, stats in self._patched:
-            if had_patch:
-                object.__setattr__(neuron, "forward", previous)
-            else:
-                neuron.__dict__.pop("forward", None)
+        self._taps.close()
+        for index, stats in self._transmission:
             self._count("spikes_dropped", stats["spikes_dropped"], layer=index)
             self._count("frames_dropped", stats["frames_dropped"], layer=index)
             self.telemetry.record(
@@ -351,7 +342,7 @@ class FaultInjector:
                 spikes_dropped=stats["spikes_dropped"],
                 frames_dropped=stats["frames_dropped"],
             )
-        self._patched = []
+        self._transmission = []
         for neuron in self._faulted_neurons:
             neuron.set_unit_fault(None)
         self._faulted_neurons = []

@@ -153,11 +153,9 @@ class TransmissionFaults:
       layer's whole output frame for that step is lost, simulating a
       dropped packet / lost time step.
 
-    Transmission faults are inherently per-step, so injecting them
-    forces the affected neurons onto the stepwise execution path via
-    the engine's graceful-degradation mechanism (instance-patched
-    forwards always replay step by step); the rest of the network stays
-    fused.
+    Transmission faults are inherently per-step: they are realised as
+    taps on the affected neurons, which the fused engine fires once per
+    time block in time order, so the whole network stays fused.
     """
 
     spike_drop_rate: float = 0.0

@@ -8,7 +8,7 @@ from .conv import Conv2d
 from .dropout import Dropout
 from .linear import Linear
 from .losses import CrossEntropyLoss, MSELoss
-from .module import Module, Parameter
+from .module import Module, Parameter, tap
 from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 
 __all__ = [
@@ -32,4 +32,5 @@ __all__ = [
     "fold_all_batchnorms",
     "fold_batchnorm",
     "init",
+    "tap",
 ]

@@ -9,9 +9,10 @@ descent alongside the weights (following TCL, Ho & Chang 2021).  After
 DNN training, ``mu`` is the quantity the conversion algorithm scales by
 ``alpha`` to obtain the SNN firing threshold ``V^th = alpha * mu``.
 
-The layer can record its pre-activation inputs into an attached
-:class:`ActivationRecorder`, which is how the percentile statistics for
-Algorithm 1 and the analytical error model (Eqs. 6-7) are gathered.
+A :class:`~repro.nn.module.tap` feeding the layer's pre-activation
+inputs into an :class:`ActivationRecorder` is how the percentile
+statistics for Algorithm 1 and the analytical error model (Eqs. 6-7)
+are gathered.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ class ReLU(Module):
 class ActivationRecorder:
     """Accumulates flattened pre-activation samples from a layer.
 
-    A recorder is attached to a :class:`ThresholdReLU` (or compatible)
-    layer; during forward passes the layer appends its raw pre-activation
-    values.  ``values()`` concatenates everything recorded so far.  An
+    A tap on an activation layer feeds it the layer's raw
+    pre-activation values on every forward pass.  ``values()`` concatenates everything recorded so far.  An
     optional ``max_samples`` reservoir bound keeps memory in check on
     large sweeps (the subsample is deterministic: a fixed stride).
     """
@@ -91,7 +91,6 @@ class ThresholdReLU(Module):
         self.trainable = trainable
         if not trainable:
             self.mu.requires_grad = False
-        self.recorder: Optional[ActivationRecorder] = None
 
     @property
     def threshold(self) -> float:
@@ -104,8 +103,6 @@ class ThresholdReLU(Module):
         self.mu.data[0] = float(value)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.recorder is not None:
-            self.recorder.record(x.data)
         return threshold_relu(x, self.mu)
 
     def extra_repr(self) -> str:

@@ -4,12 +4,19 @@
 assignment, train/eval mode propagation, recursive parameter iteration,
 and a flat ``state_dict`` for checkpointing — the minimum surface the
 rest of the library (optimizers, converters, trainers) relies on.
+
+:class:`tap` is the one way to observe a layer as it runs: a scoped
+``fn(module, input, output)`` that fires after every call of the tapped
+modules and may return a replacement output.  Activation percentiles,
+calibration, LSUV, FLOP tracing, spike rasters, event counting,
+spike-rate regularisation and transmission faults all read layers
+through it instead of rewriting ``forward``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -25,6 +32,10 @@ class Parameter(Tensor):
 
 class Module:
     """Base class for all layers and models."""
+
+    #: Callables installed by :class:`tap`; empty keeps ``__call__`` on
+    #: its fast path.
+    _taps: Tuple[Callable, ...] = ()
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
@@ -125,7 +136,20 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+        out = self.forward(*args, **kwargs)
+        if self._taps:
+            return self.run_taps(args[0] if len(args) == 1 else args, out)
+        return out
+
+    def run_taps(self, x, out):
+        """Fire this module's taps on one call's input and output, in
+        install order; a tap's replacement becomes the output the next
+        tap (and the caller) sees."""
+        for fn in self._taps:
+            replacement = fn(self, x, out)
+            if replacement is not None:
+                out = replacement
+        return out
 
     def extra_repr(self) -> str:
         return ""
@@ -138,3 +162,37 @@ class Module:
         if len(lines) == 1:
             return lines[0] + ")"
         return "\n".join(lines) + "\n)"
+
+
+class tap:
+    """Scoped layer observer: ``with tap(modules, fn): ...``.
+
+    Inside the block every call of each tapped module runs
+    ``fn(module, input, output)`` after ``forward``; ``fn`` returns
+    ``None`` to observe, or a tensor that replaces the output.  The tap
+    is removed on exit, exception or not.  Taps stack: several may
+    observe one module, firing in install order.
+
+    The fused SNN engine (:mod:`repro.snn.network`) keeps a tapped
+    module on its vectorised path and fires the tap once per time
+    block, in time order, on row-block views of the folded input and
+    output — so a tap sees the same per-step calls in both engines.
+    """
+
+    def __init__(self, modules: Union[Module, Iterable[Module]], fn: Callable) -> None:
+        self.modules = [modules] if isinstance(modules, Module) else list(modules)
+        self.fn = fn
+
+    def __enter__(self) -> "tap":
+        for module in self.modules:
+            module._taps = module._taps + (self.fn,)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for module in self.modules:
+            taps = list(module._taps)
+            taps.remove(self.fn)
+            if taps:
+                module._taps = tuple(taps)
+            else:
+                del module._taps

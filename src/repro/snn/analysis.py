@@ -21,6 +21,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..nn import tap
 from ..tensor import no_grad
 from .network import SpikingNetwork
 
@@ -34,29 +35,20 @@ def record_spike_raster(
     with entries in {0, 1} (amplitudes are normalised away).
     """
     neurons = snn.spiking_neurons()
-    frames: List[List[np.ndarray]] = [[] for _ in neurons]
-    patched = []
-    for index, neuron in enumerate(neurons):
-        original = neuron.forward
+    frames = {id(neuron): [] for neuron in neurons}
 
-        def recording(current, _orig=original, _index=index):
-            out = _orig(current)
-            frames[_index].append((out.data != 0.0).astype(np.float64))
-            return out
+    def record(neuron, _current, out):
+        frames[id(neuron)].append((out.data != 0.0).astype(np.float64))
 
-        object.__setattr__(neuron, "forward", recording)
-        patched.append((neuron, original))
     was_training = snn.training
     snn.eval()
     try:
-        with no_grad():
+        with tap(neurons, record), no_grad():
             snn(np.asarray(images))
     finally:
         snn.train(was_training)
-        for neuron, original in patched:
-            object.__setattr__(neuron, "forward", original)
     rasters = []
-    for layer_frames in frames:
+    for layer_frames in frames.values():
         if not layer_frames:
             raise RuntimeError("a spiking layer produced no frames")
         rasters.append(np.stack(layer_frames, axis=0))

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import Conv2d, Linear
+from ..nn import Conv2d, Linear, tap
 from ..tensor import Tensor, no_grad
 from ..tensor.sparse import pack_spikes, sparse_conv2d_gather, sparse_linear_gather
 from .network import SpikingNetwork, StepWrapper
@@ -155,81 +155,59 @@ class EventDrivenNetwork:
         self._counts: Optional[EventCounts] = None
         self._fanout_cache: Dict[int, np.ndarray] = {}
         self._first_weight_layer: Optional[int] = None
+        self._index: Dict[int, int] = {}
         # Weight layers in execution order, populated by run(); aligned
         # with the EventCounts lists (consumed by repro.hw.map_network).
         self.weight_layers: List = []
 
     # ------------------------------------------------------------------
-    def _wrap_layers(self) -> List:
+    def _register_layers(self) -> List[StepWrapper]:
+        """Open a count slot per weight layer; returns the wrappers to tap."""
         wrappers = [
             m for m in self.snn.modules()
             if isinstance(m, StepWrapper) and isinstance(m.inner, (Conv2d, Linear))
         ]
-        patched = []
         counts = self._counts
         if self._first_weight_layer is None and wrappers:
             self._first_weight_layer = id(wrappers[0])
         self.weight_layers = [w.inner for w in wrappers]
         for index, wrapper in enumerate(wrappers):
-            inner = wrapper.inner
-            name = f"{type(inner).__name__.lower()}{index}"
-            if len(counts.layer_names) < len(wrappers):
-                counts.layer_names.append(name)
-                counts.accumulates.append(0.0)
-                counts.input_events.append(0.0)
-                counts.input_shapes.append(())
-            original = wrapper.forward
-            had_instance_forward = "forward" in wrapper.__dict__
+            counts.layer_names.append(f"{type(wrapper.inner).__name__.lower()}{index}")
+            counts.accumulates.append(0.0)
+            counts.input_events.append(0.0)
+            counts.input_shapes.append(())
+        self._index = {id(w): index for index, w in enumerate(wrappers)}
+        return wrappers
 
-            def counting(
-                x: Tensor,
-                _inner=inner,
-                _index=index,
-                _orig=original,
-                _wrapper=wrapper,
-            ):
-                data = x.data
-                counts.input_shapes[_index] = tuple(data.shape[1:])
-                is_first = id(_wrapper) == self._first_weight_layer
-                if is_first:
-                    # Analog direct-encoded input: every element is an
-                    # "event" at every step (the closure runs per step).
-                    counts.input_events[_index] += float(data.size)
-                else:
-                    counts.input_events[_index] += float((data != 0.0).sum())
-                if is_first:
-                    # Direct-encoded analog input: every connection is a
-                    # MAC each step — dense count, dense compute.
-                    if isinstance(_inner, Conv2d):
-                        fanout = self._fanout_for(_inner, data.shape[1:])
-                        counts.accumulates[_index] += float(
-                            fanout.sum() * data.shape[0]
-                        )
-                    else:
-                        counts.accumulates[_index] += float(
-                            data.shape[0] * _inner.in_features * _inner.out_features
-                        )
-                    return _orig(x)
-                if isinstance(_inner, Conv2d):
-                    fanout = self._fanout_for(_inner, data.shape[1:])
-                    active = data != 0.0
-                    counts.accumulates[_index] += float(
-                        (active * fanout[None]).sum()
-                    )
-                    if self.sparse:
-                        return Tensor(sparse_conv2d(data, _inner))
-                    return _orig(x)
-                active_counts = (data != 0.0).sum()
-                counts.accumulates[_index] += float(
-                    active_counts * _inner.out_features
+    def _count(self, wrapper: StepWrapper, x: Tensor, out: Tensor):
+        """Tap on one weight layer's step: count its events, and with
+        ``sparse=True`` replace the output by the event-driven result."""
+        counts = self._counts
+        index = self._index[id(wrapper)]
+        inner = wrapper.inner
+        data = x.data
+        counts.input_shapes[index] = tuple(data.shape[1:])
+        if id(wrapper) == self._first_weight_layer:
+            # Direct-encoded analog input: every element is an "event"
+            # and every connection a MAC at every step — dense count,
+            # dense compute.
+            counts.input_events[index] += float(data.size)
+            if isinstance(inner, Conv2d):
+                fanout = self._fanout_for(inner, data.shape[1:])
+                counts.accumulates[index] += float(fanout.sum() * data.shape[0])
+            else:
+                counts.accumulates[index] += float(
+                    data.shape[0] * inner.in_features * inner.out_features
                 )
-                if self.sparse:
-                    return Tensor(sparse_linear(data, _inner))
-                return _orig(x)
-
-            object.__setattr__(wrapper, "forward", counting)
-            patched.append((wrapper, original, had_instance_forward))
-        return patched
+            return None
+        active = data != 0.0
+        counts.input_events[index] += float(active.sum())
+        if isinstance(inner, Conv2d):
+            fanout = self._fanout_for(inner, data.shape[1:])
+            counts.accumulates[index] += float((active * fanout[None]).sum())
+            return Tensor(sparse_conv2d(data, inner)) if self.sparse else None
+        counts.accumulates[index] += float(active.sum() * inner.out_features)
+        return Tensor(sparse_linear(data, inner)) if self.sparse else None
 
     def _fanout_for(self, layer: Conv2d, in_shape) -> np.ndarray:
         key = (id(layer), tuple(in_shape))
@@ -243,21 +221,11 @@ class EventDrivenNetwork:
         images = np.asarray(images)
         self._counts = EventCounts(images=images.shape[0])
         self._first_weight_layer = None
-        patched = self._wrap_layers()
         was_training = self.snn.training
         self.snn.eval()
         try:
-            with no_grad():
+            with tap(self._register_layers(), self._count), no_grad():
                 logits = self.snn(images)
         finally:
             self.snn.train(was_training)
-            for wrapper, original, had_instance_forward in patched:
-                if had_instance_forward:
-                    object.__setattr__(wrapper, "forward", original)
-                else:
-                    # Restore by *removing* the instance attribute: an
-                    # assigned bound method would read as a patched
-                    # forward forever after, silently degrading the
-                    # fused engine's folding/prefix optimisations.
-                    object.__delattr__(wrapper, "forward")
         return logits, self._counts

@@ -11,9 +11,7 @@ decision is the accumulated logit).
 Two execution modes compute the identical unroll:
 
 - ``"stepwise"`` — the classic step-major loop: T outer steps, each
-  pushing one frame through every layer.  Every per-step probe (monitor
-  hooks, instance-patched forwards) sees the network exactly as the
-  temporal semantics describe it.
+  pushing one frame through every layer.
 - ``"fused"`` (default) — layer-major, time-folded execution: the T
   input frames are packed along the batch axis (``(T*N, C, H, W)``,
   time-major blocks) so each stateless layer runs **one** GEMM over the
@@ -25,12 +23,12 @@ Two execution modes compute the identical unroll:
   fused path produces the same spikes, logits and BPTT gradients as the
   step-major loop (see ``tests/test_fused_equivalence.py``).
 
-Fused execution degrades gracefully instead of changing semantics:
-a network-level step monitor forces the whole forward back to
-stepwise, and any module whose ``forward`` has been instance-patched
-(the library's probing idiom — event counting, spike rasters,
-calibration taps, spike-rate regularizers) is executed per step on the
-unfolded frames while the rest of the body stays fused.
+Layer probes (:class:`repro.nn.tap`) run in both engines.  The fused
+engine keeps a tapped module on its vectorised path and fires the tap
+once per time block, in time order, on row-block views of the folded
+input and output; a replacement output is folded back.  Only a
+network-level step monitor, which reads whole-network state at step
+boundaries, forces the forward back to stepwise.
 
 Structure classes:
 
@@ -106,7 +104,18 @@ def unfold_time(fused: Tensor, timesteps: int) -> List[Tensor]:
     return [fused[t * n:(t + 1) * n] for t in range(timesteps)]
 
 
-def tile_time(frame: Tensor, timesteps: int) -> Tensor:
+class TiledFrames(Tensor):
+    """A time-folded batch whose T blocks all equal ``frame``.
+
+    Direct encoding presents one frame at every step; a foldable
+    :class:`StepWrapper` fed a tiled batch computes on the frame once
+    and re-tiles, so the leading conv never recomputes per step.
+    """
+
+    __slots__ = ("frame",)
+
+
+def tile_time(frame: Tensor, timesteps: int) -> TiledFrames:
     """Repeat one frame T times along the batch axis (direct encoding).
 
     Backward sums the per-step gradient blocks — exactly the gradient a
@@ -121,26 +130,43 @@ def tile_time(frame: Tensor, timesteps: int) -> Tensor:
     def bwd(g):
         return (g.reshape((timesteps,) + data.shape).sum(axis=0),)
 
-    return Tensor.from_op(out, (frame,), bwd, "tile_time")
+    folded = Tensor.from_op(out, (frame,), bwd, "tile_time")
+    tiled = TiledFrames(folded.data, folded.requires_grad)
+    tiled._node = folded._node
+    tiled.frame = frame
+    return tiled
 
 
-def _has_patched_forward(module: Module) -> bool:
-    """True when ``forward`` was instance-patched (a per-step probe)."""
-    return "forward" in module.__dict__
+def _tap_time_blocks(module: Module, x: Tensor, out: Tensor, timesteps: int) -> Tensor:
+    """Fire ``module``'s taps once per time block of a folded call.
+
+    Taps see row-block views of the folded input and output in time
+    order — the calls a step-major loop would make — and a replacement
+    from any tap is folded back into the output.
+    """
+    if not module._taps:
+        return out
+    blocks = unfold_time(out, timesteps)
+    tapped = [
+        module.run_taps(step_in, step_out)
+        for step_in, step_out in zip(unfold_time(x, timesteps), blocks)
+    ]
+    if all(new is old for new, old in zip(tapped, blocks)):
+        return out
+    return fold_time(tapped)
 
 
 def apply_fused(module: Module, x: Tensor, timesteps: int) -> Tensor:
     """Run ``module`` over a time-folded batch, preserving semantics.
 
-    Dispatches to the module's ``forward_fused`` when it has one and its
-    ``forward`` has not been instance-patched; otherwise unfolds the
-    batch and replays the module step by step (correct for any stateful
-    module, and required for probes that tap ``forward`` per step).
+    Dispatches to the module's ``forward_fused`` when it has one, then
+    fires its taps per time block; otherwise unfolds the batch and
+    calls the module step by step (correct for any stateful module).
     """
     fused_fn = getattr(module, "forward_fused", None)
-    if fused_fn is not None and not _has_patched_forward(module):
-        return fused_fn(x, timesteps)
-    return fold_time([module(f) for f in unfold_time(x, timesteps)])
+    if fused_fn is None:
+        return fold_time([module(f) for f in unfold_time(x, timesteps)])
+    return _tap_time_blocks(module, x, fused_fn(x, timesteps), timesteps)
 
 
 class SpikingModule(Module):
@@ -169,19 +195,19 @@ class StepWrapper(SpikingModule):
         self.inner = inner
 
     def forward(self, x: Tensor) -> Tensor:
+        return self.inner.run_taps(x, self._run_inner(x))
+
+    def _run_inner(self, x: Tensor) -> Tensor:
+        """The inner module's output, without firing its taps."""
         dispatch = active_dispatch()
         if dispatch is not None:
             out = dispatch.maybe_run(self.inner, x)
             if out is not None:
                 return out
-        return self.inner(x)
+        return self.inner.forward(x)
 
     def _folds(self) -> bool:
         """Whether one call on a folded batch matches T per-step calls."""
-        if _has_patched_forward(self.inner):
-            # A per-step probe on the inner module must fire once per
-            # frame, never once on the folded batch.
-            return False
         if isinstance(self.inner, self._FOLDABLE):
             return True
         # Eval-mode BatchNorm is a fixed per-row affine map; in training
@@ -192,11 +218,15 @@ class StepWrapper(SpikingModule):
         return False
 
     def forward_fused(self, x: Tensor, timesteps: int) -> Tensor:
-        if self._folds():
-            return self.forward(x)
-        return fold_time(
-            [self.forward(f) for f in unfold_time(x, timesteps)]
-        )
+        if not self._folds():
+            return fold_time(
+                [self.forward(f) for f in unfold_time(x, timesteps)]
+            )
+        if isinstance(x, TiledFrames):
+            out = tile_time(self._run_inner(x.frame), timesteps)
+        else:
+            out = self._run_inner(x)
+        return _tap_time_blocks(self.inner, x, out, timesteps)
 
     def extra_repr(self) -> str:
         return type(self.inner).__name__
@@ -430,11 +460,9 @@ class SpikingNetwork(SpikingModule):
         """Context manager realising a :class:`repro.faults.FaultSpec`
         on this network (see :func:`repro.faults.inject_faults`).
 
-        Weight and neuron-parameter faults keep the fused engine;
-        transmission faults instance-patch the affected neurons, which
-        the fused path detects and replays per step — the same graceful
-        degradation any per-step probe triggers.  On exit the network is
-        restored bit-for-bit.
+        Every fault domain keeps the fused engine: transmission faults
+        tap the affected neurons, and the fused path fires those taps
+        per time block.  On exit the network is restored bit-for-bit.
         """
         from ..faults import inject_faults as _inject
 
@@ -451,7 +479,8 @@ class SpikingNetwork(SpikingModule):
 
     @contextmanager
     def using_mode(self, mode: str):
-        """Pin the execution mode within a block (probes force stepwise)."""
+        """Pin the execution mode within a block (a step monitor still
+        forces stepwise; taps run in either mode)."""
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got '{mode}'")
         previous = self.mode
@@ -585,73 +614,33 @@ class SpikingNetwork(SpikingModule):
         timesteps = self.timesteps
         direct_frame, frames = self._encode_input(images)
         if direct_frame is not None:
-            # Direct encoding presents identical frames: evaluate the
-            # leading stateless prefix once on (N, ...) and tile its
-            # output T times, so the first weight layer(s) never
-            # recompute the same result per step.
-            prefix, rest = self._direct_prefix()
-            probe = _LAYER_PROBE
-            out = direct_frame
-            if probe is None:
-                for wrapper in prefix:
-                    out = wrapper(out)
-                fused = tile_time(out, timesteps)
-                for layer in rest:
-                    fused = apply_fused(layer, fused, timesteps)
-            else:
-                # The flattened body keeps its positional labels: prefix
-                # layers are indices [0, len(prefix)), the rest follow.
-                for index, wrapper in enumerate(prefix):
-                    with probe(layer_label(index, wrapper)):
-                        out = wrapper(out)
-                fused = tile_time(out, timesteps)
-                for offset, layer in enumerate(rest):
-                    with probe(layer_label(len(prefix) + offset, layer)):
-                        fused = apply_fused(layer, fused, timesteps)
+            # Direct encoding presents identical frames: a tiled batch
+            # lets the leading stateless layers run once on (N, ...).
+            fused = tile_time(direct_frame, timesteps)
         else:
             fused = fold_time(frames)
-            fused = apply_fused(self.body, fused, timesteps)
+        probe = _LAYER_PROBE
+        if probe is None:
+            return self._decode_output(apply_fused(self.body, fused, timesteps))
+        for index, layer in enumerate(self._flat_layers()):
+            with probe(layer_label(index, layer)):
+                fused = apply_fused(layer, fused, timesteps)
         return self._decode_output(fused)
 
-    def _direct_prefix(self) -> Tuple[List[Module], List[Module]]:
-        """Split a sequential body into (stateless prefix, remainder).
+    def _flat_layers(self) -> List[Module]:
+        """The body as one positional layer list (profiler labels).
 
-        The prefix is the leading run of :class:`StepWrapper` layers
-        whose output is provably identical at every step under direct
-        encoding — deterministic, row-wise inners with no per-step
-        probes attached.  Nested, unpatched :class:`SpikingSequential`
-        containers are flattened first (chaining their layers over the
-        folded batch equals running the container), so converter-built
-        bodies like ``SpikingSequential(features, classifier)`` still
-        expose their leading conv stack.  Non-sequential bodies get an
-        empty prefix.
+        Nested :class:`SpikingSequential` containers are inlined —
+        chaining their layers over the folded batch equals running the
+        container — unless a tap observes the container itself.
         """
-        if not isinstance(self.body, SpikingSequential):
-            return [], [self.body]
 
-        def flatten(seq: SpikingSequential) -> List[Module]:
-            flat: List[Module] = []
-            for layer in seq:
-                if isinstance(layer, SpikingSequential) and not _has_patched_forward(layer):
-                    flat.extend(flatten(layer))
-                else:
-                    flat.append(layer)
-            return flat
+        def flatten(module: Module) -> List[Module]:
+            if isinstance(module, SpikingSequential) and not module._taps:
+                return [leaf for layer in module for leaf in flatten(layer)]
+            return [module]
 
-        if _has_patched_forward(self.body):
-            return [], [self.body]
-        layers = flatten(self.body)
-        prefix: List[Module] = []
-        for layer in layers:
-            if (
-                isinstance(layer, StepWrapper)
-                and layer._folds()
-                and not _has_patched_forward(layer)
-            ):
-                prefix.append(layer)
-            else:
-                break
-        return prefix, layers[len(prefix):]
+        return flatten(self.body)
 
     def _decode_output(self, fused: Tensor) -> Tensor:
         """Reduce the time-folded output blocks per ``output_mode``."""

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..nn import Conv2d, Linear, Module
+from ..nn import Conv2d, Linear, Module, tap
 from ..tensor import Tensor, no_grad
 
 
@@ -83,35 +83,25 @@ def lsuv_init(
 
     captured: dict = {}
 
-    def patch(layer: Module):
-        original = layer.forward
+    def capture(layer, _x, out):
+        captured[id(layer)] = float(out.data.std())
 
-        def capturing(x, _layer=layer, _orig=original):
-            out = _orig(x)
-            captured[id(_layer)] = float(out.data.std())
-            return out
-
-        object.__setattr__(layer, "forward", capturing)
-        return original
-
-    originals = [(layer, patch(layer)) for layer in weight_layers]
     final_stds: List[float] = []
     try:
-        for layer in weight_layers:
-            for _ in range(max_iterations):
+        with tap(weight_layers, capture):
+            for layer in weight_layers:
+                for _ in range(max_iterations):
+                    captured.clear()
+                    model(batch)
+                    std = captured[id(layer)]
+                    if std < min_std:
+                        break  # dead layer; leave weights untouched
+                    if abs(std - target_std) <= tolerance * target_std:
+                        break
+                    layer.weight.data /= std / target_std
                 captured.clear()
                 model(batch)
-                std = captured[id(layer)]
-                if std < min_std:
-                    break  # dead layer; leave weights untouched
-                if abs(std - target_std) <= tolerance * target_std:
-                    break
-                layer.weight.data /= std / target_std
-            captured.clear()
-            model(batch)
-            final_stds.append(captured[id(layer)])
+                final_stds.append(captured[id(layer)])
     finally:
         model.train(was_training)
-        for layer, original in originals:
-            object.__setattr__(layer, "forward", original)
     return final_stds

@@ -17,18 +17,20 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..nn import tap
 from ..snn import SpikingNetwork, SpikingNeuron
-from ..tensor import Tensor
+from ..tensor import GradMode, Tensor
 
 
 class SpikeRateRegularizer:
     """Accumulates an L1 spike-rate penalty over one forward window.
 
-    Attach with :meth:`attach` before the forward pass; the hook wraps
-    each neuron's forward to collect its spike output.  ``penalty``
+    Attach with :meth:`attach` before the forward pass; a tap on each
+    neuron collects its spike output on grad-enabled training forwards
+    only, so evaluation passes leave nothing behind.  ``penalty``
     returns ``weight * mean(sum_t spikes / (beta V^th))`` — the mean
     *rate* so the scale is architecture-independent.  Call
-    :meth:`detach` to restore the original forwards.
+    :meth:`detach` to remove the tap.
     """
 
     def __init__(self, weight: float = 1e-3) -> None:
@@ -36,31 +38,27 @@ class SpikeRateRegularizer:
             raise ValueError("weight must be non-negative")
         self.weight = weight
         self._collected: List[Tensor] = []
-        self._patched = []
+        self._tap: Optional[tap] = None
 
     # ------------------------------------------------------------------
     def attach(self, snn: SpikingNetwork) -> "SpikeRateRegularizer":
-        if self._patched:
+        if self._tap is not None:
             raise RuntimeError("regularizer already attached")
-        for neuron in snn.spiking_neurons():
-            original = neuron.forward
-
-            def recording(current, _neuron=neuron, _orig=original):
-                out = _orig(current)
-                # Normalise to unit-amplitude rate so the penalty is
-                # comparable across layers with different beta V^th.
-                amplitude = _neuron.beta * _neuron.threshold
-                self._collected.append(out * (1.0 / max(amplitude, 1e-12)))
-                return out
-
-            object.__setattr__(neuron, "forward", recording)
-            self._patched.append((neuron, original))
+        self._tap = tap(snn.spiking_neurons(), self._record)
+        self._tap.__enter__()
         return self
 
+    def _record(self, neuron: SpikingNeuron, _current, spikes: Tensor) -> None:
+        if neuron.training and GradMode.is_enabled():
+            # Normalise to unit-amplitude rate so the penalty is
+            # comparable across layers with different beta V^th.
+            amplitude = neuron.beta * neuron.threshold
+            self._collected.append(spikes * (1.0 / max(amplitude, 1e-12)))
+
     def detach(self) -> None:
-        for neuron, original in self._patched:
-            object.__setattr__(neuron, "forward", original)
-        self._patched = []
+        if self._tap is not None:
+            self._tap.__exit__(None, None, None)
+            self._tap = None
         self._collected = []
 
     def __enter__(self) -> "SpikeRateRegularizer":

@@ -10,6 +10,7 @@ from repro.conversion import (
 )
 from repro.data import DataLoader
 from repro.models import vgg11
+from repro.tensor import no_grad
 from repro.train import evaluate_snn
 
 
@@ -145,6 +146,28 @@ class TestSpikeRegularizer:
         # A fresh regularizer must attach cleanly (previous one detached).
         reg = SpikeRateRegularizer(0.1).attach(conversion.snn)
         reg.detach()
+
+    def test_eval_forward_collects_nothing(self, setup):
+        # SNNTrainer.fit keeps the regularizer attached while it
+        # evaluates; no-grad eval passes must not retain spike tensors.
+        from repro.train.regularizers import SpikeRateRegularizer
+
+        snn = convert_dnn_to_snn(
+            setup.model, setup.calibration_loader(),
+            ConversionConfig(timesteps=2),
+        ).snn
+        images, _labels = next(iter(setup.test_loader()))
+        reg = SpikeRateRegularizer(0.1).attach(snn)
+        try:
+            snn.eval()
+            with no_grad():
+                snn(images)
+            assert reg.penalty() is None
+            snn.train()
+            snn(images)
+            assert reg.penalty() is not None
+        finally:
+            reg.detach()
 
     def test_noisy_training_runs(self, setup):
         from repro.train import SNNTrainConfig, SNNTrainer

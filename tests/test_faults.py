@@ -183,9 +183,10 @@ class TestInjector:
         with inject_faults(snn, spec):
             _forward(snn, images, "fused")
         assert np.array_equal(clean, _forward(snn, images, "fused"))
-        # no lingering instance patches: fused engine must stay fused
+        # no lingering taps or dead-unit hooks
+        for module in snn.modules():
+            assert module._taps == ()
         for neuron in snn.spiking_neurons():
-            assert "forward" not in neuron.__dict__
             assert neuron._unit_fault_fn is None
 
     def test_seed_determinism(self, snn_setup):

@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
+from repro.conversion.calibration import _snn_average_outputs
 from repro.data import DataLoader
+from repro.experiments.fig1 import _collect_snn_average_currents
+from repro.faults import FaultSpec, FaultTelemetry, TransmissionFaults, inject_faults
 from repro.models import vgg11
-from repro.nn import BatchNorm2d, Conv2d, Flatten, Linear
+from repro.nn import BatchNorm2d, Conv2d, Flatten, Linear, tap
 from repro.obs import DriftMonitor, monitored
 from repro.obs.metrics import MetricsRegistry
 from repro.snn import (
@@ -26,15 +29,19 @@ from repro.snn import (
     PoissonEncoder,
     SpikingMaxPool,
     SpikingNetwork,
+    SpikingNeuron,
     SpikingResidualBlock,
     SpikingSequential,
     StepWrapper,
     TemporalDropout,
     fold_time,
+    record_spike_raster,
     tile_time,
     unfold_time,
 )
 from repro.tensor import Tensor, no_grad
+from repro.train.lsuv import lsuv_init
+from repro.train.regularizers import SpikeRateRegularizer
 
 T = 3
 
@@ -264,9 +271,9 @@ class TestGradientEquivalence:
 
 class TestEventDrivenEquivalence:
     def test_accumulate_counts_match(self):
-        # EventDrivenNetwork instance-patches layer forwards to count
-        # events per step; the fused engine detects the patch and
-        # replays those modules per step, so exact accounting survives.
+        # EventDrivenNetwork taps the weight layers to count events per
+        # step; the fused engine fires the tap once per time block, so
+        # exact accounting survives.
         images = images_batch()
         logits, counts = {}, {}
         for mode in SpikingNetwork.MODES:
@@ -276,6 +283,149 @@ class TestEventDrivenEquivalence:
         assert_logits_match(logits["fused"].data, logits["stepwise"].data)
         assert counts["fused"] == counts["stepwise"]
         assert counts["fused"].total > 0
+
+
+def _raster_probe(snn, images):
+    return {"rasters": ("exact", record_spike_raster(snn, images))}
+
+
+def _average_outputs_probe(snn, images):
+    return {"outputs": ("close", _snn_average_outputs(snn, images))}
+
+
+def _average_currents_probe(snn, images):
+    loader = [(images, np.zeros(len(images)))]
+    currents = _collect_snn_average_currents(snn, 0, loader, max_batches=1)
+    return {"currents": ("close", currents)}
+
+
+def _regularizer_probe(snn, images):
+    snn.train()
+    snn.zero_grad()
+    reg = SpikeRateRegularizer(0.5).attach(snn)
+    try:
+        snn(images)
+        penalty = reg.penalty()
+        penalty.backward()
+    finally:
+        reg.detach()
+    grads = {
+        name: param.grad.copy()
+        for name, param in snn.named_parameters()
+        if param.grad is not None
+    }
+    return {"penalty": ("close", penalty.item()), "grads": ("grad", grads)}
+
+
+def _transmission_probe(**rates):
+    def probe(snn, images):
+        snn.eval()
+        telemetry = FaultTelemetry(registry=MetricsRegistry())
+        spec = FaultSpec(transmission=TransmissionFaults(**rates), seed=4)
+        with inject_faults(snn, spec, telemetry=telemetry), no_grad():
+            logits = snn(images).data
+        stats = [
+            {k: record[k] for k in ("layer", "steps", "spikes_dropped",
+                                    "frames_dropped")}
+            for record in telemetry.records
+            if record["fault"] == "transmission"
+        ]
+        assert sum(s["spikes_dropped"] for s in stats) > 0
+        return {"logits": ("close", logits), "telemetry": ("exact", stats)}
+
+    return probe
+
+
+def _event_counts_probe(snn, images):
+    logits, counts = EventDrivenNetwork(snn).run(images)
+    assert counts.total > 0
+    return {"logits": ("close", logits.data), "counts": ("exact", counts)}
+
+
+def _inner_conv_probe(snn, images):
+    # The first conv sees identical frames under direct encoding; a
+    # replacement that differs per step must still reach later layers.
+    conv = snn.body[0].inner
+    inputs = []
+
+    def scale(_conv, x, out):
+        inputs.append(x.data.copy())
+        return out * float(len(inputs))
+
+    snn.eval()
+    with tap(conv, scale), no_grad():
+        logits = snn(images).data
+    return {"logits": ("close", logits), "inputs": ("exact", inputs)}
+
+
+TAP_PROBES = [
+    pytest.param(_raster_probe, id="spike-raster"),
+    pytest.param(_average_outputs_probe, id="snn-average-outputs"),
+    pytest.param(_average_currents_probe, id="snn-average-currents"),
+    pytest.param(_regularizer_probe, id="spike-rate-regularizer"),
+    pytest.param(_transmission_probe(spike_drop_rate=0.3), id="spike-drop"),
+    pytest.param(_transmission_probe(frame_drop_rate=0.5), id="frame-drop"),
+    pytest.param(_event_counts_probe, id="event-counts"),
+    pytest.param(_inner_conv_probe, id="step-wrapper-inner-conv"),
+]
+
+
+TOLERANCES = {
+    "close": dict(rtol=1e-12, atol=1e-14),  # logits contract
+    "grad": dict(rtol=1e-9, atol=1e-12),    # gradient contract
+}
+
+
+def _assert_probe_results_match(kind, fused, stepwise):
+    if kind == "exact":
+        np.testing.assert_equal(fused, stepwise)
+        return
+    if isinstance(stepwise, dict):
+        assert set(fused) == set(stepwise)
+        pairs = [(fused[key], stepwise[key]) for key in stepwise]
+    elif isinstance(stepwise, list):
+        assert len(fused) == len(stepwise)
+        pairs = zip(fused, stepwise)
+    else:
+        pairs = [(fused, stepwise)]
+    for f, s in pairs:
+        np.testing.assert_allclose(f, s, **TOLERANCES[kind])
+
+
+@pytest.fixture
+def neuron_forward_calls(monkeypatch):
+    """Counts per-step ``SpikingNeuron.forward`` calls (the fused
+    engine's neurons run ``forward_fused`` scans instead)."""
+    calls = []
+    original = SpikingNeuron.forward
+
+    def spy(self, current):
+        calls.append(self)
+        return original(self, current)
+
+    monkeypatch.setattr(SpikingNeuron, "forward", spy)
+    return calls
+
+
+class TestTapEquivalence:
+    @pytest.mark.parametrize("probe", TAP_PROBES)
+    def test_tap_user_matches_stepwise_and_stays_fused(
+        self, probe, neuron_forward_calls
+    ):
+        images = images_batch()
+        results, calls = {}, {}
+        for mode in SpikingNetwork.MODES:
+            neuron_forward_calls.clear()
+            snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
+            results[mode] = probe(snn, images)
+            calls[mode] = len(neuron_forward_calls)
+            for module in snn.modules():
+                assert module._taps == ()
+        assert calls["fused"] == 0
+        assert calls["stepwise"] > 0
+        assert set(results["fused"]) == set(results["stepwise"])
+        for name, (kind, stepwise) in results["stepwise"].items():
+            _assert_probe_results_match(kind, results["fused"][name][1], stepwise)
 
 
 class TestModePlumbing:
@@ -386,6 +536,32 @@ class TestObsCompatibility:
 
 
 class TestConvertedNetworkEquivalence:
+    def test_probed_dnn_converts_to_a_folding_snn(self, monkeypatch):
+        # LSUV and activation statistics probe the DNN's layers before
+        # conversion deep-copies them; the probes must leave nothing
+        # behind that unfolds the SNN's convolutions into per-step calls.
+        rng = np.random.default_rng(0)
+        model = vgg11(
+            num_classes=5, image_size=8, width_multiplier=0.125,
+            rng=np.random.default_rng(1),
+        )
+        lsuv_init(model, rng.random((8, 3, 8, 8)))
+        loader = DataLoader(rng.random((16, 3, 8, 8)), rng.integers(0, 5, 16), 8)
+        snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=T)).snn
+        calls = []
+        original = Conv2d.forward
+
+        def spy(self, x):
+            calls.append(self)
+            return original(self, x)
+
+        monkeypatch.setattr(Conv2d, "forward", spy)
+        snn.eval()
+        with no_grad():
+            snn(rng.random((4, 3, 8, 8)))
+        convs = [m for m in snn.modules() if isinstance(m, Conv2d)]
+        assert calls == convs
+
     def test_converted_vgg_logits_and_grads(self, converted):
         conversion, _model, images = converted
         snn = conversion.snn

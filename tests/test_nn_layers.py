@@ -21,6 +21,7 @@ from repro.nn import (
     Sequential,
     ThresholdReLU,
     fold_batchnorm,
+    tap,
 )
 from repro.nn.activations import ActivationRecorder
 from repro.tensor import Tensor
@@ -162,9 +163,10 @@ class TestActivations:
     def test_recorder_collects_preactivations(self, rng):
         layer = ThresholdReLU(init_threshold=1.0)
         recorder = ActivationRecorder()
-        layer.recorder = recorder
         x = rng.normal(size=(2, 3))
-        layer(Tensor(x))
+        with tap(layer, lambda _layer, inp, _out: recorder.record(inp.data)):
+            layer(Tensor(x))
+        layer(Tensor(x))  # the tap is gone: nothing more recorded
         np.testing.assert_allclose(np.sort(recorder.values()), np.sort(x.reshape(-1)))
 
     def test_recorder_max_samples(self, rng):
