@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke faults-smoke profile-smoke stream-smoke sparse-smoke exec-smoke exec-obs-smoke runs-gc examples clean
+.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke faults-smoke profile-smoke sparse-smoke exec-smoke exec-obs-smoke runs-gc examples clean
 
 install:
 	python setup.py develop
@@ -42,10 +42,9 @@ microbench:
 # `dashboard --once` renders deterministically.  Runs the
 # fault-tolerance smoke first, then the op-profiled variant (a
 # strict superset of the plain pipeline assertions), then the
-# streaming SLO + canary gate smoke, then the sparse-dispatch smoke,
-# then the parallel-executor supervision smoke, and finally the
-# distributed-observability (worker telemetry) smoke.
-smoke: faults-smoke profile-smoke stream-smoke sparse-smoke exec-smoke exec-obs-smoke
+# sparse-dispatch smoke, then the parallel-executor supervision smoke,
+# and finally the distributed-observability (worker telemetry) smoke.
+smoke: faults-smoke profile-smoke sparse-smoke exec-smoke exec-obs-smoke
 
 # Parallel-execution check: map/reduce results must be bitwise
 # identical at workers 1/2/4, survive a deterministic chaos worker
@@ -84,15 +83,6 @@ sparse-smoke:
 # identical-seed self-diff clean with the profile series aligned.
 profile-smoke:
 	PYTHONPATH=src python -m repro.obs.smoke --profile
-
-# Streaming SLO + canary gate check: a short seeded stream must write
-# schema-valid slo.jsonl / slo_summary.json registered in the run
-# registry, injected burst windows must raise an slo_breach alert
-# visible in dashboard --once and the report, an identical-seed
-# self-canary must exit 0 (promote) and a weight-pruned candidate must
-# exit 1 (rollback) through the direction-aware diff engine.
-stream-smoke:
-	PYTHONPATH=src python -m repro.stream.smoke
 
 # Compact the observed-run registry: drop entries whose run directories
 # are gone and keep only the 20 newest runs (the baseline always stays).

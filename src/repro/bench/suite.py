@@ -242,46 +242,6 @@ def profile_overhead():
     return run
 
 
-@register_bench("obs.streaming_step", group="obs", repeats=9, warmup=2)
-def streaming_step():
-    """One warm-state stream window through the serving path.
-
-    Times exactly what the streaming runner pays per window: a fused
-    forward with membranes carried from the previous window (no
-    ``reset_state``) plus the :class:`SloTracker` bookkeeping for the
-    resulting latency/staleness/accuracy sample (explicit registry, no
-    run directory, so the file sinks stay out of the measurement).
-    """
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.slo import SLOConfig, SloTracker
-    from ..tensor import no_grad
-
-    snn, images = _converted_tiny_vgg("fused")
-    tracker = SloTracker(
-        config=SLOConfig(window=32, latency_target_s=1.0,
-                         staleness_target_s=1.0, accuracy_floor=0.0),
-        registry=MetricsRegistry(),
-        run_dir=None,
-    )
-    snn.reset_state()
-    snn.carry_state = True
-    index = 0
-
-    def run():
-        nonlocal index
-        with no_grad():
-            logits = snn(images)
-        tracker.observe_window(
-            index=index, latency_s=1e-3, staleness_s=1e-3,
-            accuracy=0.5, frames=images.shape[0], spikes_per_frame=10.0,
-        )
-        index += 1
-        return logits
-
-    assert run().shape == (16, 10)
-    return run
-
-
 def _synthetic_spike_frame(shape, density, rng):
     """Binary frame with exactly ``round(density * size)`` active units."""
     total = int(np.prod(shape))

@@ -20,10 +20,6 @@ Algorithm 1's per-layer search over N supervised worker processes
 
 Results print as the paper-style tables and are archived under
 ``results/`` as JSON.
-
-Streaming-inference serving and canary release gating live in their
-own entry point — ``python -m repro.stream run`` / ``canary`` — built
-on the same pipeline and scale presets (see ``repro.stream``).
 """
 
 from __future__ import annotations

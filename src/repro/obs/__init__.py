@@ -11,9 +11,7 @@ directory:
 - ``drift.jsonl``   — per-layer conversion-drift series
   (:class:`DriftMonitor`), when a conversion was instrumented;
 - ``profile.jsonl`` / ``profile_summary.json`` — op-level performance
-  profile (:class:`OpProfiler`), when ``configure(profile=True)``;
-- ``slo.jsonl`` / ``slo_summary.json`` — streaming SLO windows and
-  breaches (:class:`SloTracker`), when a stream run is tracked.
+  profile (:class:`OpProfiler`), when ``configure(profile=True)``.
 
 Quick start::
 
@@ -53,7 +51,6 @@ from .logging import Logger, console, get_logger, set_console_level
 from .metrics import MetricsRegistry, get_registry, reset_registry
 from .profile import OpProfiler
 from .registry import BaselineError, RunRegistry
-from .slo import SLOConfig, SloTracker
 
 
 def load_run(run_dir):
@@ -103,8 +100,6 @@ __all__ = [
     "MetricsRegistry",
     "OpProfiler",
     "RunRegistry",
-    "SLOConfig",
-    "SloTracker",
     "StepMonitor",
     "configure",
     "console",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import IO, Callable, List, Optional
+from typing import IO, Callable, Iterable, List, Optional, Tuple
 
 _RUN_COUNTER = 0
 
@@ -264,6 +264,31 @@ def _write_line(fp: Optional[IO[str]], record: dict) -> None:
     if fp is not None:
         fp.write(json.dumps(record, default=_json_default) + "\n")
         fp.flush()
+
+
+def parse_jsonl(lines: Iterable[str]) -> Tuple[List[dict], int]:
+    """Parse JSONL ``lines`` into ``(records, skipped)``.
+
+    The reading twin of :func:`_write_line`.  Blank lines are ignored;
+    a line that is not a JSON object (a torn tail from a killed writer,
+    a corrupt frame) is counted in ``skipped`` instead of discarding the
+    good lines around it.
+    """
+    records, skipped = [], 0
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            skipped += 1
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            skipped += 1
+    return records, skipped
 
 
 def _json_default(value):

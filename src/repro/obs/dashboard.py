@@ -5,11 +5,10 @@
 
 The dashboard *tails* the run's JSONL artefacts — ``events.jsonl``,
 ``trace.jsonl``, ``alerts.jsonl``, ``drift.jsonl``, ``faults.jsonl``,
-``profile.jsonl``, ``slo.jsonl`` —
-through :class:`JsonlTailer`, which only ever consumes complete lines:
-a line still being written by the observed process (no trailing
-newline yet) is left for the next poll, and malformed lines are skipped
-and counted, never fatal.  ``metrics.json`` is re-read whole on each
+``profile.jsonl`` — through :class:`JsonlTailer`, which only ever
+consumes complete lines: a line still being written by the observed
+process (no trailing newline yet) is left for the next poll, and
+malformed lines are skipped and counted, never fatal.  ``metrics.json`` is re-read whole on each
 refresh when present.
 
 One frame shows:
@@ -17,8 +16,6 @@ One frame shows:
 - the run header (id, status, artefact record counts);
 - loss and accuracy sparklines from the trainers' epoch log records
   and health heartbeats;
-- for streaming runs: a window-latency sparkline, the SLO status row
-  (per-objective ok/BREACH, sliding accuracy) and the breach log;
 - per-layer spike-rate bars (latest health heartbeat, falling back to
   the ``health.spike_rate`` / ``snn.layer_spike_rate`` gauges);
 - the most recent health alerts;
@@ -38,6 +35,8 @@ import json
 import os
 import time
 from typing import Dict, List, Optional
+
+from .core import parse_jsonl
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 BAR_CHAR = "█"
@@ -73,7 +72,6 @@ class JsonlTailer:
             self.records = []
         if size == self.offset:
             return []
-        new_records: List[dict] = []
         with open(self.path, "r", encoding="utf-8", errors="replace") as fp:
             fp.seek(self.offset)
             chunk = fp.read()
@@ -86,19 +84,8 @@ class JsonlTailer:
             consumed -= len(tail.encode("utf-8"))
             chunk = head + "\n"
         self.offset += consumed
-        for line in chunk.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self.skipped += 1
-                continue
-            if isinstance(record, dict):
-                new_records.append(record)
-            else:
-                self.skipped += 1
+        new_records, skipped = parse_jsonl(chunk.splitlines())
+        self.skipped += skipped
         self.records.extend(new_records)
         return new_records
 
@@ -114,12 +101,12 @@ class DashboardState:
         self.drift = JsonlTailer(os.path.join(run_dir, "drift.jsonl"))
         self.faults = JsonlTailer(os.path.join(run_dir, "faults.jsonl"))
         self.profile = JsonlTailer(os.path.join(run_dir, "profile.jsonl"))
-        self.slo = JsonlTailer(os.path.join(run_dir, "slo.jsonl"))
+        self.tailers = (self.events, self.spans, self.health,
+                        self.drift, self.faults, self.profile)
         self.metrics: dict = {}
 
     def refresh(self) -> None:
-        for tailer in (self.events, self.spans, self.health,
-                       self.drift, self.faults, self.profile, self.slo):
+        for tailer in self.tailers:
             tailer.poll()
         path = os.path.join(self.run_dir, "metrics.json")
         try:
@@ -221,20 +208,6 @@ class DashboardState:
     def alerts(self) -> List[dict]:
         return [r for r in self.health.records if r.get("kind") == "alert"]
 
-    def slo_windows(self) -> List[dict]:
-        return [r for r in self.slo.records if r.get("kind") == "window"]
-
-    def slo_breaches(self) -> List[dict]:
-        return [r for r in self.slo.records if r.get("kind") == "breach"]
-
-    def slo_series(self, key: str) -> List[float]:
-        values: List[float] = []
-        for record in self.slo_windows():
-            value = record.get(key)
-            if isinstance(value, (int, float)) and value == value:  # not NaN
-                values.append(float(value))
-        return values
-
     def hot_ops(self, top: int = 5) -> List[tuple]:
         """``(op, total_s, count)`` of the costliest op kinds so far."""
         totals: Dict[str, float] = {}
@@ -313,9 +286,7 @@ def render_frame(state: DashboardState, width: int = 80) -> str:
         f"  alerts {len(state.alerts())}  drift {len(state.drift.records)}"
         f"  faults {len(state.faults.records)}"
     )
-    skipped = sum(t.skipped for t in (state.events, state.spans, state.health,
-                                      state.drift, state.faults,
-                                      state.profile, state.slo))
+    skipped = sum(t.skipped for t in state.tailers)
     if skipped:
         counts += f"  (skipped {skipped} malformed line(s))"
     lines.append(counts)
@@ -333,49 +304,6 @@ def render_frame(state: DashboardState, width: int = 80) -> str:
             f"last {last} ({len(series)} pts)"
         )
     lines.append(rule)
-
-    windows = state.slo_windows()
-    if windows:
-        latencies = state.slo_series("latency_s")
-        last_latency = latencies[-1] if latencies else None
-        lines.append(
-            f" window latency [{sparkline(latencies, spark_width)}] "
-            f"last {_format_duration(last_latency)} ({len(latencies)} pts)"
-        )
-        last = windows[-1]
-        breaches = state.slo_breaches()
-        breached_objectives = {str(r.get("objective", "?")) for r in breaches}
-        status_cells = []
-        for objective in ("latency", "staleness", "accuracy"):
-            mark = "BREACH" if objective in breached_objectives else "ok"
-            status_cells.append(f"{objective}:{mark}")
-        sliding = last.get("sliding_accuracy")
-        sliding_text = (
-            f"{sliding:.3f}" if isinstance(sliding, (int, float)) else "-"
-        )
-        lines.append(
-            f" SLO  {'  '.join(status_cells)}  "
-            f"windows {len(windows)}  breaches {len(breaches)}  "
-            f"sliding acc {sliding_text}"
-            + ("  [calibrating]" if last.get("calibrating") else "")
-        )
-        if breaches:
-            lines.append(f" breach log (last {min(len(breaches), 5)})")
-            for record in breaches[-5:]:
-                value = record.get("value")
-                target = record.get("target")
-                value_text = (
-                    f"{value:.4g}" if isinstance(value, (int, float)) else "-"
-                )
-                target_text = (
-                    f"{target:.4g}" if isinstance(target, (int, float)) else "-"
-                )
-                lines.append(
-                    f"   w{record.get('window', '?')} "
-                    f"{record.get('objective', '?')}: {value_text} "
-                    f"vs {target_text}"
-                )
-        lines.append(rule)
 
     rates = state.layer_rates()
     lines.append(" spike rate per layer")

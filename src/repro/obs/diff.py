@@ -23,12 +23,7 @@ Aligned series
   than no gate (``repro.bench`` owns timing regressions);
 - **op-profile aggregates** (per-op totals/counts, per-layer totals)
   from the run's ``repro.obs.profile/v1`` summary — informational like
-  span timings, never gated;
-- **sliding-window metrics** and the **streaming SLO summary**
-  (``slo_summary.json``): windowed/overall accuracy and SLO **breach
-  counts** gate direction-aware, while the latency / staleness /
-  throughput families are wall-clock-valued and never gate (same
-  contract as span timings — ``repro.bench`` owns perf).
+  span timings, never gated.
 
 Direction semantics
 -------------------
@@ -60,32 +55,24 @@ _UP_RE = re.compile(r"accuracy|improvement")
 _DOWN_RE = re.compile(
     r"loss|gap|residual|faults\.|fault:|alerts|error|spikes_dropped|retries"
 )
-# Wall-clock-valued series never gate: latency / staleness / throughput
-# (the streaming SLO series) vary between bit-identical replays just
-# like span timings do, so they align for context only — the *breach
-# counts* and sliding accuracy those SLOs produce are what gates.
-# ``exec.*`` executor telemetry (dispatch/retry/crash/restart counts,
-# pool timings) is scheduling noise by design: a chaos run that killed
-# and replaced a worker must still diff clean against an undisturbed
-# run, because the *results* are bitwise identical.  The same goes for
-# the ``exec:`` worker-telemetry stream series and the ``exec_*``
-# health-alert rules the executor raises.  The informational
+# Wall-clock-valued series (timings, memory, the ``profile:`` family)
+# never gate: they vary between bit-identical replays, so they align for
+# context only.  ``exec.*`` executor telemetry (dispatch/retry/crash/
+# restart counts, pool timings) is scheduling noise by design: a chaos
+# run that killed and replaced a worker must still diff clean against an
+# undisturbed run, because the *results* are bitwise identical.  The
+# same goes for the ``exec:`` worker-telemetry stream series and the
+# ``exec_*`` health-alert rules the executor raises.  The informational
 # env:executor.* rows (from the run registry's environment fingerprint)
 # flag cross-worker-count comparisons instead.
 _SKIP_RE = re.compile(
     r"seconds|duration_s|\.ts$|wall|span:|bench\.|memory|bytes|profile:"
-    r"|latency|staleness|throughput|exec[.:_]"
+    r"|latency|exec[.:_]"
 )
 
 
 def metric_direction(name: str) -> str:
     """Infer gating semantics from a metric/series name."""
-    # Breach counts gate "down" before any other rule fires: they are
-    # counts, not wall-clock values, even when named after the latency
-    # objective ("slo:breaches.latency") or an up-gated one
-    # ("slo:breaches.accuracy").
-    if "breach" in name:
-        return "down"
     if _SKIP_RE.search(name):
         return "skip"
     if _UP_RE.search(name):
@@ -232,16 +219,6 @@ def extract_series(data: RunData) -> Dict[str, Tuple[str, float]]:
             series[f"histogram:{name}.count"] = ("histogram", float(count))
         if isinstance(mean, (int, float)):
             series[f"histogram:{name}.mean"] = ("histogram", float(mean))
-    # Sliding-window metrics (the streaming SLO aggregates): mean and
-    # lifetime count align; the latency/staleness/throughput families
-    # stay informational via _SKIP_RE while windowed accuracy gates.
-    for name, payload in (metrics.get("windows") or {}).items():
-        payload = payload or {}
-        for key in ("mean", "total_count"):
-            value = payload.get(key)
-            if isinstance(value, (int, float)):
-                series[f"window:{name}.{key}"] = ("window", float(value))
-
     # Latest-snapshot per-layer drift.
     if data.drift:
         latest = max(r.get("snapshot", 0) for r in data.drift)
@@ -287,30 +264,6 @@ def extract_series(data: RunData) -> Dict[str, Tuple[str, float]]:
         value = (entry or {}).get("total_s")
         if isinstance(value, (int, float)):
             series[f"profile:layer.{name}.total_s"] = ("profile", float(value))
-
-    # Streaming SLO summary: breach counts (lower is better) and
-    # accuracy statistics (higher is better) gate via their names;
-    # latency / staleness percentiles align but stay informational.
-    slo_summary = data.slo_summary or {}
-    for key in ("windows", "frames"):
-        value = slo_summary.get(key)
-        if isinstance(value, (int, float)):
-            series[f"slo:{key}"] = ("slo", float(value))
-    for family in ("latency_s", "staleness_s", "accuracy"):
-        entry = slo_summary.get(family) or {}
-        for key in ("mean", "p50", "p95", "p99"):
-            value = entry.get(key)
-            if isinstance(value, (int, float)):
-                series[f"slo:{family}.{key}"] = ("slo", float(value))
-    value = slo_summary.get("sliding_accuracy")
-    if isinstance(value, (int, float)):
-        series["slo:sliding_accuracy"] = ("slo", float(value))
-    for objective, count in (slo_summary.get("breaches") or {}).items():
-        if isinstance(count, (int, float)):
-            series[f"slo:breaches.{objective}"] = ("slo", float(count))
-    value = slo_summary.get("breaches_total")
-    if isinstance(value, (int, float)):
-        series["slo:breaches_total"] = ("slo", float(value))
 
     by_span: Dict[str, float] = {}
     for span in data.spans:

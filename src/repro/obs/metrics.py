@@ -17,15 +17,11 @@ Typical instrument points in this repository:
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import _STATE
 
 _MAX_SAMPLES = 65_536
-
-#: Default sample capacity of a sliding-window metric.
-DEFAULT_WINDOW_SIZE = 64
 
 
 class Counter:
@@ -119,61 +115,6 @@ class Histogram:
         return self.percentile(50.0)
 
 
-class SlidingWindow:
-    """Distribution over the most recent N samples (SLO aggregation).
-
-    Unlike :class:`Histogram`, which accumulates a run-lifetime
-    distribution, a sliding window forgets: quantiles and means describe
-    only the last ``size`` observations, which is what a streaming SLO
-    ("p95 latency over the recent past") means.  The lifetime sample
-    count is kept exact so rates can still be derived.
-    """
-
-    __slots__ = ("size", "samples", "total_count")
-
-    def __init__(self, size: int = DEFAULT_WINDOW_SIZE) -> None:
-        if size <= 0:
-            raise ValueError("window size must be positive")
-        self.size = size
-        self.samples: Deque[float] = deque(maxlen=size)
-        self.total_count = 0
-
-    def observe(self, value: float) -> None:
-        self.samples.append(float(value))
-        self.total_count += 1
-
-    @property
-    def count(self) -> int:
-        """Samples currently inside the window."""
-        return len(self.samples)
-
-    @property
-    def last(self) -> Optional[float]:
-        return self.samples[-1] if self.samples else None
-
-    @property
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Linearly interpolated percentile over the current window."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("q must be in [0, 100]")
-        if not self.samples:
-            raise ValueError(
-                "cannot take a percentile of an empty window "
-                "(no samples observed)"
-            )
-        ordered = sorted(self.samples)
-        position = (len(ordered) - 1) * q / 100.0
-        low = int(math.floor(position))
-        high = int(math.ceil(position))
-        if low == high:
-            return ordered[low]
-        weight = position - low
-        return ordered[low] * (1.0 - weight) + ordered[high] * weight
-
-
 MetricKey = Tuple[str, Tuple[Tuple[str, object], ...]]
 
 
@@ -193,8 +134,8 @@ class MetricsRegistry:
     """Aggregates named, labelled metrics of the three kinds.
 
     ``_journal``, when set to a callable, receives one deterministic op
-    record per successful write (``{"op", "name", "value", "labels"}``,
-    plus ``"size"`` for windows).  The cross-process telemetry layer
+    record per successful write (``{"op", "name", "value", "labels"}``).
+    The cross-process telemetry layer
     (:mod:`repro.obs.remote`) uses it to replay a worker's metric
     deltas into the parent registry; it costs one attribute check per
     write when unset.
@@ -204,7 +145,6 @@ class MetricsRegistry:
         self._counters: Dict[MetricKey, Counter] = {}
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
-        self._windows: Dict[MetricKey, SlidingWindow] = {}
         self._journal = None
 
     # -- accessors (create on first use) -------------------------------
@@ -216,12 +156,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self._histograms.setdefault(_key(name, labels), Histogram())
-
-    def window(
-        self, name: str, size: int = DEFAULT_WINDOW_SIZE, **labels
-    ) -> SlidingWindow:
-        """Sliding-window metric; ``size`` applies on first creation."""
-        return self._windows.setdefault(_key(name, labels), SlidingWindow(size))
 
     # -- write-style shorthands ----------------------------------------
     def inc(self, name: str, amount: float = 1.0, **labels) -> None:
@@ -245,34 +179,13 @@ class MetricsRegistry:
                 {"op": "observe", "name": name, "value": float(value), "labels": labels}
             )
 
-    def observe_window(
-        self, name: str, value: float, size: int = DEFAULT_WINDOW_SIZE, **labels
-    ) -> None:
-        self.window(name, size, **labels).observe(value)
-        if self._journal is not None:
-            self._journal(
-                {
-                    "op": "window",
-                    "name": name,
-                    "value": float(value),
-                    "size": int(size),
-                    "labels": labels,
-                }
-            )
-
     def reset(self) -> None:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-        self._windows.clear()
 
     def __len__(self) -> int:
-        return (
-            len(self._counters)
-            + len(self._gauges)
-            + len(self._histograms)
-            + len(self._windows)
-        )
+        return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     def snapshot(self) -> dict:
         """JSON-ready summary of every metric."""
@@ -298,21 +211,6 @@ class MetricsRegistry:
                     "p95": h.percentile(95.0) if h.samples else None,
                 }
                 for k, h in sorted(self._histograms.items())
-            },
-            "windows": {
-                _render_key(k): {
-                    "size": w.size,
-                    "count": w.count,
-                    "total_count": w.total_count,
-                    "mean": w.mean,
-                    "last": w.last,
-                    "min": min(w.samples) if w.samples else None,
-                    "max": max(w.samples) if w.samples else None,
-                    "p50": w.percentile(50.0) if w.samples else None,
-                    "p95": w.percentile(95.0) if w.samples else None,
-                    "p99": w.percentile(99.0) if w.samples else None,
-                }
-                for k, w in sorted(self._windows.items())
             },
         }
 
@@ -355,12 +253,6 @@ def apply_metric_op(registry: MetricsRegistry, op: dict) -> None:
         registry.set_gauge(name, value, **labels)
     elif kind == "observe":
         registry.observe(name, value, **labels)
-    elif kind == "window":
-        try:
-            size = int(op.get("size", DEFAULT_WINDOW_SIZE))
-        except (TypeError, ValueError):
-            size = DEFAULT_WINDOW_SIZE
-        registry.observe_window(name, value, size, **labels)
 
 
 # ----------------------------------------------------------------------
@@ -379,10 +271,3 @@ def gauge(name: str, value: float, **labels) -> None:
 def observe(name: str, value: float, **labels) -> None:
     if _STATE.enabled:
         _GLOBAL.observe(name, value, **labels)
-
-
-def observe_window(
-    name: str, value: float, size: int = DEFAULT_WINDOW_SIZE, **labels
-) -> None:
-    if _STATE.enabled:
-        _GLOBAL.observe_window(name, value, size, **labels)

@@ -51,6 +51,7 @@ from typing import IO, List, Optional
 
 from ..tensor.tensor import add_op_observer, remove_op_observer
 from . import trace
+from .core import parse_jsonl
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
 PROFILE_SCHEMA_VERSION = 1
@@ -434,9 +435,8 @@ def load_records(run_dir: str) -> List[dict]:
     path = os.path.join(run_dir, PROFILE_FILENAME)
     if not os.path.exists(path):
         return []
-    from .report import _read_jsonl
-
-    records, _ = _read_jsonl(path)
+    with open(path, "r", encoding="utf-8") as fp:
+        records, _ = parse_jsonl(fp)
     return [r for r in records if r.get("kind") == "op"]
 
 

@@ -45,6 +45,8 @@ import shutil
 import time
 from typing import Dict, List, Optional
 
+from .core import parse_jsonl
+
 RUNS_SCHEMA = "repro.obs.runs/v1"
 RUNS_SCHEMA_VERSION = 1
 INDEX_FILENAME = "index.jsonl"
@@ -65,11 +67,6 @@ KNOWN_ARTIFACTS = (
     "alerts.jsonl",
     "profile.jsonl",
     "profile_summary.json",
-    "slo.jsonl",
-    "slo_summary.json",
-    "stream_meta.json",
-    "model.npz",
-    "canary.json",
     "worker_telemetry.jsonl",
     "worker-*.jsonl",
 )
@@ -80,8 +77,8 @@ class BaselineError(LookupError):
 
     Raised with an actionable message (no tag, unknown run, or a tag
     left dangling after the run directory was deleted/gc'd) so
-    ``diff --baseline`` and ``repro.stream canary`` fail cleanly
-    instead of stack-tracing on a dead path.
+    ``diff --baseline`` fails cleanly instead of stack-tracing on a
+    dead path.
     """
 
 
@@ -220,18 +217,9 @@ class RunRegistry:
         """Raw index records in append order (bad lines skipped)."""
         if not os.path.exists(self.index_path):
             return []
-        records = []
+        # A torn/corrupt line never poisons the index.
         with open(self.index_path, "r", encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # a torn/corrupt line never poisons the index
-                if isinstance(record, dict):
-                    records.append(record)
+            records, _ = parse_jsonl(fp)
         return records
 
     def runs(self) -> List[dict]:
@@ -319,7 +307,7 @@ class RunRegistry:
         - ``drop_missing`` removes entries whose run directory no longer
           exists on disk — including the tagged baseline, whose tag is
           then *cleared* (a tag pointing at a dead path would make every
-          later ``diff --baseline`` / ``canary`` fail);
+          later ``diff --baseline`` fail);
         - ``keep`` retains only the newest N surviving runs (by last
           timestamp); a live tagged baseline run is always retained;
         - ``delete_dirs`` additionally deletes the pruned runs' artefact

@@ -53,7 +53,7 @@ from typing import Any, Dict, IO, List, Optional
 from . import core, health, trace
 from . import metrics as obs_metrics
 from . import profile as profile_mod
-from .core import _json_default
+from .core import _json_default, parse_jsonl
 
 SCHEMA_VERSION = 1
 #: Canonical merged stream (bitwise deterministic, see module docstring).
@@ -473,15 +473,9 @@ class MapTelemetry:
                     raw = fp.read()
             except OSError:
                 continue
-            for line in raw.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail / corrupt frame
-                if not isinstance(entry, dict) or entry.get("map") != self.map_id:
+            entries, _ = parse_jsonl(raw.splitlines())  # torn tail skipped
+            for entry in entries:
+                if entry.get("map") != self.map_id:
                     continue
                 task, attempt, seq = (
                     entry.get("task"), entry.get("attempt"), entry.get("seq"),

@@ -10,10 +10,7 @@ conversion-drift series from :class:`repro.obs.drift.DriftMonitor`),
 ``faults.jsonl`` (fault-injection events), ``alerts.jsonl``
 (training-health alerts/heartbeats), ``profile.jsonl`` /
 ``profile_summary.json`` (op-level profiler events and their
-``repro.obs.profile/v1`` aggregate), ``slo.jsonl`` /
-``slo_summary.json`` (streaming SLO windows and breaches from
-:class:`repro.obs.slo.SloTracker`), ``canary.json`` (the canary
-gate's promote/rollback verdict) and ``worker_telemetry.jsonl`` (the
+``repro.obs.profile/v1`` aggregate) and ``worker_telemetry.jsonl`` (the
 canonical merged worker-telemetry stream from observed parallel maps,
 see :mod:`repro.obs.remote`) — any subset may be missing, in
 which case the report degrades to the available artefacts with an
@@ -35,6 +32,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .core import parse_jsonl
+
 
 @dataclass
 class RunData:
@@ -50,45 +49,34 @@ class RunData:
     health: List[dict] = field(default_factory=list)
     profile: List[dict] = field(default_factory=list)
     profile_summary: dict = field(default_factory=dict)
-    slo: List[dict] = field(default_factory=list)
-    slo_breaches: List[dict] = field(default_factory=list)
-    slo_summary: dict = field(default_factory=dict)
-    canary: dict = field(default_factory=dict)
     worker_telemetry: List[dict] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
 
 
-def _read_jsonl(path: str):
-    """All parseable records plus the count of malformed lines (a
-    truncated tail from a killed run must not discard the good lines)."""
-    records, skipped = [], 0
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                skipped += 1
-    return records, skipped
+# JSONL artefacts that only some runs write (instrumented conversions,
+# fault injection, profiling, observed parallel maps, health monitoring):
+# their absence is normal and does not warn.
+_OPTIONAL_JSONL = frozenset({
+    "drift.jsonl",
+    "faults.jsonl",
+    "profile.jsonl",
+    "worker_telemetry.jsonl",
+    "alerts.jsonl",
+})
 
 
 def _load_jsonl(data: RunData, filename: str, what: str) -> List[dict]:
     """Read one JSONL artefact; a missing or unreadable file degrades to
     an empty list — and torn lines to a skip count — plus a warning line
-    in the rendered report."""
+    in the rendered report (none for a missing optional artefact)."""
     path = os.path.join(data.run_dir, filename)
     if not os.path.exists(path):
-        data.warnings.append(f"`{filename}` missing — no {what} recorded")
+        if filename not in _OPTIONAL_JSONL:
+            data.warnings.append(f"`{filename}` missing — no {what} recorded")
         return []
     try:
-        records, skipped = _read_jsonl(path)
+        with open(path, "r", encoding="utf-8") as fp:
+            records, skipped = parse_jsonl(fp)
     except OSError as exc:
         data.warnings.append(f"`{filename}` unreadable ({exc}) — {what} skipped")
         return []
@@ -101,8 +89,8 @@ def _load_jsonl(data: RunData, filename: str, what: str) -> List[dict]:
 
 
 def _load_json_object(data: RunData, filename: str, what: str) -> dict:
-    """Read one optional JSON-object artefact; absence is silent (these
-    files only exist for streaming/canary runs), unreadability warns."""
+    """Read one optional JSON-object artefact; absence is silent,
+    unreadability warns."""
     path = os.path.join(data.run_dir, filename)
     if not os.path.exists(path):
         return {}
@@ -135,57 +123,23 @@ def load_run(run_dir: str) -> RunData:
         r for r in _load_jsonl(data, "drift.jsonl", "conversion drift")
         if r.get("kind") == "drift"
     ]
-    # drift.jsonl only exists for instrumented conversions; its absence
-    # is normal and should not alarm.
-    if data.warnings and data.warnings[-1].startswith("`drift.jsonl` missing"):
-        data.warnings.pop()
     data.faults = [
         r for r in _load_jsonl(data, "faults.jsonl", "fault events")
         if r.get("kind") == "fault"
     ]
-    if data.warnings and data.warnings[-1].startswith("`faults.jsonl` missing"):
-        data.warnings.pop()
     data.profile = [
         r for r in _load_jsonl(data, "profile.jsonl", "op profile")
         if r.get("kind") == "op"
     ]
-    # profile.jsonl only exists for profiled runs; absence is normal.
-    if data.warnings and data.warnings[-1].startswith("`profile.jsonl` missing"):
-        data.warnings.pop()
-    summary_path = os.path.join(run_dir, "profile_summary.json")
-    if os.path.exists(summary_path):
-        try:
-            with open(summary_path, "r", encoding="utf-8") as fp:
-                summary = json.load(fp)
-            if isinstance(summary, dict):
-                data.profile_summary = summary
-        except (json.JSONDecodeError, OSError) as exc:
-            data.warnings.append(
-                f"`profile_summary.json` unreadable ({exc}) — "
-                "profile summary skipped"
-            )
-    slo_records = _load_jsonl(data, "slo.jsonl", "streaming SLO telemetry")
-    data.slo = [r for r in slo_records if r.get("kind") == "window"]
-    data.slo_breaches = [r for r in slo_records if r.get("kind") == "breach"]
-    # slo.jsonl only exists for streaming runs; absence is normal.
-    if data.warnings and data.warnings[-1].startswith("`slo.jsonl` missing"):
-        data.warnings.pop()
-    data.slo_summary = _load_json_object(data, "slo_summary.json", "SLO summary")
-    data.canary = _load_json_object(data, "canary.json", "canary verdict")
+    data.profile_summary = _load_json_object(
+        data, "profile_summary.json", "profile summary"
+    )
     data.worker_telemetry = _load_jsonl(
         data, "worker_telemetry.jsonl", "worker telemetry"
     )
-    # worker_telemetry.jsonl only exists for observed parallel maps;
-    # absence is normal.
-    if data.warnings and data.warnings[-1].startswith(
-        "`worker_telemetry.jsonl` missing"
-    ):
-        data.warnings.pop()
     health_records = _load_jsonl(data, "alerts.jsonl", "health telemetry")
     data.alerts = [r for r in health_records if r.get("kind") == "alert"]
     data.health = [r for r in health_records if r.get("kind") == "health"]
-    if data.warnings and data.warnings[-1].startswith("`alerts.jsonl` missing"):
-        data.warnings.pop()
     metrics_path = os.path.join(run_dir, "metrics.json")
     if os.path.exists(metrics_path):
         try:
@@ -220,10 +174,6 @@ def run_to_json(data: RunData) -> dict:
         "health": list(data.health),
         "profile": list(data.profile),
         "profile_summary": dict(data.profile_summary),
-        "slo": list(data.slo),
-        "slo_breaches": list(data.slo_breaches),
-        "slo_summary": dict(data.slo_summary),
-        "canary": dict(data.canary),
         "worker_telemetry": list(data.worker_telemetry),
     }
 
@@ -534,102 +484,6 @@ def _render_profile(data: RunData, lines: List[str]) -> None:
         lines.append("")
 
 
-def _render_canary(data: RunData, lines: List[str]) -> None:
-    """The "Canary verdict" section — rendered first because the
-    promote/rollback decision is what a release reader opens the report
-    for."""
-    canary = data.canary
-    verdict = canary.get("verdict", "?")
-    icon = {"promote": "✅", "rollback": "❌"}.get(verdict, "❓")
-    lines.append(f"## Canary verdict: {icon} {verdict.upper()}")
-    lines.append("")
-    candidate = canary.get("candidate") or {}
-    baseline = canary.get("baseline") or {}
-    lines.append(f"- candidate: `{candidate.get('source', '?')}` "
-                 f"(replay `{candidate.get('replay_dir', '?')}`)")
-    lines.append(f"- baseline: `{baseline.get('source', '?')}` "
-                 f"(replay `{baseline.get('replay_dir', '?')}`)")
-    stream = canary.get("stream") or {}
-    if stream:
-        lines.append(
-            f"- stream: seed {stream.get('seed', '?')}, "
-            f"{stream.get('num_windows', '?')} windows × "
-            f"{stream.get('window_size', '?')} frames"
-        )
-    regressions = canary.get("regressions") or []
-    if regressions:
-        lines.append(f"- {len(regressions)} gated regression(s):")
-        for entry in regressions[:10]:
-            lines.append(
-                f"  - `{entry.get('name', '?')}`: "
-                f"{_fmt(entry.get('baseline'))} → {_fmt(entry.get('candidate'))}"
-            )
-    else:
-        lines.append("- no gated regressions against the baseline replay")
-    lines.append("")
-
-
-def _render_slo(data: RunData, lines: List[str]) -> None:
-    """The "Streaming SLO" section: objective stats vs. targets, breach
-    counts and the tail of the breach log."""
-    summary = data.slo_summary or {}
-    windows = summary.get("windows", len(data.slo))
-    frames = summary.get("frames", "?")
-    lines.append(f"## Streaming SLO ({windows} windows, {frames} frames)")
-    lines.append("")
-    targets = summary.get("targets") or {}
-    stats = {
-        "latency_s": summary.get("latency_s"),
-        "staleness_s": summary.get("staleness_s"),
-        "accuracy": summary.get("accuracy"),
-        "spikes_per_frame": summary.get("spikes_per_frame"),
-    }
-    target_cells = {
-        "latency_s": targets.get("latency_s"),
-        "staleness_s": targets.get("staleness_s"),
-        "accuracy": targets.get("accuracy_floor"),
-    }
-    if any(stats.values()):
-        lines.append("| objective | target | mean | p50 | p95 | p99 | max |")
-        lines.append("| --- | ---: | ---: | ---: | ---: | ---: | ---: |")
-        for name, payload in stats.items():
-            if not payload:
-                continue
-            lines.append(
-                f"| {name} | {_fmt(target_cells.get(name))} "
-                f"| {_fmt(payload.get('mean'))} | {_fmt(payload.get('p50'))} "
-                f"| {_fmt(payload.get('p95'))} | {_fmt(payload.get('p99'))} "
-                f"| {_fmt(payload.get('max'))} |"
-            )
-        lines.append("")
-    sliding = summary.get("sliding_accuracy")
-    if isinstance(sliding, (int, float)):
-        lines.append(f"final sliding accuracy: {sliding:.4g}")
-        lines.append("")
-    breaches = summary.get("breaches") or {}
-    total = summary.get("breaches_total", sum(breaches.values()))
-    if total:
-        lines.append(
-            f"**{total} SLO breach window(s)** — "
-            + ", ".join(f"{k}: {v}" for k, v in sorted(breaches.items()))
-        )
-        lines.append("")
-        if data.slo_breaches:
-            lines.append("### Breach log (last 10)")
-            lines.append("")
-            for record in data.slo_breaches[-10:]:
-                lines.append(
-                    f"- window {record.get('window', '?')}: "
-                    f"`{record.get('objective', '?')}` "
-                    f"{_fmt(record.get('value'))} vs target "
-                    f"{_fmt(record.get('target'))}"
-                )
-            lines.append("")
-    else:
-        lines.append("no SLO breaches recorded")
-        lines.append("")
-
-
 def render_report(data: RunData) -> str:
     """The full markdown report of one run."""
     lines = [f"# Run report — `{data.run_dir}`", ""]
@@ -638,9 +492,6 @@ def render_report(data: RunData) -> str:
         lines.append(f"> ⚠ {warning}")
     if data.warnings:
         lines.append("")
-
-    if data.canary:
-        _render_canary(data, lines)
 
     lines.append(f"## Spans ({len(data.spans)})")
     lines.append("")
@@ -726,9 +577,6 @@ def render_report(data: RunData) -> str:
 
     if data.profile or data.profile_summary:
         _render_profile(data, lines)
-
-    if data.slo or data.slo_summary:
-        _render_slo(data, lines)
 
     if data.alerts:
         lines.append(f"## Health alerts ({len(data.alerts)})")

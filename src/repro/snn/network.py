@@ -431,10 +431,6 @@ class SpikingNetwork(SpikingModule):
         # Per-timestep observer (repro.obs.instruments.StepMonitor);
         # None keeps the temporal loop on its fast path.
         self._step_monitor = None
-        # Streaming hook: when True, ``forward`` skips the per-input
-        # ``reset_state()`` so membranes (and pooling counts) stay warm
-        # across consecutive windows.  Set via :meth:`streaming`.
-        self.carry_state = False
         # Activity-adaptive sparse dispatch (repro.snn.dispatch); None
         # keeps every weight layer on the dense path.  Installed into
         # the module-global dispatch context only for eligible passes
@@ -490,29 +486,6 @@ class SpikingNetwork(SpikingModule):
         finally:
             self.mode = previous
 
-    @contextmanager
-    def streaming(self):
-        """Keep temporal state warm across forward calls.
-
-        Inside the block consecutive ``forward`` calls continue from the
-        previous window's membranes (and pooling counts) instead of
-        resetting — the network behaves as one endless unroll chunked
-        into windows, which is the semantics a streaming deployment
-        needs.  State is cleared on entry and on exit, so the block
-        starts cold and leaves no residue.  Both execution engines
-        honour the carried state (the fused scan warm-starts from the
-        carried membrane), and batch geometry must stay constant across
-        windows.
-        """
-        previous = self.carry_state
-        self.reset_state()
-        self.carry_state = True
-        try:
-            yield self
-        finally:
-            self.carry_state = previous
-            self.reset_state()
-
     # ------------------------------------------------------------------
     # Sparse dispatch plumbing
     # ------------------------------------------------------------------
@@ -562,8 +535,7 @@ class SpikingNetwork(SpikingModule):
         )
 
     def forward(self, images) -> Tensor:
-        if not self.carry_state:
-            self.reset_state()
+        self.reset_state()
         if self._dispatch_eligible():
             with dispatch_context(self._dispatch):
                 return self._run_engine(images)

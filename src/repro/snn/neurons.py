@@ -22,7 +22,7 @@ Notes
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -80,25 +80,6 @@ def spike_function(
     return Tensor.from_op(out, (u_temp, v_threshold), bwd, "spike")
 
 
-def _initial_membrane(initial_potential, frame_shape, dtype) -> np.ndarray:
-    """Materialise the membrane entering the scan.
-
-    A scalar fills a fresh frame-shaped membrane (cold start); an array
-    is a carried membrane from a previous window (warm start) and must
-    already match the frame shape — a mismatch means the stream changed
-    batch geometry mid-flight, which has no meaningful continuation.
-    """
-    if np.ndim(initial_potential) == 0:
-        return np.full(frame_shape, initial_potential, dtype=dtype)
-    carried = np.asarray(initial_potential, dtype=dtype)
-    if carried.shape != tuple(frame_shape):
-        raise ValueError(
-            f"carried membrane shape {carried.shape} does not match "
-            f"frame shape {tuple(frame_shape)}"
-        )
-    return carried.copy()
-
-
 def fused_spike_scan(
     current: Tensor,
     v_threshold: Tensor,
@@ -107,7 +88,7 @@ def fused_spike_scan(
     surrogate: SurrogateFn,
     timesteps: int,
     reset_mode: str = "soft",
-    initial_potential: Union[float, np.ndarray] = 0.0,
+    initial_potential: float = 0.0,
 ) -> Tuple[Tensor, np.ndarray, float]:
     """Membrane dynamics over a time-folded batch as one differentiable op.
 
@@ -159,7 +140,7 @@ def fused_spike_scan(
         # elementwise op writes into a preallocated buffer — the spike
         # rows of ``out``, the ``fired_all`` rows, one reset temporary —
         # so the scan allocates nothing per step.
-        u = _initial_membrane(initial_potential, frames.shape[1:], dtype)
+        u = np.full(frames.shape[1:], initial_potential, dtype=dtype)
         reset_tmp = None if beta == 1.0 else np.empty_like(u)
         for t in range(timesteps):
             if leak_val != 1.0:
@@ -181,7 +162,7 @@ def fused_spike_scan(
 
     windows = np.empty_like(frames)
     u_prev = np.empty_like(frames)  # membrane entering each step
-    u = _initial_membrane(initial_potential, frames.shape[1:], dtype)
+    u = np.full(frames.shape[1:], initial_potential, dtype=dtype)
     for t in range(timesteps):
         u_prev[t] = u
         u_tmp = u * leak_val + frames[t]
@@ -410,19 +391,9 @@ class SpikingNeuron(Module):
         batch axis (``(T*N, ...)``; rows ``t*N..(t+1)*N`` are step ``t``).
         Equivalent to ``timesteps`` calls of :meth:`forward` on the
         unfolded frames — same spikes, same BPTT gradients — but the
-        membrane recurrence runs as one vectorised scan.
-
-        A non-``None`` ``membrane`` warm-starts the scan from the
-        carried state (streaming windows keep membranes alive across
-        forward calls).  The carried value enters as a constant:
-        cross-window credit is truncated at the boundary, which matches
-        the stepwise path's detached-membrane hand-off under streaming
-        inference.
+        membrane recurrence runs as one vectorised scan from
+        ``initial_potential``.
         """
-        if self.membrane is None:
-            initial = self.initial_potential
-        else:
-            initial = self.membrane.data
         spikes, final_membrane, fired_total = fused_spike_scan(
             current,
             self.v_threshold,
@@ -431,7 +402,7 @@ class SpikingNeuron(Module):
             self.surrogate,
             timesteps,
             reset_mode=self.reset_mode,
-            initial_potential=initial,
+            initial_potential=self.initial_potential,
         )
         # Expose the last-step membrane (detached) for post-hoc probes;
         # the in-graph recurrence lives inside the scan's backward.

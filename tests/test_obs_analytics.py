@@ -25,7 +25,12 @@ from repro.obs.diff import main as diff_main
 from repro.obs.health import HealthConfig, HealthMonitor
 from repro.obs.instruments import record_energy_profile
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.registry import RunRegistry, artifact_inventory, config_fingerprint
+from repro.obs.registry import (
+    BaselineError,
+    RunRegistry,
+    artifact_inventory,
+    config_fingerprint,
+)
 from repro.obs.report import load_run, render_report, run_to_json
 from repro.obs.report import main as report_main
 from repro.snn import SpikingNetwork, SpikingNeuron, SpikingSequential, StepWrapper
@@ -206,6 +211,51 @@ class TestRegistry:
         (tmp_path / "unrelated.txt").write_text("y")
         inventory = artifact_inventory(str(tmp_path))
         assert inventory == {"events.jsonl": 2}
+
+
+class TestDanglingBaseline:
+    def _registry_with_dangling_baseline(self, tmp_path):
+        registry = RunRegistry(root=str(tmp_path / "reg"))
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        registry.register_start("run-gone", str(gone), {})
+        registry.register_end("run-gone", str(gone))
+        registry.set_baseline("run-gone")
+        gone.rmdir()
+        return registry
+
+    def test_require_baseline_messages(self, tmp_path):
+        registry = RunRegistry(root=str(tmp_path / "reg"))
+        with pytest.raises(BaselineError, match="tag-baseline"):
+            registry.require_baseline()
+        registry = self._registry_with_dangling_baseline(tmp_path)
+        with pytest.raises(BaselineError, match="dangling"):
+            registry.require_baseline()
+
+    def test_gc_clears_dangling_tag(self, tmp_path):
+        registry = self._registry_with_dangling_baseline(tmp_path)
+        summary = registry.gc()
+        assert summary["baseline_cleared"] is True
+        assert registry.baseline_id() is None
+        with pytest.raises(BaselineError, match="tag-baseline"):
+            registry.require_baseline()
+
+    def test_gc_cli_warns(self, tmp_path, monkeypatch, capsys):
+        registry = self._registry_with_dangling_baseline(tmp_path)
+        assert obs_main(["runs", "--root", registry.root, "gc"]) == 0
+        captured = capsys.readouterr()
+        assert "dangling baseline tag" in captured.err
+
+    def test_diff_baseline_fails_actionably(self, tmp_path, monkeypatch,
+                                            capsys):
+        registry = self._registry_with_dangling_baseline(tmp_path)
+        monkeypatch.setenv("REPRO_RUNS_ROOT", registry.root)
+        live = tmp_path / "live"
+        live.mkdir()
+        with pytest.raises(SystemExit) as excinfo:
+            obs_main(["diff", str(live), "--baseline"])
+        assert excinfo.value.code == 2
+        assert "runs gc" in capsys.readouterr().err
 
 
 class TestRunsCli:

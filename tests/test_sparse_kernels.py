@@ -392,25 +392,6 @@ class TestDispatchEquivalence:
         assert_logits_match(logits, ref_logits)
         assert spikes == ref_spikes
 
-    @pytest.mark.parametrize("mode", ["fused", "stepwise"])
-    def test_streaming_windows_stay_equivalent(self, mode):
-        """Warm windows: membranes carry across forwards, so any routed
-        divergence would compound — each window must match dense."""
-        windows = [images_batch(seed=s) for s in (3, 4, 5)]
-        dense = build_net(lambda: LIFNeuron(v_threshold=0.6, leak=0.9), mode)
-        routed = build_net(lambda: LIFNeuron(v_threshold=0.6, leak=0.9), mode)
-        dispatch = routed.enable_sparse_dispatch(
-            defaults=FORCE_SPARSE, count_ops=True
-        )
-        dense.eval()
-        routed.eval()
-        with dense.streaming(), routed.streaming(), no_grad():
-            for window in windows:
-                assert_logits_match(
-                    routed(window).data, dense(window).data
-                )
-        assert sum(st.sparse_runs for st in dispatch.layer_stats()) > 0
-
 
 class TestDispatchRouting:
     def test_threshold_picks_path_per_layer(self):
