@@ -26,7 +26,6 @@ def test_registry_has_the_hot_kernels():
         "snn.if_neuron_step",
         "snn.surrogate_backward",
         "conversion.algorithm1_search",
-        "conversion.algorithm1_search_fast",
         "snn.full_forward_t2",
     } <= names
 

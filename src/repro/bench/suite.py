@@ -3,8 +3,8 @@
 Each entry exercises one substrate hot path the paper's cost story
 depends on (Figs. 3-4): the im2col convolution, the IF-neuron step and
 its surrogate-gradient backward, the Algorithm-1 ``alpha``/``beta``
-search (faithful grid and closed-form fast variant), and a full
-``T``-step SNN inference pass through a converted network.
+grid search, and a full ``T``-step SNN inference pass through a
+converted network.
 
 Problem sizes mirror ``benchmarks/test_microbench.py`` (which now runs
 these same definitions through pytest-benchmark): small enough that the
@@ -106,19 +106,6 @@ def algorithm1_search():
 
     def run():
         return find_scaling_factors(percentiles, 2.0, 2)
-
-    assert 0 < run().alpha <= 1.0
-    return run
-
-
-@register_bench("conversion.algorithm1_search_fast", group="conversion")
-def algorithm1_search_fast():
-    from ..conversion import find_scaling_factors_fast
-
-    percentiles = _algorithm1_percentiles()
-
-    def run():
-        return find_scaling_factors_fast(percentiles, 2.0, 2)
 
     assert 0 < run().alpha <= 1.0
     return run

@@ -13,12 +13,7 @@ from .activation_stats import (
     activation_layers,
     collect_activation_stats,
 )
-from .algorithm1 import (
-    ScalingFactors,
-    compute_loss,
-    find_scaling_factors,
-    find_scaling_factors_fast,
-)
+from .algorithm1 import ScalingFactors, compute_loss, find_scaling_factors
 from .calibration import calibrate_snn
 from .diagnostics import (
     LayerErrorReport,
@@ -76,7 +71,6 @@ __all__ = [
     "expected_difference",
     "expected_difference_alpha_beta",
     "find_scaling_factors",
-    "find_scaling_factors_fast",
     "g_i",
     "grid_scaling_specs",
     "h_prime_t_mu",

@@ -25,7 +25,7 @@ The three loss segments match Fig. 1(b):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,7 +122,10 @@ def find_scaling_factors(
 
     Returns the pair minimising ``|ComputeLoss|``, initialised at the
     identity ``(alpha, beta) = (1, 1)`` exactly as in the pseudocode, so
-    the search can only improve on the unscaled conversion.
+    the search can only improve on the unscaled conversion.  The loss of
+    every ``beta`` at one ``alpha`` is one NumPy expression whose entries
+    are bitwise the scalar ``compute_loss`` values, so the minimiser, its
+    loss and ``evaluations`` are those of the pseudocode's loop.
     """
     p = np.asarray(percentiles, dtype=np.float64)
     if alpha_candidates is None:
@@ -134,17 +137,27 @@ def find_scaling_factors(
         alpha_candidates = np.asarray(list(alpha_candidates), dtype=np.float64)
         if np.any((alpha_candidates <= 0) | (alpha_candidates > 1)):
             raise ValueError("alpha candidates must lie in (0, 1]")
+    if beta_step <= 0.0:
+        raise ValueError("beta_step must be positive")
 
     best_alpha, best_beta = 1.0, 1.0
     best_loss = compute_loss(p, mu, best_alpha, best_beta, timesteps)
-    evaluations = 1
     betas = np.arange(0.0, beta_max + 0.5 * beta_step, beta_step)
-    for alpha in alpha_candidates:
-        for beta in betas:
-            loss = compute_loss(p, mu, float(alpha), float(beta), timesteps)
-            evaluations += 1
-            if abs(loss) < abs(best_loss):
-                best_alpha, best_beta, best_loss = float(alpha), float(beta), loss
+    evaluations = 1 + alpha_candidates.size * betas.size
+    if evaluations > 1:
+        positive = p[p > 0.0]  # negative pre-activations contribute 0 to both outputs
+        losses = np.stack(
+            [
+                _losses_over_betas(positive, mu, alpha, betas, timesteps)
+                for alpha in alpha_candidates
+            ]
+        )
+        # argmin takes the first minimum in alpha-major, beta-minor order:
+        # the pseudocode's scan with a strict "<".
+        i, j = np.unravel_index(np.argmin(np.abs(losses)), losses.shape)
+        if abs(losses[i, j]) < abs(best_loss):
+            best_alpha, best_beta = float(alpha_candidates[i]), float(betas[j])
+            best_loss = float(losses[i, j])
     # A zero beta would silence the layer entirely; the pseudocode's grid
     # includes it but a dead layer is never the minimiser in practice.
     if best_beta == 0.0:
@@ -154,88 +167,32 @@ def find_scaling_factors(
     )
 
 
-def _loss_affine_coefficients(
-    percentiles: np.ndarray, mu: float, alpha: float, timesteps: int
-) -> Tuple[float, float]:
-    """Decompose ``compute_loss`` as ``A - beta * B`` for fixed ``alpha``.
+def _losses_over_betas(
+    p: np.ndarray,
+    mu: float,
+    alpha: float,
+    betas: np.ndarray,
+    timesteps: int,
+) -> np.ndarray:
+    """``compute_loss`` at one ``alpha`` for every ``beta`` in ``betas``,
+    over the positive percentiles ``p``.
 
-    Every segment of the loss is linear in ``beta``:
-
-    - Seg-I:   sum(p) - beta * sum(level_j * alpha mu / T)
-    - Seg-II:  sum(p) - beta * n2 * alpha mu
-    - Seg-III: n3 * mu - beta * n3 * alpha mu
+    Performs ``compute_loss``'s per-element operations in the same order,
+    one row per ``beta``, so each entry is bitwise the scalar result.
+    Only a ``len(betas) x len(p)`` block is live at a time, never the
+    ``alpha x beta x percentile`` cube.
     """
-    p = np.asarray(percentiles, dtype=np.float64)
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0, 0.0
     alpha_mu = alpha * mu
     step = alpha_mu / timesteps
 
     seg1 = p <= alpha_mu
     levels = np.maximum(np.floor(p[seg1] / step - 1e-12), 0.0)
     levels = np.minimum(levels, timesteps)
-    a = float(p[seg1].sum())
-    b = float((levels * step).sum())
+    loss = (p[seg1][None, :] - levels[None, :] * betas[:, None] * step).sum(axis=1)
 
     seg2 = (p > alpha_mu) & (p <= mu)
-    a += float(p[seg2].sum())
-    b += float(seg2.sum() * alpha_mu)
+    loss += (p[seg2][None, :] - alpha_mu * betas[:, None]).sum(axis=1)
 
     seg3 = p > mu
-    a += float(seg3.sum() * mu)
-    b += float(seg3.sum() * alpha_mu)
-    return a, b
-
-
-def find_scaling_factors_fast(
-    percentiles: np.ndarray,
-    mu: float,
-    timesteps: int,
-    beta_max: float = 2.0,
-    beta_step: float = 0.01,
-    alpha_candidates: Optional[Sequence[float]] = None,
-) -> ScalingFactors:
-    """Closed-form accelerated FindScalingFactors.
-
-    ``ComputeLoss`` is affine in ``beta`` (``loss = A - beta B`` with
-    ``A, B >= 0``), so for each ``alpha`` candidate the zero-crossing
-    ``beta* = A / B`` is exact; snapping it onto the paper's 0.01 grid
-    (and clipping to ``[beta_step, beta_max]``) reproduces the grid
-    search's minimiser at ~1/200th of the evaluations.  An ablation
-    benchmark verifies the equivalence against the faithful search.
-    """
-    p = np.asarray(percentiles, dtype=np.float64)
-    if alpha_candidates is None:
-        valid = p[(p > 0.0) & (p <= mu)]
-        alpha_candidates = np.unique(valid / mu)
-        alpha_candidates = alpha_candidates[alpha_candidates > 0.0]
-    else:
-        alpha_candidates = np.asarray(list(alpha_candidates), dtype=np.float64)
-        if np.any((alpha_candidates <= 0) | (alpha_candidates > 1)):
-            raise ValueError("alpha candidates must lie in (0, 1]")
-
-    best_alpha, best_beta = 1.0, 1.0
-    best_loss = compute_loss(p, mu, best_alpha, best_beta, timesteps)
-    evaluations = 1
-    for alpha in alpha_candidates:
-        a, b = _loss_affine_coefficients(p, mu, float(alpha), timesteps)
-        if b <= 0.0:
-            continue
-        # Best beta on the grid is one of the two grid points bracketing
-        # the exact root (plus the grid ends).
-        root = a / b
-        candidates = {
-            beta_step,
-            beta_max,
-            min(beta_max, max(beta_step, np.floor(root / beta_step) * beta_step)),
-            min(beta_max, max(beta_step, np.ceil(root / beta_step) * beta_step)),
-        }
-        for beta in candidates:
-            loss = a - beta * b
-            evaluations += 1
-            if abs(loss) < abs(best_loss):
-                best_alpha, best_beta, best_loss = float(alpha), float(beta), loss
-    return ScalingFactors(
-        alpha=best_alpha, beta=best_beta, loss=best_loss, evaluations=evaluations
-    )
+    loss += seg3.sum() * mu * (1.0 - alpha * betas)
+    return loss

@@ -31,7 +31,7 @@ import numpy as np
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from .activation_stats import LayerActivationStats
-from .algorithm1 import ScalingFactors, compute_loss, find_scaling_factors
+from .algorithm1 import compute_loss, find_scaling_factors
 
 
 @dataclass
@@ -50,61 +50,28 @@ class NeuronSpec:
             raise ValueError("beta must be positive")
 
 
-def _algorithm1_task(payload) -> ScalingFactors:
-    """Worker-side Algorithm-1 search for one layer (pure function)."""
-    percentiles, mu, timesteps, beta_max, beta_step = payload
-    return find_scaling_factors(
-        np.asarray(percentiles),
-        mu,
-        timesteps,
-        beta_max=beta_max,
-        beta_step=beta_step,
-    )
-
-
 def proposed_specs(
     stats: Sequence[LayerActivationStats],
     timesteps: int,
     beta_max: float = 2.0,
     beta_step: float = 0.01,
-    executor=None,
 ) -> List[NeuronSpec]:
     """The paper's conversion: per-layer Algorithm-1 search.
 
-    With ``executor`` (a :class:`repro.exec.ParallelExecutor`, or the
-    ambient one installed via :func:`repro.exec.executor_scope`), the
-    per-layer searches shard across workers.  ``find_scaling_factors``
-    is a pure function of its arguments, and results are assembled by
-    layer index, so specs are bitwise identical to the serial loop;
-    layers whose parallel task fails (quarantine, pool loss) are
-    recomputed serially in-process, which keeps conversion lossless
-    under worker failure.
+    Layers are searched serially in-process: the vectorised search takes
+    a few milliseconds per layer, less than shipping the layer to a
+    worker would cost.
     """
-    if executor is None:
-        from ..exec import ambient_executor
-
-        executor = ambient_executor()
-
-    all_factors: List[Optional[ScalingFactors]] = [None] * len(stats)
-    if executor is not None and executor.workers > 1 and len(stats) > 1:
-        payloads = [
-            (s.percentiles, s.mu, timesteps, beta_max, beta_step) for s in stats
-        ]
-        outcome = executor.map(_algorithm1_task, payloads, label="algorithm1")
-        all_factors = list(outcome.results)
-
     specs = []
     for index, layer_stats in enumerate(stats):
         with trace.span("algorithm1", layer=index, mu=layer_stats.mu) as span:
-            factors: Optional[ScalingFactors] = all_factors[index]
-            if factors is None:
-                factors = find_scaling_factors(
-                    layer_stats.percentiles,
-                    layer_stats.mu,
-                    timesteps,
-                    beta_max=beta_max,
-                    beta_step=beta_step,
-                )
+            factors = find_scaling_factors(
+                layer_stats.percentiles,
+                layer_stats.mu,
+                timesteps,
+                beta_max=beta_max,
+                beta_step=beta_step,
+            )
             span.set(
                 alpha=factors.alpha,
                 beta=factors.beta,

@@ -9,8 +9,8 @@ Public surface:
 * :class:`ModelStore` / :func:`attach_model` — publish model weights
   once over shared memory instead of pickling them per task.
 * :func:`executor_scope` — install an ambient executor that
-  ``--workers``-aware call sites (Algorithm 1's percentile search,
-  the sweep drivers) pick up without explicit plumbing; the run
+  ``--workers``-aware call sites (the sweep drivers) pick up without
+  explicit plumbing; the run
   registry records :func:`active_executor_config` in its environment
   fingerprint so cross-worker-count diffs are flagged.
 """

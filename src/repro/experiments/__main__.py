@@ -14,9 +14,9 @@ Regenerate any paper table/figure from the shell:
     python -m repro.experiments multiseed --seeds 0 1 2 --workers 4
     python -m repro.experiments report          # results/*.json -> REPORT.md
 
-``--workers N`` shards the fault sweep, the multiseed sweep, and
-Algorithm 1's per-layer search over N supervised worker processes
-(``repro.exec``); results are bitwise identical to ``--workers 1``.
+``--workers N`` shards the fault sweep and the multiseed sweep over N
+supervised worker processes (``repro.exec``); results are bitwise
+identical to ``--workers 1``.
 
 Results print as the paper-style tables and are archived under
 ``results/`` as JSON.
@@ -81,8 +81,7 @@ def main(argv=None) -> int:
                         help="SNN timesteps for the multiseed sweep")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="shard parallelisable work (fault sweep, "
-                             "multiseed, Algorithm 1's per-layer search) "
-                             "over N worker processes; results are "
+                             "multiseed) over N worker processes; results are "
                              "bitwise identical to --workers 1")
     parser.add_argument("--no-worker-telemetry", action="store_true",
                         help="keep worker observability quiesced even under "

@@ -1,9 +1,14 @@
 """Tests of Algorithm 1 (ComputeLoss / FindScalingFactors)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.conversion import compute_loss, find_scaling_factors
+from repro.conversion import ScalingFactors, compute_loss, find_scaling_factors
+from repro.conversion.algorithm1 import _losses_over_betas
 
 MU = 2.0
 
@@ -16,6 +21,71 @@ def skewed_percentiles(seed=0):
     rng = np.random.default_rng(seed)
     samples = rng.exponential(scale=MU / 6.0, size=200_000)
     return np.percentile(samples, np.arange(101.0))
+
+
+def paper_alpha_grid(p, mu):
+    alphas = np.unique(p[(p > 0.0) & (p <= mu)] / mu)
+    return alphas[alphas > 0.0]
+
+
+def reference_search(
+    percentiles, mu, timesteps, beta_max=2.0, beta_step=0.01, alpha_candidates=None
+):
+    """FindScalingFactors as the paper's pseudocode writes it: one scalar
+    ComputeLoss per (alpha, beta) pair, scanned alpha-major, beta-minor,
+    keeping a pair only on a strict improvement."""
+    p = np.asarray(percentiles, dtype=np.float64)
+    if alpha_candidates is None:
+        alpha_candidates = paper_alpha_grid(p, mu)
+    best_alpha, best_beta = 1.0, 1.0
+    best_loss = compute_loss(p, mu, best_alpha, best_beta, timesteps)
+    evaluations = 1
+    for alpha in alpha_candidates:
+        for beta in np.arange(0.0, beta_max + 0.5 * beta_step, beta_step):
+            loss = compute_loss(p, mu, float(alpha), float(beta), timesteps)
+            evaluations += 1
+            if abs(loss) < abs(best_loss):
+                best_alpha, best_beta, best_loss = float(alpha), float(beta), loss
+    if best_beta == 0.0:
+        best_beta = beta_step
+    return ScalingFactors(best_alpha, best_beta, best_loss, evaluations)
+
+
+def as_tuple(factors):
+    return (factors.alpha, factors.beta, factors.loss, factors.evaluations)
+
+
+@st.composite
+def search_cases(draw):
+    """Percentile sets with duplicates, zero and negative entries and
+    values exactly on the staircase edges ``k alpha mu / T``, plus an
+    optional ``alpha`` grid override and a coarse or fine ``beta`` grid."""
+    timesteps = draw(st.integers(min_value=1, max_value=6))
+    mu = draw(st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+    free = draw(
+        st.lists(
+            st.floats(min_value=-mu, max_value=2.5 * mu) | st.just(0.0),
+            max_size=24,
+        )
+    )
+    edge_alpha = draw(st.sampled_from([0.25, 0.5, 0.6, 1.0]))
+    edges = [
+        k * edge_alpha * mu / timesteps
+        for k in draw(st.lists(st.integers(0, timesteps), max_size=6))
+    ]
+    values = free + edges
+    duplicates = draw(st.integers(min_value=0, max_value=len(values)))
+    percentiles = np.array(values + values[:duplicates], dtype=np.float64)
+    alpha_candidates = draw(
+        st.none()
+        | st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=6)
+        | st.just([edge_alpha, edge_alpha / 2.0, edge_alpha])
+    )
+    beta_step = draw(st.sampled_from([0.01, 0.25, 0.5]))
+    beta_max = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    return percentiles, mu, timesteps, dict(
+        beta_max=beta_max, beta_step=beta_step, alpha_candidates=alpha_candidates
+    )
 
 
 class TestComputeLoss:
@@ -127,3 +197,77 @@ class TestFindScalingFactors:
         a = find_scaling_factors(p, MU, 2)
         b = find_scaling_factors(p, MU, 2)
         assert (a.alpha, a.beta, a.loss) == (b.alpha, b.beta, b.loss)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 5])
+    def test_matches_reference_on_layer_percentiles(self, t):
+        p = skewed_percentiles()
+        assert as_tuple(find_scaling_factors(p, MU, t)) == as_tuple(
+            reference_search(p, MU, t)
+        )
+
+    @given(search_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_bitwise(self, case):
+        percentiles, mu, timesteps, kwargs = case
+        assert as_tuple(find_scaling_factors(percentiles, mu, timesteps, **kwargs)) == (
+            as_tuple(reference_search(percentiles, mu, timesteps, **kwargs))
+        )
+
+    @given(search_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_grid_loss_is_bitwise_compute_loss(self, case):
+        percentiles, mu, timesteps, kwargs = case
+        step = kwargs["beta_step"]
+        betas = np.arange(0.0, kwargs["beta_max"] + 0.5 * step, step)
+        alphas = kwargs["alpha_candidates"] or paper_alpha_grid(percentiles, mu)
+        for alpha in alphas:
+            row = _losses_over_betas(
+                percentiles[percentiles > 0.0], mu, alpha, betas, timesteps
+            )
+            assert row.tolist() == [
+                compute_loss(percentiles, mu, float(alpha), float(beta), timesteps)
+                for beta in betas
+            ]
+
+    @pytest.mark.parametrize(
+        "percentiles, kwargs, expected",
+        [
+            # One alpha row, |loss| = 1 at beta = 1 and at beta = 2:
+            # the first beta in the scan wins.
+            ([0.75] * 4, dict(alpha_candidates=[0.25], beta_step=1.0, beta_max=3.0),
+             (0.25, 1.0, 1.0)),
+            # loss = 0 at (0.25, 2) and (0.125, 4): the first alpha in the
+            # given candidate order wins, not the smaller one.
+            ([1.0], dict(alpha_candidates=[0.25, 0.125], beta_step=0.5, beta_max=4.0),
+             (0.25, 2.0, 0.0)),
+            ([1.0], dict(alpha_candidates=[0.125, 0.25], beta_step=0.5, beta_max=4.0),
+             (0.125, 4.0, 0.0)),
+            # The identity already has loss 0; a tie does not replace it.
+            ([3.0], dict(alpha_candidates=[0.5], beta_step=0.5, beta_max=2.0),
+             (1.0, 1.0, 0.0)),
+        ],
+    )
+    def test_ties_go_to_the_first_pair_in_scan_order(
+        self, percentiles, kwargs, expected
+    ):
+        percentiles = np.array(percentiles)
+        found = find_scaling_factors(percentiles, MU, 1, **kwargs)
+        assert (found.alpha, found.beta, found.loss) == expected
+        reference = reference_search(percentiles, MU, 1, **kwargs)
+        assert as_tuple(found) == as_tuple(reference)
+
+    def test_search_never_builds_the_alpha_beta_percentile_cube(self):
+        # ~100 alpha x 201 beta x 101 percentiles would be ~16 MB; one
+        # alpha row of 201 x 101 floats is ~160 kB.
+        p = skewed_percentiles()
+        tracemalloc.start()
+        try:
+            find_scaling_factors(p, MU, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_rejects_non_positive_beta_step(self):
+        with pytest.raises(ValueError):
+            find_scaling_factors(skewed_percentiles(), MU, 2, beta_step=0.0)

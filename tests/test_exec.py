@@ -4,8 +4,7 @@ The contract under test is the repo's bitwise-determinism guarantee:
 ``ParallelExecutor.map`` must return exactly what serial execution
 returns at any worker count, under chaos worker kills, retries, and
 graceful downgrades — and the experiment drivers built on it
-(``run_fault_sweep``, ``seed_sweep``, Algorithm 1's per-layer search)
-must inherit that guarantee.
+(``run_fault_sweep``, ``seed_sweep``) must inherit that guarantee.
 """
 
 import json
@@ -288,52 +287,6 @@ class TestAmbientScope:
             env = _environment_fingerprint()
         assert env["executor"]["workers"] == 2
         assert "executor" not in _environment_fingerprint()
-
-
-class TestAlgorithm1Parallel:
-    @staticmethod
-    def _synthetic_stats(layers=3):
-        from repro.conversion.activation_stats import LayerActivationStats
-
-        stats = []
-        for i in range(layers):
-            rng = np.random.default_rng(10 + i)
-            samples = np.abs(rng.normal(size=2000)) * (1.0 + 0.3 * i)
-            percentiles = np.percentile(samples, np.arange(101.0))
-            stats.append(
-                LayerActivationStats(
-                    percentiles=percentiles,
-                    mu=float(np.max(samples)),
-                    d_max=float(np.max(samples)),
-                    mean=float(np.mean(samples)),
-                    count=samples.size,
-                )
-            )
-        return stats
-
-    def test_parallel_matches_serial(self):
-        from repro.conversion.specs import proposed_specs
-
-        stats = self._synthetic_stats()
-        serial = proposed_specs(stats, timesteps=2)
-        parallel = proposed_specs(
-            stats, timesteps=2, executor=ParallelExecutor(workers=2)
-        )
-        for a, b in zip(serial, parallel):
-            assert a.v_threshold == b.v_threshold
-            assert a.beta == b.beta
-            assert a.alpha == b.alpha
-
-    def test_ambient_executor_is_picked_up(self):
-        from repro.conversion.specs import proposed_specs
-
-        stats = self._synthetic_stats()
-        serial = proposed_specs(stats, timesteps=2)
-        with executor_scope(ParallelExecutor(workers=2)):
-            ambient = proposed_specs(stats, timesteps=2)
-        assert [s.v_threshold for s in ambient] == [
-            s.v_threshold for s in serial
-        ]
 
 
 class TestDriverEquality:

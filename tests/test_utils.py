@@ -78,32 +78,6 @@ class TestSNNCheckpoint:
         load_checkpoint(snn3, path, strict=False)  # override allowed
 
 
-class TestFastAlgorithm1:
-    def test_matches_grid_search(self):
-        from repro.conversion import find_scaling_factors, find_scaling_factors_fast
-
-        rng = np.random.default_rng(0)
-        for scale in (0.1, 0.3, 0.6):
-            p = np.percentile(
-                rng.exponential(scale=scale, size=50_000), np.arange(101.0)
-            )
-            for t in (1, 2, 3, 5):
-                slow = find_scaling_factors(p, 2.0, t)
-                fast = find_scaling_factors_fast(p, 2.0, t)
-                assert fast.alpha == pytest.approx(slow.alpha)
-                assert fast.beta == pytest.approx(slow.beta, abs=0.011)
-                assert abs(fast.loss) <= abs(slow.loss) + 1e-9
-
-    def test_far_fewer_evaluations(self):
-        from repro.conversion import find_scaling_factors, find_scaling_factors_fast
-
-        rng = np.random.default_rng(1)
-        p = np.percentile(rng.exponential(scale=0.3, size=50_000), np.arange(101.0))
-        slow = find_scaling_factors(p, 2.0, 2)
-        fast = find_scaling_factors_fast(p, 2.0, 2)
-        assert fast.evaluations < slow.evaluations / 20
-
-
 class TestCLI:
     def test_help_runs(self):
         from repro.experiments.__main__ import main
