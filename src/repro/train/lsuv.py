@@ -8,10 +8,9 @@ unit variance on real data — a per-layer multiplicative factor that,
 like BN folding, is absorbed into the weights and therefore fully
 compatible with the bias-free SNN conversion.
 
-``lsuv_init`` walks the weight layers in forward order; for each it
-runs a forward pass, measures the layer's output standard deviation on
-a calibration batch and divides the weights by it (a few iterations
-until the std is within tolerance).
+``lsuv_init`` rescales the layers in execution order inside one tapped
+forward of a calibration batch: a few rounds per layer, until its output
+std is within tolerance, each round re-running only that layer.
 """
 
 from __future__ import annotations
@@ -57,6 +56,9 @@ def lsuv_init(
 ) -> List[float]:
     """Rescale every Conv2d/Linear so its output std hits ``target_std``.
 
+    One forward of ``images`` under a replacing tap rescales the layers
+    in execution order, each once everything upstream of it is final.
+
     Parameters
     ----------
     model:
@@ -68,40 +70,38 @@ def lsuv_init(
     tolerance:
         Relative deviation at which a layer is considered converged.
     max_iterations:
-        Forward/rescale rounds per layer.
+        Rescale rounds per layer; each re-runs only that layer.
 
-    Returns the final output std of each weight layer (forward order).
+    Returns the final output std of each weight layer (``modules()``
+    order); raises ``ValueError`` if the forward never calls one.
     """
-    weight_layers = [
-        m for m in model.modules() if isinstance(m, (Conv2d, Linear))
-    ]
+    weight_layers = {name: m for name, m in model.named_modules()
+                     if isinstance(m, (Conv2d, Linear))}
     if not weight_layers:
         raise ValueError("model has no weight layers")
-    batch = Tensor(np.asarray(images))
+    final_stds: dict = {}
+
+    def rescale(layer, x, out):
+        if id(layer) in final_stds:
+            return None  # a reused layer is rescaled at its first call only
+        std = float(out.data.std())
+        for _ in range(max_iterations):
+            if std < min_std or abs(std - target_std) <= tolerance * target_std:
+                break  # dead (weights left untouched) or converged
+            layer.weight.data /= std / target_std
+            out = layer.forward(x)
+            std = float(out.data.std())
+        final_stds[id(layer)] = std
+        return out
+
     was_training = model.training
     model.eval()
-
-    captured: dict = {}
-
-    def capture(layer, _x, out):
-        captured[id(layer)] = float(out.data.std())
-
-    final_stds: List[float] = []
     try:
-        with tap(weight_layers, capture):
-            for layer in weight_layers:
-                for _ in range(max_iterations):
-                    captured.clear()
-                    model(batch)
-                    std = captured[id(layer)]
-                    if std < min_std:
-                        break  # dead layer; leave weights untouched
-                    if abs(std - target_std) <= tolerance * target_std:
-                        break
-                    layer.weight.data /= std / target_std
-                captured.clear()
-                model(batch)
-                final_stds.append(captured[id(layer)])
+        with tap(weight_layers.values(), rescale):
+            model(Tensor(np.asarray(images)))
     finally:
         model.train(was_training)
-    return final_stds
+    unreached = [name for name, m in weight_layers.items() if id(m) not in final_stds]
+    if unreached:
+        raise ValueError(f"forward never called weight layers: {', '.join(unreached)}")
+    return [final_stds[id(m)] for m in weight_layers.values()]

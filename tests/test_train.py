@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
-from repro.models import vgg11
-from repro.nn import Linear, Sequential, ThresholdReLU
+from repro.models import resnet20, vgg11, vgg16
+from repro.nn import Conv2d, Linear, Module, Sequential, ThresholdReLU, tap
 from repro.snn import SpikingNetwork
 from repro.train import (
     DNNTrainConfig,
@@ -21,6 +23,8 @@ from repro.train import (
     evaluate_snn,
     top_k_accuracy,
 )
+from repro.tensor import Tensor, no_grad
+from repro.tensor.tensor import add_op_observer, remove_op_observer
 from repro.train.lsuv import lsuv_init
 
 
@@ -182,6 +186,79 @@ class TestHistory:
         assert history.mean_epoch_seconds == 3.0
 
 
+def reference_lsuv(
+    model, images, target_std=1.0, tolerance=0.05, max_iterations=4, min_std=1e-8
+):
+    """The layer-by-layer loop ``lsuv_init`` replaced: up to
+    ``max_iterations + 1`` whole-model forwards per weight layer."""
+    weight_layers = [m for m in model.modules() if isinstance(m, (Conv2d, Linear))]
+    batch = Tensor(np.asarray(images))
+    was_training = model.training
+    model.eval()
+    captured = {}
+
+    def capture(layer, _x, out):
+        captured[id(layer)] = float(out.data.std())
+
+    final_stds = []
+    try:
+        with no_grad(), tap(weight_layers, capture):
+            for layer in weight_layers:
+                for _ in range(max_iterations):
+                    captured.clear()
+                    model(batch)
+                    std = captured[id(layer)]
+                    if std < min_std:
+                        break
+                    if abs(std - target_std) <= tolerance * target_std:
+                        break
+                    layer.weight.data /= std / target_std
+                captured.clear()
+                model(batch)
+                final_stds.append(captured[id(layer)])
+    finally:
+        model.train(was_training)
+    return final_stds
+
+
+def small_model(arch, seed=0):
+    if arch == "resnet20":
+        return resnet20(
+            num_classes=5, width_multiplier=0.25, rng=np.random.default_rng(seed)
+        )
+    build = {"vgg11": vgg11, "vgg16": vgg16}[arch]
+    return build(
+        num_classes=5, image_size=8, width_multiplier=0.125,
+        rng=np.random.default_rng(seed),
+    )
+
+
+def weight_layers_of(model):
+    return [m for m in model.modules() if isinstance(m, (Conv2d, Linear))]
+
+
+def assert_same_init(model_a, stds_a, model_b, stds_b):
+    assert stds_a == stds_b
+    state_b = model_b.state_dict()
+    for name, values in model_a.state_dict().items():
+        assert np.array_equal(values, state_b[name]), name
+
+
+class _Unreached(Module):
+    def __init__(self):
+        super().__init__()
+        self.used = Linear(4, 3, bias=False, rng=np.random.default_rng(0))
+        self.unused = Linear(3, 2, bias=False, rng=np.random.default_rng(1))
+
+    def forward(self, x):
+        return self.used(x)
+
+
+class _Boom(Module):
+    def forward(self, x):
+        raise RuntimeError("boom")
+
+
 class TestLSUV:
     def test_unit_output_std(self, rng):
         model = vgg11(
@@ -192,19 +269,97 @@ class TestLSUV:
         # All but perhaps the last couple of layers should be near 1.
         assert np.all(np.abs(np.asarray(stds) - 1.0) < 0.2)
 
-    def test_preserves_forward_patching(self, rng):
-        model = vgg11(
-            num_classes=5, image_size=8, width_multiplier=0.125,
-            rng=np.random.default_rng(0),
-        )
-        lsuv_init(model, rng.normal(size=(8, 3, 8, 8)))
-        from repro.tensor import Tensor
-
-        out = model(Tensor(rng.normal(size=(2, 3, 8, 8))))
-        assert out.shape == (2, 5)
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_leaves_no_taps_and_restores_mode(self, rng, raises, training):
+        model = small_model("vgg11")
+        if raises:  # fail midway, after some layers were rescaled
+            model.features.append(_Boom())
+        model.train(training)
+        images = rng.normal(size=(4, 3, 8, 8))
+        if raises:
+            with pytest.raises(RuntimeError, match="boom"):
+                lsuv_init(model, images)
+        else:
+            lsuv_init(model, images)
+            assert model(Tensor(images)).shape == (4, 5)
+        assert all("_taps" not in vars(m) for m in model.modules())
+        assert model.training is training
+        assert all(m.training is training for m in model.modules())
 
     def test_rejects_no_weight_layers(self, rng):
         from repro.nn import Sequential, ReLU
 
         with pytest.raises(ValueError):
             lsuv_init(Sequential(ReLU()), rng.normal(size=(2, 3, 4, 4)))
+
+    def test_unreached_layer_is_named(self, rng):
+        with pytest.raises(ValueError, match="unused"):
+            lsuv_init(_Unreached(), rng.normal(size=(8, 4)))
+
+    @pytest.mark.parametrize("arch", ["vgg11", "vgg16", "resnet20"])
+    def test_matches_reference_bitwise(self, rng, arch):
+        images = rng.normal(size=(16, 3, 8, 8))
+        model, reference = small_model(arch), small_model(arch)
+        stds = lsuv_init(model, images)
+        assert_same_init(model, stds, reference, reference_lsuv(reference, images))
+
+    @given(
+        target_std=st.floats(0.1, 4.0),
+        tolerance=st.floats(0.0, 0.5),
+        max_iterations=st.integers(0, 5),
+        dead_layer=st.one_of(st.none(), st.integers(0, 9)),
+    )
+    # Dead-layer branch (a zeroed layer and all below it stay at std 0)
+    # and the non-converging branch (no tolerance, rounds run out).
+    @example(target_std=1.0, tolerance=0.05, max_iterations=4, dead_layer=3)
+    @example(target_std=2.5, tolerance=0.0, max_iterations=2, dead_layer=None)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference_over_options(
+        self, target_std, tolerance, max_iterations, dead_layer
+    ):
+        images = np.random.default_rng(7).normal(size=(8, 3, 8, 8))
+        model, reference = small_model("vgg11"), small_model("vgg11")
+        if dead_layer is not None:
+            for m in (model, reference):
+                weight_layers_of(m)[dead_layer].weight.data[...] = 0.0
+        options = dict(
+            target_std=target_std, tolerance=tolerance, max_iterations=max_iterations
+        )
+        stds = lsuv_init(model, images, **options)
+        expected = reference_lsuv(reference, images, **options)
+        assert_same_init(model, stds, reference, expected)
+        if dead_layer is not None:
+            assert stds[dead_layer:] == [0.0] * (len(stds) - dead_layer)
+
+    @pytest.mark.parametrize("max_iterations", [0, 2, 4])
+    def test_one_model_forward_and_bounded_layer_reruns(self, rng, max_iterations):
+        # Each weight layer makes exactly one conv2d/matmul op per run, so
+        # the weight ops between the observer's tap on layer k and on
+        # layer k+1 are layer k's reruns plus layer k+1's first run.
+        model = small_model("vgg11")
+        layers = weight_layers_of(model)
+        events = []
+
+        def on_op(_out, name):
+            if name in ("conv2d", "matmul"):
+                events.append("op")
+
+        with tap(model, lambda *_: events.append("model")), \
+                tap(layers, lambda layer, *_: events.append(layers.index(layer))):
+            add_op_observer(on_op)
+            try:
+                lsuv_init(model, rng.normal(size=(8, 3, 8, 8)), tolerance=0.0,
+                          max_iterations=max_iterations)
+            finally:
+                remove_op_observer(on_op)
+        assert events.count("model") == 1
+        marks = [i for i, e in enumerate(events) if isinstance(e, int)]
+        assert [events[i] for i in marks] == list(range(len(layers)))
+        runs = [
+            events[start:end].count("op")
+            for start, end in zip(marks, marks[1:] + [len(events)])
+        ]
+        runs[-1] += 1  # the last layer has no next layer's first run
+        assert all(1 <= r <= max_iterations + 1 for r in runs)
+        assert (max(runs) > 1) == (max_iterations > 0)  # reruns are counted
