@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke faults-smoke profile-smoke sparse-smoke exec-smoke exec-obs-smoke runs-gc examples clean
+.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke faults-smoke profile-smoke sparse-smoke exec-smoke runs-gc examples clean
 
 install:
 	python setup.py develop
@@ -42,29 +42,19 @@ microbench:
 # `dashboard --once` renders deterministically.  Runs the
 # fault-tolerance smoke first, then the op-profiled variant (a
 # strict superset of the plain pipeline assertions), then the
-# sparse-dispatch smoke, then the parallel-executor supervision smoke,
-# and finally the distributed-observability (worker telemetry) smoke.
-smoke: faults-smoke profile-smoke sparse-smoke exec-smoke exec-obs-smoke
+# sparse-dispatch smoke, and finally the parallel-executor smoke.
+smoke: faults-smoke profile-smoke sparse-smoke exec-smoke
 
 # Parallel-execution check: map/reduce results must be bitwise
 # identical at workers 1/2/4, survive a deterministic chaos worker
 # kill unchanged, quarantine a poison task into an explicit partial
-# result, degrade to serial on an unavailable start method, and keep
-# an identical-seed obs diff clean between a clean and a chaos-killed
-# parallel fault sweep (cross-worker-count diffs flag the executor
-# config informationally, never as a gate).
+# result, and degrade to serial on an unavailable start method; an
+# unobserved micro fault sweep must be bitwise identical serial vs
+# parallel vs chaos-killed, and a traced workers=2 sweep (observed maps
+# run serially) must diff clean against a traced workers=1 one, with
+# the executor config flagged informationally, never as a gate.
 exec-smoke:
 	PYTHONPATH=src python -m repro.exec.smoke
-
-# Distributed-observability check: an observed instrumented map must
-# produce a schema-valid merged worker_telemetry.jsonl that is bitwise
-# identical at workers 1/2/4, worker spans must stitch under the
-# exec.map dispatch span, an observed 4-worker fault sweep must match
-# a serial observed run on every aggregate counter, a chaos worker
-# kill mid-telemetry-write must leave payload and canonical bytes
-# unchanged, and the obs diffs must stay clean/informational.
-exec-obs-smoke:
-	PYTHONPATH=src python -m repro.exec.obs_smoke
 
 # Event-driven sparse execution check: crossover calibration must be
 # deterministic under a fixed time_fn and round-trip through its

@@ -504,81 +504,3 @@ def exec_sweep_parallel4():
             f"{serial_t.minimum / parallel_t.minimum:.2f}x"
         )
     return run
-
-
-def _telemetry_bench_point(payload):
-    """Latency-bound sweep point that also emits per-task telemetry."""
-    import time
-
-    from ..obs import get_logger, metrics, trace
-
-    index, delay = payload
-    with trace.span("bench.point", index=index):
-        time.sleep(float(delay))
-        metrics.inc("bench.points")
-        metrics.observe("bench.value", float(index))
-    get_logger("bench-exec").debug("point done", index=index)
-    return float(index)
-
-
-@register_bench("exec.telemetry_overhead", group="exec", repeats=3, warmup=1)
-def exec_telemetry_overhead():
-    """Observed-map cost of worker telemetry capture + merge.
-
-    Under an observed run every worker records events, metric deltas
-    and spans per task and the parent merges them into the canonical
-    ``worker_telemetry.jsonl`` (see :mod:`repro.obs.remote`).  Setup
-    runs a paired back-to-back gate: the same 10 instrumented 40 ms
-    sweep points over 4 workers with capture on must stay within 5% of
-    the ``telemetry=False`` quiesced map (minima, retried).  The
-    recorded number is the captured variant — the steady-state price
-    of distributed observability on a latency-bound sweep.
-    """
-    import os
-    import tempfile
-
-    from ..exec import ParallelExecutor
-    from ..obs import observe
-    from ..obs.registry import ENV_DISABLE_VAR
-    from ..profiling import time_callable
-
-    points = [(i, 0.04) for i in range(10)]
-    captured = ParallelExecutor(workers=4)
-    quiesced = ParallelExecutor(workers=4, telemetry=False)
-    root = tempfile.mkdtemp(prefix="bench_exec_telemetry_")
-
-    def _observed(executor, label):
-        run_dir = os.path.join(root, label)
-
-        def run():
-            # Scratch observed run per invocation: registry registration
-            # off, run dir reused so repeats measure steady-state appends.
-            prior = os.environ.get(ENV_DISABLE_VAR)
-            os.environ[ENV_DISABLE_VAR] = "1"
-            try:
-                with observe(run_dir, smoke=True, seed=0):
-                    assert executor.map(
-                        _telemetry_bench_point, points, label="bench"
-                    ).ok
-            finally:
-                if prior is None:
-                    del os.environ[ENV_DISABLE_VAR]
-                else:
-                    os.environ[ENV_DISABLE_VAR] = prior
-
-        return run
-
-    run_quiesced = _observed(quiesced, "quiesced")
-    run = _observed(captured, "captured")
-    for attempt in range(3):
-        before = time_callable(run_quiesced, repeats=3, warmup=1)
-        after = time_callable(run, repeats=3, warmup=1)
-        if after.minimum <= before.minimum * 1.05 + 1e-3:
-            break
-    else:
-        raise AssertionError(
-            f"worker-telemetry overhead gate failed: "
-            f"{after.minimum * 1e3:.1f} ms captured vs "
-            f"{before.minimum * 1e3:.1f} ms quiesced (> 5% + 1 ms)"
-        )
-    return run

@@ -14,7 +14,6 @@ from .activation_stats import (
     collect_activation_stats,
 )
 from .algorithm1 import ScalingFactors, compute_loss, find_scaling_factors
-from .calibration import calibrate_snn
 from .diagnostics import (
     LayerErrorReport,
     diagnose_conversion,
@@ -60,7 +59,6 @@ __all__ = [
     "absorb_beta",
     "activation_layers",
     "build_specs",
-    "calibrate_snn",
     "collect_activation_stats",
     "compute_loss",
     "convert_dnn_to_snn",

@@ -22,11 +22,54 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import Module
+from ..nn import Module, tap
+from ..snn import SpikingNetwork
+from ..tensor import Tensor, no_grad
 from .activation_stats import activation_layers
-from .calibration import _dnn_layer_outputs, _snn_average_outputs
 from .converter import ConversionResult
 from .theory import expected_difference_alpha_beta, h_t_mu, k_mu
+
+
+def _dnn_layer_outputs(model: Module, images: np.ndarray) -> List[np.ndarray]:
+    """Post-activation outputs of every activation layer, forward order."""
+    outputs: List[np.ndarray] = []
+
+    def record(_layer, _x, out):
+        outputs.append(out.data.copy())
+
+    was_training = model.training
+    model.eval()
+    try:
+        with tap(activation_layers(model), record), no_grad():
+            model(Tensor(images))
+    finally:
+        model.train(was_training)
+    return outputs
+
+
+def _snn_average_outputs(snn: SpikingNetwork, images: np.ndarray) -> List[np.ndarray]:
+    """Time-averaged spiking outputs of every neuron layer."""
+    neurons = snn.spiking_neurons()
+    index = {id(neuron): i for i, neuron in enumerate(neurons)}
+    sums: List[np.ndarray] = [None] * len(neurons)
+
+    def accumulate(neuron, _current, out):
+        i = index[id(neuron)]
+        if sums[i] is None:
+            sums[i] = out.data.copy()
+        else:
+            sums[i] += out.data
+
+    was_training = snn.training
+    snn.eval()
+    try:
+        with tap(neurons, accumulate), no_grad():
+            snn(images)
+    finally:
+        snn.train(was_training)
+    return [
+        (total / snn.timesteps if total is not None else None) for total in sums
+    ]
 
 
 @dataclass

@@ -23,10 +23,10 @@ Robustness is the headline, not raw speed:
   method, a pool that fails to spawn, or a pool that exhausts its
   restart budget all fall back to the serial path with a logged
   downgrade and the same results.
-* **Telemetry** — ``exec.*`` counters/gauges through ``repro.obs``
-  (dispatched / retried / quarantined / crashes / restarts / heartbeat
-  latency).  These series are excluded from ``obs diff`` gating: two
-  runs that differ only in scheduling noise must still diff clean.
+* **Observed runs are serial** — while ``repro.obs`` is enabled, ``map``
+  takes the serial path in the parent process, so an observed run's
+  artefacts are exactly a serial run's at any worker count.  Workers
+  never talk to obs: they quiesce everything they inherit.
 
 Deterministic failure injection for all of the above lives in
 :class:`repro.faults.chaos.ChaosSpec` (kill/hang keyed by task index
@@ -172,11 +172,8 @@ def _quiesce_child_observability() -> None:
     per-seed pipeline task) would try to spawn children of a daemonic
     process.
 
-    This is also the first half of *capture* mode
-    (:func:`repro.obs.remote.install_worker_capture` re-enables the
-    state on top of the cleaned slate): the inherited health monitor,
-    profiler hooks, capture sink and metric journal are all dropped so
-    no parent file handle (shared offset!) stays reachable.
+    The inherited health monitor and profiler hooks are dropped too,
+    so no parent file handle (shared offset!) stays reachable.
     """
     os.environ["REPRO_RUNS_DISABLE"] = "1"
     try:
@@ -193,11 +190,9 @@ def _quiesce_child_observability() -> None:
         for attr in ("_events_fp", "_trace_fp"):
             if hasattr(state, attr):
                 setattr(state, attr, None)
-        obs_core.set_capture_sink(None)
     except Exception:
         pass
     try:
-        obs_metrics.get_registry()._journal = None
         obs_metrics.reset_registry()
     except Exception:
         pass
@@ -223,29 +218,14 @@ def _quiesce_child_observability() -> None:
 
 def _worker_main(
     fn: Callable[[Any], Any],
-    slot: int,
     task_queue,
     conn,
     heartbeat_interval_s: float,
     chaos,
     initializer: Optional[Callable[..., None]],
     initargs: Tuple[Any, ...],
-    telemetry: Optional[Dict[str, Any]] = None,
 ) -> None:
     _quiesce_child_observability()
-    buffer = None
-    if telemetry is not None:
-        # The parent run is observed: replace quiescing with capture.
-        # Initializer work runs outside any task scope, so per-worker
-        # setup never enters the merged telemetry stream.
-        try:
-            from ..obs import remote as obs_remote
-
-            buffer = obs_remote.install_worker_capture(
-                obs_remote.TelemetryEnvelope.from_dict(telemetry), worker_id=slot
-            )
-        except Exception:
-            buffer = None
     if initializer is not None:
         initializer(*initargs)
 
@@ -268,7 +248,7 @@ def _worker_main(
 
     def _beat() -> None:
         while not stop.is_set():
-            if not _send(("heartbeat", time.monotonic())):
+            if not _send(("heartbeat",)):
                 return
             stop.wait(heartbeat_interval_s)
 
@@ -286,32 +266,17 @@ def _worker_main(
                 os._exit(chaos.exit_code)
             if chaos.should_hang(index, attempt):
                 time.sleep(chaos.hang_seconds)
-        if buffer is not None:
-            buffer.begin_task(index, attempt)
         try:
             value = fn(payload)
         except BaseException as exc:  # noqa: BLE001 - forwarded to supervisor
             detail = f"{type(exc).__name__}: {exc}"
-            if buffer is not None:
-                _send(("telemetry", index, attempt, buffer.end_task("error")))
             if not _send(("error", index, attempt, detail, traceback.format_exc())):
                 break
         else:
-            if buffer is not None:
-                telemetry_payload = buffer.end_task("ok")
-                if chaos is not None and chaos.should_kill_after(index, attempt):
-                    # Die mid-telemetry-write: torn shard tail, no
-                    # piggyback, no result — the merge must recover
-                    # this task from the shard's intact prefix.
-                    buffer.tear_shard()
-                    os._exit(chaos.exit_code)
-                _send(("telemetry", index, attempt, telemetry_payload))
-            elif chaos is not None and chaos.should_kill_after(index, attempt):
+            if chaos is not None and chaos.should_kill_after(index, attempt):
                 os._exit(chaos.exit_code)
             if not _send(("result", index, attempt, value)):
                 break
-    if buffer is not None:
-        buffer.close()
     stop.set()
     try:
         conn.close()
@@ -361,13 +326,6 @@ class ParallelExecutor:
     chaos:
         Optional :class:`repro.faults.chaos.ChaosSpec` applied inside
         workers (ignored, with a log line, on the serial path).
-    telemetry:
-        Worker observability capture (:mod:`repro.obs.remote`).
-        ``None`` (default) captures exactly when the parent run is
-        observed at map time; ``False`` forces the quiesced PR-9
-        behaviour even for observed runs; ``True`` behaves like
-        ``None`` (capture still requires an observed run to have
-        anywhere to merge into).
     """
 
     def __init__(
@@ -384,7 +342,6 @@ class ParallelExecutor:
         backoff_max_s: float = 0.5,
         max_worker_restarts: Optional[int] = None,
         chaos=None,
-        telemetry: Optional[bool] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -405,7 +362,6 @@ class ParallelExecutor:
             3 * self.workers if max_worker_restarts is None else int(max_worker_restarts)
         )
         self.chaos = chaos
-        self.telemetry = telemetry
 
     # ------------------------------------------------------------------
     # Introspection
@@ -427,21 +383,7 @@ class ParallelExecutor:
             "start_method": self.resolved_start_method(),
             "max_retries": self.max_retries,
             "poison_threshold": self.poison_threshold,
-            "telemetry": "auto" if self.telemetry is None else bool(self.telemetry),
         }
-
-    def _telemetry_active(self) -> bool:
-        """Capture telemetry for the next map?
-
-        Requires the parent run to be observed, and that this process
-        is not *itself* a capturing worker (a nested map inside a task
-        already streams through the enclosing task's buffer).
-        """
-        if self.telemetry is False:
-            return False
-        from ..obs import core as obs_core
-
-        return obs_core.is_enabled() and obs_core.capture_sink() is None
 
     # ------------------------------------------------------------------
     # Public API
@@ -455,61 +397,46 @@ class ParallelExecutor:
         initializer: Optional[Callable[..., None]] = None,
         initargs: Tuple[Any, ...] = (),
     ) -> MapResult:
-        """Apply ``fn`` to every task, preserving task order in results."""
+        """Apply ``fn`` to every task, preserving task order in results.
+
+        An observed run (``repro.obs`` enabled) always maps serially in
+        this process: its artefacts then are a serial run's, whatever
+        the worker count.
+        """
         items = list(tasks)
         stats = ExecStats(
             workers=self.workers,
             start_method=self.resolved_start_method(),
             tasks=len(items),
         )
-        plan = None
-        if self._telemetry_active():
-            from ..obs import remote as obs_remote
-
-            plan = obs_remote.MapTelemetry(label)
+        from ..obs import core as obs_core
         from ..obs import trace as obs_trace
 
         started = time.monotonic()
-        try:
-            with obs_trace.span(
-                "exec.map", label=label, workers=self.workers, tasks=len(items)
-            ) as dispatch_span:
-                if plan is not None:
-                    plan.set_dispatch(
-                        getattr(dispatch_span, "span_id", None),
-                        getattr(dispatch_span, "depth", 0),
+        with obs_trace.span(
+            "exec.map", label=label, workers=self.workers, tasks=len(items)
+        ):
+            if self.workers <= 1 or len(items) <= 1:
+                result = self._map_serial(fn, items, stats, initializer, initargs)
+            elif obs_core.is_enabled():
+                self._note_downgrade(stats, "observed run")
+                result = self._map_serial(fn, items, stats, initializer, initargs)
+            else:
+                method = self.resolved_start_method()
+                if method == "serial":
+                    self._note_downgrade(
+                        stats,
+                        f"start method {self.start_method!r} unavailable "
+                        f"(have {multiprocessing.get_all_start_methods()})",
                     )
-                if self.workers <= 1 or len(items) <= 1:
-                    result = self._map_serial(
-                        fn, items, stats, initializer, initargs, plan
-                    )
+                    result = self._map_serial(fn, items, stats, initializer, initargs)
                 else:
-                    method = self.resolved_start_method()
-                    if method == "serial":
-                        self._note_downgrade(
-                            stats,
-                            f"start method {self.start_method!r} unavailable "
-                            f"(have {multiprocessing.get_all_start_methods()})",
-                        )
-                        result = self._map_serial(
-                            fn, items, stats, initializer, initargs, plan
-                        )
-                    else:
-                        result = self._map_parallel(
-                            fn, items, stats, method, label, initializer, initargs, plan
-                        )
-        finally:
-            if plan is not None:
-                plan.tee_close()
+                    result = self._map_parallel(
+                        fn, items, stats, method, label, initializer, initargs
+                    )
         stats.duration_s = time.monotonic() - started
-        if plan is not None:
-            merged = plan.merge()
-            obs_metrics.inc("exec.telemetry_tasks_merged", merged["tasks"])
-            obs_metrics.inc("exec.telemetry_records_merged", merged["records"])
-            if merged["recovered"]:
-                obs_metrics.inc("exec.telemetry_tasks_recovered", merged["recovered"])
         self._flush_telemetry(stats, label)
-        self._surface_health(stats, result, label)
+        self._surface_health(result, label)
         return result
 
     def map_reduce(
@@ -537,7 +464,6 @@ class ParallelExecutor:
         stats: ExecStats,
         initializer: Optional[Callable[..., None]],
         initargs: Tuple[Any, ...],
-        plan=None,
     ) -> MapResult:
         stats.mode = "serial"
         if self.chaos is not None and not self.chaos.is_null:
@@ -553,16 +479,9 @@ class ParallelExecutor:
                 stats.dispatched += 1
                 if attempts > 1:
                     stats.retried += 1
-                # The tee scope covers exactly fn() — executor
-                # bookkeeping stays out of the canonical stream so
-                # serial and parallel captures match byte for byte.
-                if plan is not None:
-                    plan.tee_begin(index, attempts - 1)
                 try:
                     results[index] = fn(payload)
                 except Exception as exc:  # noqa: BLE001 - mirrored from workers
-                    if plan is not None:
-                        plan.tee_end("error")
                     stats.errors += 1
                     if attempts > self.max_retries:
                         failures[index] = TaskFailure(
@@ -574,8 +493,6 @@ class ParallelExecutor:
                         stats.failed += 1
                         break
                 else:
-                    if plan is not None:
-                        plan.tee_end("ok")
                     stats.completed += 1
                     break
         return MapResult(results=results, failures=failures, stats=stats)
@@ -592,19 +509,17 @@ class ParallelExecutor:
         label: str,
         initializer: Optional[Callable[..., None]],
         initargs: Tuple[Any, ...],
-        plan=None,
     ) -> MapResult:
         stats.mode = "parallel"
         try:
             ctx = multiprocessing.get_context(method)
         except ValueError as exc:
             self._note_downgrade(stats, f"get_context({method!r}) failed: {exc}")
-            return self._map_serial(fn, items, stats, initializer, initargs, plan)
+            return self._map_serial(fn, items, stats, initializer, initargs)
 
         n = len(items)
         pool_size = min(self.workers, n)
         workers: List[_Worker] = []
-        envelope = plan.envelope_dict() if plan is not None else None
 
         def _spawn(slot: int) -> _Worker:
             task_queue = ctx.SimpleQueue()
@@ -613,14 +528,12 @@ class ParallelExecutor:
                 target=_worker_main,
                 args=(
                     fn,
-                    slot,
                     task_queue,
                     child_conn,
                     self.heartbeat_interval_s,
                     self.chaos,
                     initializer,
                     initargs,
-                    envelope,
                 ),
                 daemon=True,
                 name=f"repro-exec-{label}-{slot}",
@@ -638,7 +551,7 @@ class ParallelExecutor:
             for worker in workers:
                 self._kill_worker(worker)
             self._note_downgrade(stats, f"worker spawn failed: {exc}")
-            return self._map_serial(fn, items, stats, initializer, initargs, plan)
+            return self._map_serial(fn, items, stats, initializer, initargs)
 
         results: List[Any] = [None] * n
         done: List[bool] = [False] * n
@@ -646,7 +559,6 @@ class ParallelExecutor:
         attempts = [0] * n  # dispatch count per task
         error_counts = [0] * n
         crash_counts = [0] * n
-        task_durations: Dict[Tuple[int, int], float] = {}  # telemetry-reported fn time
         pending = deque(range(n))
         delayed: List[Tuple[float, int]] = []  # (ready_at, index) heap
         restarts_used = 0
@@ -658,7 +570,6 @@ class ParallelExecutor:
             stats.failed += 1
             if failure.kind in ("poison", "timeout"):
                 stats.quarantined += 1
-                obs_metrics.inc("exec.tasks_quarantined")
             settled += 1
 
         def _record_result(index: int, value: Any) -> None:
@@ -675,7 +586,6 @@ class ParallelExecutor:
                 self.backoff_max_s,
                 self.backoff_base_s * (2 ** max(0, attempts[index] - 1)),
             )
-            obs_metrics.inc("exec.backoff_total_s", delay)
             heapq.heappush(delayed, (time.monotonic() + delay, index))
 
         def _handle_worker_loss(worker: _Worker, kind: str, detail: str) -> None:
@@ -685,8 +595,6 @@ class ParallelExecutor:
             worker.dead = True
             self._kill_worker(worker)
             stats.crashes += 1
-            obs_metrics.inc("exec.worker_crashes")
-            obs_metrics.inc("exec.worker_failures", worker=worker.slot)
             if kind == "timeout":
                 stats.timeouts += 1
             in_flight = worker.busy
@@ -718,7 +626,6 @@ class ParallelExecutor:
             if restarts_used < self.max_worker_restarts:
                 restarts_used += 1
                 stats.restarts += 1
-                obs_metrics.inc("exec.worker_restarts")
                 try:
                     replacement = _spawn(worker.slot)
                 except Exception as exc:  # noqa: BLE001
@@ -746,10 +653,8 @@ class ParallelExecutor:
                 worker.dispatched_at = now
                 worker.queue.put((index, attempt, items[index]))
                 stats.dispatched += 1
-                obs_metrics.inc("exec.tasks_dispatched")
                 if attempt > 0:
                     stats.retried += 1
-                    obs_metrics.inc("exec.tasks_retried")
 
             live_conns = {w.conn: w for w in workers if not w.dead}
             try:
@@ -781,49 +686,20 @@ class ParallelExecutor:
                         )
                         break
                     kind = message[0]
-                    if kind == "heartbeat":
-                        sent_at = message[1]
+                    if kind in ("heartbeat", "ready"):
                         worker.last_beat = time.monotonic()
-                        obs_metrics.observe(
-                            "exec.heartbeat_latency_s",
-                            max(0.0, time.monotonic() - sent_at),
-                        )
-                    elif kind == "ready":
-                        worker.last_beat = time.monotonic()
-                    elif kind == "telemetry":
-                        _, index, attempt, telemetry_payload = message
-                        if plan is not None:
-                            plan.offer(telemetry_payload)
-                            if isinstance(telemetry_payload, dict):
-                                duration = telemetry_payload.get("duration_s")
-                                if isinstance(duration, (int, float)):
-                                    task_durations[(index, attempt)] = float(duration)
                     elif kind == "result":
                         _, index, attempt, value = message
                         _record_result(index, value)
-                        obs_metrics.inc("exec.tasks_completed")
-                        obs_metrics.inc("exec.worker_tasks", worker=worker.slot)
-                        duration = task_durations.pop((index, attempt), None)
-                        if duration is not None:
-                            # Queue wait = time between dispatch and
-                            # result arrival not spent inside fn().
-                            elapsed = time.monotonic() - worker.dispatched_at
-                            obs_metrics.observe(
-                                "exec.queue_wait_s", max(0.0, elapsed - duration)
-                            )
-                            obs_metrics.observe("exec.task_duration_s", duration)
                         if worker.busy == (index, attempt):
                             worker.busy = None
                     elif kind == "error":
                         _, index, attempt, detail, _tb = message
-                        task_durations.pop((index, attempt), None)
-                        obs_metrics.inc("exec.worker_failures", worker=worker.slot)
                         if worker.busy == (index, attempt):
                             worker.busy = None
                         if not done[index] and index not in failures:
                             error_counts[index] += 1
                             stats.errors += 1
-                            obs_metrics.inc("exec.task_errors")
                             if error_counts[index] > self.max_retries:
                                 _settle_failure(
                                     TaskFailure(
@@ -868,7 +744,6 @@ class ParallelExecutor:
                 # Pool is gone and the restart budget is spent: finish
                 # the remainder serially rather than losing the sweep.
                 self._note_downgrade(stats, "worker pool exhausted restart budget")
-                obs_metrics.inc("exec.serial_fallbacks")
                 if initializer is not None:
                     initializer(*initargs)
                 for index in range(n):
@@ -889,13 +764,9 @@ class ParallelExecutor:
                         continue
                     stats.serial_fallback_tasks += 1
                     stats.dispatched += 1
-                    if plan is not None:
-                        plan.tee_begin(index, attempts[index])
                     try:
                         value = fn(items[index])
                     except Exception as exc:  # noqa: BLE001
-                        if plan is not None:
-                            plan.tee_end("error")
                         stats.errors += 1
                         _settle_failure(
                             TaskFailure(
@@ -906,8 +777,6 @@ class ParallelExecutor:
                             )
                         )
                     else:
-                        if plan is not None:
-                            plan.tee_end("ok")
                         _record_result(index, value)
                 break
 
@@ -967,18 +836,15 @@ class ParallelExecutor:
         try:
             obs_metrics.gauge("exec.workers", stats.workers)
             obs_metrics.gauge("exec.pool_duration_s", stats.duration_s, label=label)
-            if stats.mode == "serial":
-                obs_metrics.inc("exec.serial_maps")
-            else:
-                obs_metrics.inc("exec.parallel_maps")
+            obs_metrics.inc("exec.maps")
         except Exception:
             pass
 
-    def _surface_health(self, stats: ExecStats, result: MapResult, label: str) -> None:
-        """Surface terminal failures/crashes/quarantines as health
-        alerts (``alerts.jsonl``) when a monitor is installed — i.e.
-        for observed runs.  Once per pathological stretch: a clean map
-        under the same label re-arms each rule."""
+    def _surface_health(self, result: MapResult, label: str) -> None:
+        """Surface permanently failed tasks as a health alert
+        (``alerts.jsonl``) when a monitor is installed — i.e. for
+        observed runs.  Once per pathological stretch: a clean map
+        under the same label re-arms the rule."""
         try:
             from ..obs import health as obs_health
 
@@ -992,12 +858,6 @@ class ParallelExecutor:
                 f"task {f.index}: {f.kind} ({f.message})"
                 for f in sorted(result.failures.values(), key=lambda f: f.index)[:4]
             )
-            monitor.observe_exec(
-                label,
-                failures=plain_failures,
-                crashes=stats.crashes,
-                quarantined=stats.quarantined,
-                detail=detail or None,
-            )
+            monitor.observe_exec(label, failures=plain_failures, detail=detail or None)
         except Exception:
             pass

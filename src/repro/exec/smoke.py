@@ -13,11 +13,12 @@ A fast, deterministic end-to-end pass over the execution machinery:
    failure record instead of hanging or crashing the parent;
 4. an unavailable start method degrades gracefully to serial with the
    same results;
-5. a micro fault sweep is bitwise-identical serial vs parallel, and an
-   identical-seed ``repro.obs`` diff of two traced parallel sweeps —
-   one clean, one with a chaos worker kill — is clean (exit 0), while
-   a cross-worker-count diff carries an *informational*
-   ``env:executor.workers`` row without gating.
+5. an unobserved micro fault sweep is bitwise-identical serial vs
+   parallel vs parallel with a chaos worker kill, and the parallel maps
+   really ran on the pool; a traced workers=2 sweep (which maps
+   serially, as every observed map does) diffs clean against a traced
+   workers=1 sweep, with an *informational* ``env:executor.workers``
+   row that does not gate.
 
 Exits non-zero with a diagnostic on the first failed check.
 """
@@ -134,7 +135,7 @@ def main(argv=None) -> int:
     print("exec smoke: unavailable start method degraded to serial, identical results")
 
     # ------------------------------------------------------------------
-    # 5. micro fault sweep: serial == parallel, traced diff clean
+    # 5. micro fault sweep: serial == parallel == chaos, traced diff clean
     # ------------------------------------------------------------------
     scale = replace(
         SCALES["tiny"],
@@ -159,12 +160,35 @@ def main(argv=None) -> int:
         seed=0,
     )
 
+    class _StatsExecutor(ParallelExecutor):
+        """Keeps the last map's stats, which run_fault_sweep drops."""
+
+        def map(self, *args, **kwargs):
+            outcome = super().map(*args, **kwargs)
+            self.last_stats = outcome.stats
+            return outcome
+
+    # Unobserved, so the workers=2 sweeps run on the pool.
+    serial_sweep = run_fault_sweep(**sweep_kwargs)
+    pool = _StatsExecutor(workers=2)
+    chaos_pool = _StatsExecutor(workers=2, chaos=ChaosSpec.kill_task(1, attempts=1))
+    parallel_sweep = run_fault_sweep(**sweep_kwargs, executor=pool)
+    chaos_sweep = run_fault_sweep(**sweep_kwargs, executor=chaos_pool)
+    if pool.last_stats.mode != "parallel" or chaos_pool.last_stats.mode != "parallel":
+        return _fail("unobserved workers=2 fault sweep did not run on the pool")
+    if chaos_pool.last_stats.crashes < 1:
+        return _fail(f"chaos kill not visible in stats: {chaos_pool.last_stats}")
+    blobs = [json.dumps(s, sort_keys=True)
+             for s in (serial_sweep, parallel_sweep, chaos_sweep)]
+    if len(set(blobs)) != 1:
+        return _fail("fault sweep payloads differ across serial/parallel/chaos")
+    print("exec smoke: fault sweep bitwise-identical serial vs parallel vs chaos")
+
     def _traced_sweep(run_dir, executor):
         clear_context_cache()
         clear_pipeline_cache()
         for name in ("trace.jsonl", "events.jsonl", "metrics.json",
-                     "drift.jsonl", "faults.jsonl", "alerts.jsonl",
-                     "worker_telemetry.jsonl"):
+                     "drift.jsonl", "faults.jsonl", "alerts.jsonl"):
             path = os.path.join(run_dir, name)
             if os.path.exists(path):
                 os.remove(path)
@@ -174,27 +198,12 @@ def main(argv=None) -> int:
             with observe(run_dir, smoke=True, arch="vgg11", timesteps=2, seed=0):
                 return run_fault_sweep(**sweep_kwargs)
 
-    serial_sweep = _traced_sweep(args.run_dir, None)
-    parallel_sweep = _traced_sweep(
-        f"{args.run_dir}_b", ParallelExecutor(workers=2)
-    )
-    chaos_sweep = _traced_sweep(
-        f"{args.run_dir}_c",
-        ParallelExecutor(workers=2, chaos=ChaosSpec.kill_task(1, attempts=1)),
-    )
-    blobs = [json.dumps(s, sort_keys=True)
-             for s in (serial_sweep, parallel_sweep, chaos_sweep)]
-    if len(set(blobs)) != 1:
-        return _fail("fault sweep payloads differ across serial/parallel/chaos")
-    print("exec smoke: fault sweep bitwise-identical serial vs parallel vs chaos")
-
-    diff = diff_run_dirs(f"{args.run_dir}_b", f"{args.run_dir}_c")
-    if not diff.ok:
-        print(diff.render())
-        return _fail(
-            f"identical-seed parallel-vs-chaos diff found "
-            f"{len(diff.regressions)} regression(s)"
-        )
+    traced = [
+        _traced_sweep(args.run_dir, None),
+        _traced_sweep(f"{args.run_dir}_b", ParallelExecutor(workers=2)),
+    ]
+    if any(json.dumps(s, sort_keys=True) != blobs[0] for s in traced):
+        return _fail("traced fault sweep payloads differ from the unobserved one")
     cross = diff_run_dirs(args.run_dir, f"{args.run_dir}_b")
     if not cross.ok:
         print(cross.render())
@@ -205,7 +214,7 @@ def main(argv=None) -> int:
     if any(d.significant or d.regressed for d in env_rows):
         return _fail("env:executor rows must stay informational")
     print(
-        f"exec smoke: obs diff clean under chaos; cross-worker diff carries "
+        f"exec smoke: traced workers 1 vs 2 diff clean, with "
         f"{len(env_rows)} informational env:executor row(s)"
     )
 

@@ -16,7 +16,8 @@ Regenerate any paper table/figure from the shell:
 
 ``--workers N`` shards the fault sweep and the multiseed sweep over N
 supervised worker processes (``repro.exec``); results are bitwise
-identical to ``--workers 1``.
+identical to ``--workers 1``.  Under ``--trace`` those sweeps run
+serially, so the run directory is a serial run's.
 
 Results print as the paper-style tables and are archived under
 ``results/`` as JSON.
@@ -83,10 +84,6 @@ def main(argv=None) -> int:
                         help="shard parallelisable work (fault sweep, "
                              "multiseed) over N worker processes; results are "
                              "bitwise identical to --workers 1")
-    parser.add_argument("--no-worker-telemetry", action="store_true",
-                        help="keep worker observability quiesced even under "
-                             "--trace (no worker_telemetry.jsonl, no "
-                             "cross-process spans)")
     parser.add_argument("--no-save", action="store_true",
                         help="skip writing results/<experiment>.json")
     parser.add_argument("--trace", metavar="RUN_DIR", default=None,
@@ -112,12 +109,7 @@ def main(argv=None) -> int:
     # cross-worker-count diffs can be flagged.
     from ..exec import ParallelExecutor, executor_scope
 
-    telemetry = False if args.no_worker_telemetry else None
-    executor = (
-        ParallelExecutor(workers=args.workers, telemetry=telemetry)
-        if args.workers > 1
-        else None
-    )
+    executor = ParallelExecutor(workers=args.workers) if args.workers > 1 else None
     with executor_scope(executor):
         if args.trace:
             obs_configure(

@@ -87,7 +87,8 @@ def _faulted_accuracy(model, loader_factory, spec: FaultSpec, evaluate) -> float
 # Parallel sweep plumbing (see repro.exec)
 # ---------------------------------------------------------------------
 # Worker-process state, populated once per worker by the executor's
-# initializer: published model handles, the experiment config, and the
+# initializer (in the parent itself when the map runs serially, as
+# every observed map does): published model handles, the experiment config, and the
 # lazily rebuilt test set.  Models attach as *writable* shared-memory
 # copies because fault injection mutates weights in place (restoring
 # exact bits afterwards) — one private copy per worker, reused across
@@ -102,17 +103,12 @@ def _sweep_worker_init(handles: Dict[str, object], config: ExperimentConfig) -> 
 
 def _worker_test_loader():
     from ..data import DataLoader, Normalize
-    from ..obs.core import suspend_capture
     from .context import _build_dataset
 
     state = _WORKER_STATE
     if state["data"] is None:
-        # The lazy dataset build happens once per worker, inside whatever
-        # task got scheduled first — suspend worker-telemetry capture so
-        # the canonical per-task stream stays worker-count-independent.
-        with suspend_capture():
-            dataset = _build_dataset(state["config"])
-            mean, std = dataset.channel_stats()
+        dataset = _build_dataset(state["config"])
+        mean, std = dataset.channel_stats()
         state["data"] = (dataset, Normalize(mean, std))
     dataset, normalize = state["data"]
     # Same construction as ExperimentContext.test_loader(): fresh
@@ -178,11 +174,9 @@ def run_fault_sweep(
     are bitwise identical to the serial sweep for any worker count.
     Quarantined cells (a genuinely poisonous task) surface as ``None``
     entries with ``status="partial"`` and a ``failures`` list instead
-    of losing the whole sweep.  Under an observed run, worker-side
-    fault telemetry (events, metrics, spans, per-layer fault records)
-    is captured in each worker and merged deterministically into the
-    parent's artefacts (see :mod:`repro.obs.remote`); unobserved runs
-    keep workers fully quiesced.
+    of losing the whole sweep.  Under an observed run the executor maps
+    serially in this process, so the run's fault telemetry is a serial
+    sweep's at any worker count.
     """
     scale = get_scale(scale_name)
     config = ExperimentConfig(

@@ -16,10 +16,8 @@ function executes:
 * ``hang``  — the worker sleeps ``hang_seconds`` before running the
   task, exercising per-task timeouts and stale-heartbeat detection.
 * ``kill_after`` — the worker dies *after* the task function returns
-  but before its result (and telemetry piggyback) is sent; with worker
-  telemetry capture enabled it additionally leaves a deliberately torn
-  half-record at its shard tail, modelling a worker killed
-  mid-telemetry-write for the degraded-merge tests.
+  but before its result is sent, so the finished work is lost and the
+  task must be re-dispatched.
 
 A task listed with ``attempts >= poison_threshold`` consecutive kills
 becomes a poison task and must end up quarantined, not retried forever.

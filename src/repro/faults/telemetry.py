@@ -25,7 +25,7 @@ import time
 from typing import IO, List, Optional
 
 from ..obs import metrics as obs_metrics
-from ..obs.core import _STATE, capture, is_enabled
+from ..obs.core import _STATE, is_enabled
 from ..obs.metrics import MetricsRegistry
 
 FAULTS_FILENAME = "faults.jsonl"
@@ -78,11 +78,6 @@ class FaultTelemetry:
         record = {"kind": "fault", "ts": time.time(), "fault": fault, **fields}
         if len(self.records) < _MAX_RECORDS:
             self.records.append(record)
-        # Worker-telemetry capture: inside an executor worker the event
-        # ships to the parent (which owns ``faults.jsonl``) instead of a
-        # local file this process does not have.
-        if capture("fault", record):
-            return record
         if self._fp is not None:
             self._fp.write(json.dumps(record) + "\n")
             self._fp.flush()

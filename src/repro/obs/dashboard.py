@@ -188,23 +188,6 @@ class DashboardState:
                 rows.setdefault(layer, {})[field[len("dispatch."):]] = float(value)
         return [dict(row, layer=layer) for layer, row in sorted(rows.items())]
 
-    def worker_rows(self) -> List[dict]:
-        """Per-worker task/failure lanes (``exec.worker_*{worker=N}``)."""
-        counters = (self.metrics or {}).get("counters") or {}
-        rows: Dict[int, dict] = {}
-        for field in ("worker_tasks", "worker_failures"):
-            prefix = f"exec.{field}{{worker="
-            for name, value in counters.items():
-                if not name.startswith(prefix) or not name.endswith("}"):
-                    continue
-                try:
-                    worker = int(name[len(prefix):-1])
-                except ValueError:
-                    continue
-                if isinstance(value, (int, float)):
-                    rows.setdefault(worker, {})[field] = float(value)
-        return [dict(row, worker=worker) for worker, row in sorted(rows.items())]
-
     def alerts(self) -> List[dict]:
         return [r for r in self.health.records if r.get("kind") == "alert"]
 
@@ -332,21 +315,6 @@ def render_frame(state: DashboardState, width: int = 80) -> str:
                 f"   L{row['layer']:<3}{path} "
                 f"{hbar(density, max(10, width - 44))} "
                 f"d={density:.4f} x={threshold:.4f}"
-            )
-        lines.append(rule)
-
-    workers = state.worker_rows()
-    if workers:
-        lines.append(" worker lanes (tasks / failures)")
-        peak = max(max(r.get("worker_tasks", 0.0) for r in workers), 1e-12)
-        for row in workers:
-            tasks = row.get("worker_tasks", 0.0)
-            failures = row.get("worker_failures", 0.0)
-            marker = "!" if failures else " "
-            lines.append(
-                f"  {marker}W{row['worker']:<3}"
-                f"{hbar(tasks / peak, max(10, width - 36))} "
-                f"{tasks:g} tasks, {failures:g} failed"
             )
         lines.append(rule)
 

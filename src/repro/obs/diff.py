@@ -57,17 +57,15 @@ _DOWN_RE = re.compile(
 )
 # Wall-clock-valued series (timings, memory, the ``profile:`` family)
 # never gate: they vary between bit-identical replays, so they align for
-# context only.  ``exec.*`` executor telemetry (dispatch/retry/crash/
-# restart counts, pool timings) is scheduling noise by design: a chaos
-# run that killed and replaced a worker must still diff clean against an
-# undisturbed run, because the *results* are bitwise identical.  The
-# same goes for the ``exec:`` worker-telemetry stream series and the
-# ``exec_*`` health-alert rules the executor raises.  The informational
+# context only.  ``exec.*`` executor telemetry (pool size, map counts,
+# serial downgrades, pool timings) and the ``exec_*`` health-alert rule
+# describe scheduling, not results: a workers=2 observed run (which maps
+# serially) must diff clean against a workers=1 one.  The informational
 # env:executor.* rows (from the run registry's environment fingerprint)
 # flag cross-worker-count comparisons instead.
 _SKIP_RE = re.compile(
     r"seconds|duration_s|\.ts$|wall|span:|bench\.|memory|bytes|profile:"
-    r"|latency|exec[.:_]"
+    r"|latency|exec[._]"
 )
 
 
@@ -273,22 +271,6 @@ def extract_series(data: RunData) -> Dict[str, Tuple[str, float]]:
             by_span[name] = by_span.get(name, 0.0) + float(duration)
     for name, total in by_span.items():
         series[f"span:{name}.total_s"] = ("span", total)
-
-    # Worker-telemetry stream shape: per-kind record counts from the
-    # canonical merged ``worker_telemetry.jsonl``.  The ``exec:`` prefix
-    # matches _SKIP_RE, so these align but never gate — executor
-    # scheduling (and whether telemetry capture was on at all)
-    # legitimately varies between otherwise-identical runs.
-    by_kind: Dict[str, int] = {}
-    for record in getattr(data, "worker_telemetry", []) or []:
-        kind = str(record.get("kind", "?"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-    for kind, count in by_kind.items():
-        series[f"exec:telemetry.{kind}.records"] = ("exec", float(count))
-    if by_kind:
-        series["exec:telemetry.records"] = (
-            "exec", float(sum(by_kind.values()))
-        )
     return series
 
 
@@ -391,8 +373,8 @@ def _executor_env_deltas(baseline_dir: str, candidate_dir: str) -> List[Delta]:
     base = base or {}
     cand = cand or {}
     deltas: List[Delta] = []
-    defaults = {"workers": 1, "start_method": "serial", "telemetry": "auto"}
-    for key in ("workers", "start_method", "telemetry"):
+    defaults = {"workers": 1, "start_method": "serial"}
+    for key in ("workers", "start_method"):
         base_value = base.get(key, defaults[key])
         cand_value = cand.get(key, defaults[key])
         if base_value == cand_value:

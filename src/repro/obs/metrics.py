@@ -131,21 +131,12 @@ def _render_key(key: MetricKey) -> str:
 
 
 class MetricsRegistry:
-    """Aggregates named, labelled metrics of the three kinds.
-
-    ``_journal``, when set to a callable, receives one deterministic op
-    record per successful write (``{"op", "name", "value", "labels"}``).
-    The cross-process telemetry layer
-    (:mod:`repro.obs.remote`) uses it to replay a worker's metric
-    deltas into the parent registry; it costs one attribute check per
-    write when unset.
-    """
+    """Aggregates named, labelled metrics of the three kinds."""
 
     def __init__(self) -> None:
         self._counters: Dict[MetricKey, Counter] = {}
         self._gauges: Dict[MetricKey, Gauge] = {}
         self._histograms: Dict[MetricKey, Histogram] = {}
-        self._journal = None
 
     # -- accessors (create on first use) -------------------------------
     def counter(self, name: str, **labels) -> Counter:
@@ -160,24 +151,12 @@ class MetricsRegistry:
     # -- write-style shorthands ----------------------------------------
     def inc(self, name: str, amount: float = 1.0, **labels) -> None:
         self.counter(name, **labels).inc(amount)
-        if self._journal is not None:
-            self._journal(
-                {"op": "inc", "name": name, "value": float(amount), "labels": labels}
-            )
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         self.gauge(name, **labels).set(value)
-        if self._journal is not None:
-            self._journal(
-                {"op": "gauge", "name": name, "value": float(value), "labels": labels}
-            )
 
     def observe(self, name: str, value: float, **labels) -> None:
         self.histogram(name, **labels).observe(value)
-        if self._journal is not None:
-            self._journal(
-                {"op": "observe", "name": name, "value": float(value), "labels": labels}
-            )
 
     def reset(self) -> None:
         self._counters.clear()
@@ -225,34 +204,6 @@ def get_registry() -> MetricsRegistry:
 
 def reset_registry() -> None:
     _GLOBAL.reset()
-
-
-def apply_metric_op(registry: MetricsRegistry, op: dict) -> None:
-    """Replay one journalled write into ``registry``.
-
-    Inverse of the ``_journal`` records: the worker-telemetry merge
-    applies a child process's metric deltas to the parent registry in
-    deterministic ``(task_index, seq)`` order.  Unknown/garbled ops are
-    ignored (degraded shards must not break a merge).
-    """
-    name = op.get("name")
-    if not isinstance(name, str):
-        return
-    labels = op.get("labels") or {}
-    if not isinstance(labels, dict):
-        return
-    labels = {str(k): v for k, v in labels.items()}
-    try:
-        value = float(op.get("value", 0.0))
-    except (TypeError, ValueError):
-        return
-    kind = op.get("op")
-    if kind == "inc":
-        registry.inc(name, value, **labels)
-    elif kind == "gauge":
-        registry.set_gauge(name, value, **labels)
-    elif kind == "observe":
-        registry.observe(name, value, **labels)
 
 
 # ----------------------------------------------------------------------

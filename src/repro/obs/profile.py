@@ -277,32 +277,16 @@ def chrome_trace(records: List[dict]) -> dict:
 
     Each op becomes a complete (``"ph": "X"``) event; timestamps are
     microseconds since the profiler was entered, and the layer / span /
-    shape metadata rides along in ``args``.  Ops recorded by the parent
-    process occupy pid 1; ops merged back from executor workers (they
-    carry a ``worker`` field) each get their own process lane, so a
-    parallel sweep renders as one aligned multi-process timeline.
+    shape metadata rides along in ``args``.
     """
-
-    def _lane(record: dict) -> int:
-        worker = record.get("worker")
-        return 2 + int(worker) if isinstance(worker, int) and worker >= 0 else 1
-
-    lanes = {1: "repro op profile"}
-    for record in records:
-        if record.get("kind") != "op":
-            continue
-        pid = _lane(record)
-        if pid != 1:
-            lanes[pid] = f"repro worker {record['worker']}"
     events: List[dict] = [
         {
             "name": "process_name",
             "ph": "M",
-            "pid": pid,
+            "pid": 1,
             "tid": 1,
-            "args": {"name": name},
+            "args": {"name": "repro op profile"},
         }
-        for pid, name in sorted(lanes.items())
     ]
     for record in records:
         if record.get("kind") != "op":
@@ -313,7 +297,7 @@ def chrome_trace(records: List[dict]) -> dict:
             continue
         args = {
             key: record[key]
-            for key in ("layer", "span", "shape", "dtype", "bytes", "task")
+            for key in ("layer", "span", "shape", "dtype", "bytes")
             if record.get(key) is not None
         }
         events.append({
@@ -322,7 +306,7 @@ def chrome_trace(records: List[dict]) -> dict:
             "ph": "X",
             "ts": (float(end) - float(dt)) * 1e6,
             "dur": float(dt) * 1e6,
-            "pid": _lane(record),
+            "pid": 1,
             "tid": 1,
             "args": args,
         })
@@ -354,41 +338,13 @@ def session_active() -> bool:
     return _SESSION is not None
 
 
-def ingest_records(records: List[dict]) -> int:
-    """Append externally captured op events to the active session.
-
-    The worker-telemetry merge feeds a child process's (opt-in)
-    profiler events through here in deterministic order; they join the
-    session's ``profile.jsonl`` stream and its end-of-run aggregate.
-    Returns the number of events adopted (0 when no session is active).
-    """
-    session = _SESSION
-    if session is None:
-        return 0
-    adopted = 0
-    for record in records:
-        if not isinstance(record, dict) or record.get("kind") != "op":
-            continue
-        if len(session.records) >= session.max_records:
-            session.dropped += 1
-            continue
-        session.records.append(record)
-        if session._fp is not None:
-            session._fp.write(json.dumps(record) + "\n")
-        adopted += 1
-    if session._fp is not None:
-        session._fp.flush()
-    return adopted
-
-
 def quiesce_forked() -> None:
     """Detach profiler state inherited across ``fork``.
 
     A worker forked from a profiled run inherits the parent's op
     observer and its open ``profile.jsonl`` handle (shared file
     offset); the child must unhook the observer and forget the handle
-    *without* closing or flushing it.  Worker capture then installs its
-    own memory-backed profiler when profiling is requested.
+    *without* closing or flushing it.
     """
     global _ACTIVE, _SESSION, _SESSION_DIR
     profiler = _ACTIVE

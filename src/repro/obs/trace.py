@@ -118,9 +118,9 @@ def current_span() -> Optional[Span]:
 def reset(counter: bool = False) -> None:
     """Clear the span stack (test isolation after exceptions).
 
-    ``counter=True`` also rewinds the span-id counter — used by worker
-    telemetry capture, where ids inherited across ``fork`` are
-    meaningless (the merge renumbers them deterministically anyway).
+    ``counter=True`` also rewinds the span-id counter — used by
+    executor workers, where ids inherited across ``fork`` are
+    meaningless.
     """
     global _SPAN_COUNTER
     _stack.clear()

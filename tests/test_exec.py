@@ -5,6 +5,8 @@ The contract under test is the repo's bitwise-determinism guarantee:
 returns at any worker count, under chaos worker kills, retries, and
 graceful downgrades — and the experiment drivers built on it
 (``run_fault_sweep``, ``seed_sweep``) must inherit that guarantee.
+An observed run (``repro.obs`` enabled) always maps serially, so its
+artefacts are a serial run's at any worker count.
 """
 
 import json
@@ -26,6 +28,7 @@ from repro.exec import (
 )
 from repro.faults import ChaosSpec
 from repro.models import vgg11
+from repro.obs import observe
 
 
 def _checksum_task(payload):
@@ -43,6 +46,31 @@ def _failing_task(payload):
 
 
 _TASKS = [(i, 10) for i in range(7)]
+
+
+def _instrumented_task(payload):
+    """Deterministic task that emits a span, metrics and a log record."""
+    from repro.obs import metrics, trace
+    from repro.obs.logging import get_logger
+
+    index, size = payload
+    with trace.span("point.eval", index=index):
+        metrics.inc("sweep.points")
+        metrics.observe("sweep.value", 0.5 * index)
+        get_logger("exec-test").debug("point done", index=index)
+    return _checksum_task(payload)
+
+
+def _run_observed_map(tmp_path, name, workers, fn=_instrumented_task):
+    run_dir = str(tmp_path / name)
+    with observe(run_dir, smoke=True, seed=0):
+        outcome = ParallelExecutor(workers=workers).map(fn, _TASKS, label="obs-test")
+    return run_dir, outcome
+
+
+def _read_jsonl(path):
+    with open(path, encoding="utf-8") as fp:
+        return [json.loads(line) for line in fp if line.strip()]
 
 
 def _micro_model(seed=0):
@@ -216,6 +244,64 @@ class TestChaosSpec:
             ChaosSpec.kill_task(-1)
 
 
+class TestChaosKillAfter:
+    def test_schedule_and_roundtrip(self):
+        spec = ChaosSpec.kill_task_after(3, attempts=2)
+        assert spec.should_kill_after(3, 0) and spec.should_kill_after(3, 1)
+        assert not spec.should_kill_after(3, 2)
+        assert not spec.should_kill_after(2, 0)
+        assert not spec.is_null
+        assert ChaosSpec.from_dict(json.loads(json.dumps(spec.as_dict()))) == spec
+
+
+class TestObservedMapsRunSerially:
+    def test_observed_map_takes_serial_path(self, tmp_path):
+        run_dir, outcome = _run_observed_map(tmp_path, "observed", 2)
+        serial = ParallelExecutor(workers=1).map(_checksum_task, _TASKS)
+        assert outcome.ok and outcome.results == serial.results
+        assert outcome.stats.mode == "serial"
+        assert outcome.stats.downgraded
+        assert "observed" in outcome.stats.downgrade_reason
+        assert not [n for n in os.listdir(run_dir) if n.startswith("worker")]
+        with open(os.path.join(run_dir, "metrics.json")) as fp:
+            counters = json.load(fp)["counters"]
+        assert counters["sweep.points"] == len(_TASKS)
+        from repro.obs.report import load_run, render_report
+
+        report = render_report(load_run(run_dir))
+        assert "## Executor (1 maps, 1 downgraded to serial)" in report
+
+    def test_unobserved_map_runs_parallel(self):
+        outcome = ParallelExecutor(workers=2).map(_instrumented_task, _TASKS)
+        assert outcome.ok
+        assert outcome.stats.mode == "parallel"
+        assert not outcome.stats.downgraded
+
+
+class TestExecHealthAlerts:
+    def test_task_failures_raise_alert_once_per_stretch(self, tmp_path):
+        def failing(payload):
+            if payload[0] == 2:
+                raise RuntimeError("task 2 always fails")
+            return _instrumented_task(payload)
+
+        run_dir = str(tmp_path / "alerts")
+        with observe(run_dir, smoke=True):
+            executor = ParallelExecutor(workers=1, max_retries=0)
+            executor.map(failing, _TASKS, label="sweep")
+            executor.map(failing, _TASKS, label="sweep")
+            executor.map(_instrumented_task, _TASKS, label="sweep")
+            executor.map(failing, _TASKS, label="sweep")
+        alerts = [
+            r
+            for r in _read_jsonl(os.path.join(run_dir, "alerts.jsonl"))
+            if r.get("kind") == "alert" and r.get("rule") == "exec_task_failures"
+        ]
+        # Armed after the first failing map, re-armed by the clean one.
+        assert len(alerts) == 2
+        assert all(a["severity"] == "error" for a in alerts)
+
+
 class TestSharedMemory:
     def test_readonly_roundtrip_is_bitwise(self):
         model = _micro_model()
@@ -331,6 +417,35 @@ class TestDriverEquality:
             serial, sort_keys=True
         )
 
+    def test_observed_fault_sweep_matches_serial(
+        self, sweep_kwargs, tiny_context, tmp_path
+    ):
+        from repro.experiments import run_fault_sweep
+
+        runs = {}
+        for workers in (1, 2):
+            run_dir = str(tmp_path / f"w{workers}")
+            with observe(run_dir, smoke=True, seed=0):
+                curves = run_fault_sweep(**sweep_kwargs, workers=workers)
+            with open(os.path.join(run_dir, "metrics.json")) as fp:
+                counters = json.load(fp)["counters"]
+            faults = [
+                {k: v for k, v in record.items() if k != "ts"}
+                for record in _read_jsonl(os.path.join(run_dir, "faults.jsonl"))
+            ]
+            runs[workers] = (json.dumps(curves, sort_keys=True), counters, faults)
+
+        (curves1, counters1, faults1), (curves2, counters2, faults2) = runs[1], runs[2]
+        assert curves1 == curves2
+        assert faults1 and faults1 == faults2
+
+        def non_exec(counters):
+            # exec.* describes scheduling (map count, serial downgrades).
+            return {k: v for k, v in counters.items() if not k.startswith("exec.")}
+
+        assert non_exec(counters1) == non_exec(counters2)
+        assert counters2["exec.downgrades"] == 1
+
     def test_seed_sweep_identical_across_workers(self, tiny_config):
         from repro.experiments.multiseed import seed_sweep
 
@@ -385,6 +500,19 @@ class TestDiffIntegration:
         env_rows = [d for d in diff.deltas if d.name.startswith("env:executor")]
         assert env_rows, "expected informational env:executor rows"
         assert all(not d.significant and not d.regressed for d in env_rows)
+
+    def test_serial_vs_parallel_observed_diff_is_clean(self, tmp_path):
+        from repro.obs.diff import diff_run_dirs
+
+        run1, _ = _run_observed_map(tmp_path, "base", 1)
+        run4, _ = _run_observed_map(tmp_path, "cand", 4)
+        diff = diff_run_dirs(run1, run4)
+        assert diff.ok, diff.render()
+        exec_rows = [d for d in diff.deltas if "exec." in d.name]
+        assert {"counter:exec.downgrades", "gauge:exec.workers"} <= {
+            d.name for d in exec_rows
+        }
+        assert all(d.direction == "skip" for d in exec_rows)
 
     def test_same_config_diff_has_no_executor_rows(self, tmp_path):
         from repro.obs import observe

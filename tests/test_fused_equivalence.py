@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
-from repro.conversion.calibration import _snn_average_outputs
+from repro.conversion.diagnostics import _snn_average_outputs
 from repro.data import DataLoader
 from repro.experiments.fig1 import _collect_snn_average_currents
 from repro.faults import FaultSpec, FaultTelemetry, TransmissionFaults, inject_faults

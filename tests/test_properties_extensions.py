@@ -7,8 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.hw import quantize_array
 from repro.experiments import ascii_chart
-from repro.snn import STDPConfig, STDPLearner
-from repro.nn import Linear
 
 finite = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -61,40 +59,3 @@ class TestAsciiChartProperties:
         body = [l for l in text.splitlines() if "|" in l]
         assert body
         assert len({len(l) for l in body}) == 1  # aligned rows
-
-
-class TestSTDPProperties:
-    @given(
-        st.integers(min_value=1, max_value=4),   # batch
-        st.integers(min_value=1, max_value=10),  # steps
-        st.floats(min_value=0.0, max_value=1.0), # firing prob
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_weights_always_within_bounds(self, batch, steps, prob):
-        rng = np.random.default_rng(0)
-        layer = Linear(5, 4, bias=False, rng=np.random.default_rng(1))
-        config = STDPConfig(lr_plus=0.5, lr_minus=0.6, w_min=-0.4, w_max=0.4)
-        np.clip(layer.weight.data, config.w_min, config.w_max,
-                out=layer.weight.data)
-        learner = STDPLearner(layer, config)
-        for _ in range(steps):
-            pre = (rng.random((batch, 5)) < prob).astype(float)
-            post = (rng.random((batch, 4)) < prob).astype(float)
-            learner.step(pre, post)
-        assert layer.weight.data.max() <= config.w_max + 1e-12
-        assert layer.weight.data.min() >= config.w_min - 1e-12
-
-    @given(st.integers(min_value=1, max_value=8))
-    @settings(max_examples=20, deadline=None)
-    def test_silence_changes_nothing(self, steps):
-        layer = Linear(3, 3, bias=False, rng=np.random.default_rng(0))
-        config = STDPConfig()
-        # Start inside the hard bounds so the post-step clip is a no-op
-        # and any change could only come from the (zero) STDP update.
-        np.clip(layer.weight.data, config.w_min, config.w_max,
-                out=layer.weight.data)
-        before = layer.weight.data.copy()
-        learner = STDPLearner(layer, config)
-        for _ in range(steps):
-            learner.step(np.zeros((2, 3)), np.zeros((2, 3)))
-        np.testing.assert_allclose(layer.weight.data, before)
