@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke faults-smoke profile-smoke sparse-smoke exec-smoke runs-gc examples clean
+.PHONY: install test bench quicktest smoke faults-smoke profile-smoke sparse-smoke exec-smoke runs-gc examples clean
 
 install:
 	python setup.py develop
@@ -11,29 +11,11 @@ test:
 quicktest:
 	pytest tests/ --ignore=tests/test_experiment_drivers.py -q
 
-# Hot-kernel benchmarks + regression gate: time the registered benches
-# into a scratch report and fail if any kernel's median regressed past
-# the threshold vs the latest committed BENCH_<seq>.json baseline.
+# End-to-end benchmark: the paper's pipeline in pinned subprocesses
+# (results under results/e2e); compare two output directories with
+# `python3 benchmarks/e2e/compare.py BASE CAND`.
 bench:
-	@mkdir -p results
-	PYTHONPATH=src python -m repro.bench run --out results/bench_current.json
-	PYTHONPATH=src python -m repro.bench compare --candidate results/bench_current.json
-
-# Run the suite now and gate against the newest committed baseline —
-# the pre-merge check for perf-sensitive changes.  Identical gate to
-# `bench`, kept as its own name so CI scripts read as intent.
-bench-check:
-	@mkdir -p results
-	PYTHONPATH=src python -m repro.bench run --out results/bench_check.json --quiet
-	PYTHONPATH=src python -m repro.bench compare --candidate results/bench_check.json
-
-# Record a new committed baseline point (BENCH_<next seq>.json).
-bench-baseline:
-	PYTHONPATH=src python -m repro.bench run
-
-# The same bench definitions through pytest-benchmark (rich statistics).
-microbench:
-	pytest benchmarks/test_microbench.py --benchmark-only -s
+	python3 benchmarks/e2e/run.py
 
 # Tiny instrumented convert+evaluate pipeline; fails unless a non-empty
 # trace with the expected spans, spike-rate histograms, conversion

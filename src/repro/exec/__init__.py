@@ -26,7 +26,6 @@ from .executor import (
     MapResult,
     ParallelExecutor,
     TaskFailure,
-    simulated_sweep_point,
 )
 from .reduce import tree_reduce
 from .shm import ModelStore, ShmModelHandle, attach_model, clear_attach_cache
@@ -45,7 +44,6 @@ __all__ = [
     "executor_scope",
     "ambient_executor",
     "active_executor_config",
-    "simulated_sweep_point",
 ]
 
 _AMBIENT: Optional[ParallelExecutor] = None

@@ -56,7 +56,6 @@ __all__ = [
     "ExecStats",
     "MapResult",
     "ParallelExecutor",
-    "simulated_sweep_point",
 ]
 
 _LOG = get_logger("repro.exec")
@@ -282,19 +281,6 @@ def _worker_main(
         conn.close()
     except OSError:
         pass
-
-
-def simulated_sweep_point(seconds: float) -> float:
-    """Latency-bound synthetic sweep point used by the scaling bench.
-
-    Sleeps a fixed wall-clock interval and returns it, modelling a
-    sweep point dominated by waiting (I/O, device latency) rather than
-    CPU.  On a single-core host this is the honest way to measure
-    executor fan-out: compute-bound tasks cannot speed up past 1x
-    there, while overlap of fixed-latency tasks can.
-    """
-    time.sleep(float(seconds))
-    return float(seconds)
 
 
 class ParallelExecutor:

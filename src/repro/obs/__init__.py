@@ -45,7 +45,6 @@ from .instruments import (
     record_dispatch_profile,
     record_energy_profile,
     record_spike_profile,
-    timed,
 )
 from .logging import Logger, console, get_logger, set_console_level
 from .metrics import MetricsRegistry, get_registry, reset_registry
@@ -126,6 +125,5 @@ __all__ = [
     "set_console_level",
     "shutdown",
     "state",
-    "timed",
     "trace",
 ]

@@ -4,8 +4,7 @@
 through the one shared parser (:func:`repro.obs.report.load_run`),
 aligns their quantitative series by name, computes deltas under
 configurable relative/absolute tolerances, and exits non-zero when any
-delta regresses — the same exit-code contract as
-``repro.bench compare``, so the diff can gate CI directly.  With
+delta regresses, so the diff can gate CI directly.  With
 ``--baseline`` the second run resolves to the run registry's tagged
 baseline (:mod:`repro.obs.registry`).
 
@@ -20,7 +19,8 @@ Aligned series
 - **span timings** aggregated per span name from ``trace.jsonl`` —
   reported for context but *never* gated: wall-clock differs between
   bit-identical runs, and a gate that flaps on scheduler noise is worse
-  than no gate (``repro.bench`` owns timing regressions);
+  than no gate (timing regressions belong to the seed-paired
+  end-to-end benchmark, ``benchmarks/e2e/compare.py``);
 - **op-profile aggregates** (per-op totals/counts, per-layer totals)
   from the run's ``repro.obs.profile/v1`` summary — informational like
   span timings, never gated.
@@ -64,7 +64,7 @@ _DOWN_RE = re.compile(
 # env:executor.* rows (from the run registry's environment fingerprint)
 # flag cross-worker-count comparisons instead.
 _SKIP_RE = re.compile(
-    r"seconds|duration_s|\.ts$|wall|span:|bench\.|memory|bytes|profile:"
+    r"seconds|duration_s|\.ts$|wall|span:|memory|bytes|profile:"
     r"|latency|exec[._]"
 )
 
@@ -247,7 +247,7 @@ def extract_series(data: RunData) -> Dict[str, Tuple[str, float]]:
     # Timing-valued and therefore informational only — the `profile:`
     # prefix matches _SKIP_RE, so these align but never gate (the op
     # *counts* are deterministic, but one knob for the family keeps the
-    # contract simple: repro.bench owns perf gating).
+    # contract simple: benchmarks/e2e/compare.py owns perf gating).
     profile_summary = data.profile_summary
     if not profile_summary and data.profile:
         from .profile import aggregate as _aggregate

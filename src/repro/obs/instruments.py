@@ -8,11 +8,10 @@ the neurons' running spike counters into per-layer spike-*rate*
 histogram samples and membrane-potential statistics in the global
 metrics registry.
 
-The measurement helpers fold :mod:`repro.profiling` into the
-observability layer as backends: :func:`timed` runs
-``profiling.timing.time_callable`` under a span and histograms the
-samples; :func:`measure_training_memory` / :func:`measure_inference_memory`
-delegate to ``profiling.memory`` and gauge the report fields.
+The memory helpers fold :mod:`repro.profiling` into the observability
+layer as a backend: :func:`measure_training_memory` /
+:func:`measure_inference_memory` delegate to ``profiling.memory`` and
+gauge the report fields.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..profiling.memory import MemoryReport, inference_memory, training_memory
-from ..profiling.timing import TimingResult, time_callable
 from . import metrics as obs_metrics
 from . import trace
 from .core import is_enabled
@@ -288,25 +286,6 @@ def record_dispatch_profile(
 # ----------------------------------------------------------------------
 # profiling/ as measurement backends
 # ----------------------------------------------------------------------
-def timed(
-    name: str,
-    fn: Callable[[], None],
-    repeats: int = 3,
-    warmup: int = 1,
-    registry: Optional[MetricsRegistry] = None,
-    **labels,
-) -> TimingResult:
-    """Time ``fn`` (via :func:`repro.profiling.time_callable`) under a
-    span, recording every sample into the ``<name>.seconds`` histogram."""
-    registry = registry if registry is not None else obs_metrics.get_registry()
-    with trace.span(f"timed:{name}", repeats=repeats, warmup=warmup):
-        result = time_callable(fn, repeats=repeats, warmup=warmup)
-    if is_enabled() or registry is not obs_metrics.get_registry():
-        for sample in result.samples:
-            registry.observe(f"{name}.seconds", sample, **labels)
-    return result
-
-
 def measure_training_memory(
     model,
     forward_backward: Callable[[], None],

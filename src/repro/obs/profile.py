@@ -27,8 +27,7 @@ The profiler installs a probe into :mod:`repro.snn.network` whose
 temporal loops wrap each layer application in a labelled region
 (``L3:Conv2d`` ...); nested regions join with ``/``.  Arbitrary code can
 open its own regions via :func:`region` (a no-op when no profiler is
-active) — the bench runner labels each case ``bench:<name>`` and the
-trainers label epoch phases.
+active) — the trainers label epoch phases this way.
 
 Artefacts
 ---------

@@ -21,8 +21,9 @@ Each start record carries:
 - ``run_dir``         — absolute path of the artefact directory;
 - ``tags``            — the run-scoped context fields (arch / T / seed);
 - ``config_fingerprint`` — stable hash of those tags;
-- ``environment``     — the host fingerprint reused from
-  :func:`repro.bench.environment_fingerprint`.
+- ``environment``     — the host fingerprint
+  (:func:`environment_fingerprint`, which also stamps the
+  ``CROSSOVER.json`` calibration artefact).
 
 End records add ``status`` and ``artifacts`` (name → size in bytes of
 every known artefact present).  ``kind: "baseline"`` marker records tag
@@ -41,9 +42,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import shutil
 import time
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from .core import parse_jsonl
 
@@ -107,12 +111,19 @@ def artifact_inventory(run_dir: str) -> Dict[str, int]:
     return inventory
 
 
-def _environment_fingerprint() -> dict:
-    # Reused from the bench harness so registry entries and BENCH_*
-    # baselines describe hosts identically.  Imported lazily: bench
-    # imports repro.obs and eager cross-imports would cycle.
-    from ..bench import environment_fingerprint
+def environment_fingerprint() -> dict:
+    """Where a run or measurement happened (for cross-host sanity checks)."""
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
 
+
+def _environment_fingerprint() -> dict:
     env = environment_fingerprint()
     # Record the ambient parallel-executor config (worker count, start
     # method) so obs diff can flag cross-worker-count comparisons as

@@ -1,9 +1,9 @@
 """Simulation-time and memory profiling (paper Section V / Fig. 3).
 
-These primitives also serve as the measurement backends of the
-observability layer: ``repro.obs.timed`` wraps :func:`time_callable`
-and ``repro.obs.measure_training_memory`` / ``measure_inference_memory``
-wrap the memory meters, recording their results as metrics and spans.
+The memory meters also serve as measurement backends of the
+observability layer: ``repro.obs.measure_training_memory`` /
+``measure_inference_memory`` wrap them, recording their results as
+metrics and spans.
 """
 
 from .memory import (

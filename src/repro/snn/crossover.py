@@ -1,6 +1,6 @@
 """Density-crossover calibration for the sparse dispatch path.
 
-``python -m repro.bench crossover`` sweeps synthetic spike densities
+``python -m repro.snn.crossover`` sweeps synthetic spike densities
 through each layer shape, times the dense GEMM against the sparse
 gather kernel, and persists the per-shape break-even density as a
 schema-versioned artefact (``CROSSOVER.json`` by default) that
@@ -21,8 +21,10 @@ so a calibrated entry applies to any layer with that shape.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import sys
 import tempfile
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -30,8 +32,9 @@ import numpy as np
 
 from ..nn.conv import Conv2d
 from ..nn.linear import Linear
+from ..obs import console
+from ..obs.registry import environment_fingerprint
 from ..profiling import time_callable
-from ..snn.dispatch import CROSSOVER_SCHEMA, DEFAULT_THRESHOLDS
 from ..tensor import Tensor, no_grad
 from ..tensor.sparse import (
     pack_conv_weight,
@@ -39,15 +42,15 @@ from ..tensor.sparse import (
     sparse_conv2d_gather,
     sparse_linear_gather,
 )
-from .runner import environment_fingerprint
+from .dispatch import CROSSOVER_SCHEMA, DEFAULT_THRESHOLDS
 
 #: Swept activity grid; the break-even on the reference host sits in
 #: the low-percent range, so the grid is dense there.
 DEFAULT_DENSITIES = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1)
 
-#: Layer shapes of the tiny VGG-11 bench network (T=2 folded batch)
-#: plus two larger generic shapes, so the committed artefact covers
-#: both the bench suite and mid-size classifiers.
+#: Layer shapes of a tiny VGG-11 (T=2 folded batch) plus two larger
+#: generic shapes, so the committed artefact covers both tiny test
+#: networks and mid-size classifiers.
 DEFAULT_SIGNATURES = (
     "conv:cin=3,cout=8,k=3,s=1,p=1,h=8,w=8",
     "conv:cin=8,cout=16,k=3,s=1,p=1,h=4,w=4",
@@ -183,8 +186,6 @@ def calibrate_crossover(
             }
         )
         if verbose:
-            from ..obs import console
-
             console(
                 f"{signature:<44} dense {dense_s * 1e3:8.3f}ms "
                 f"crossover {crossover:g}"
@@ -202,7 +203,7 @@ def calibrate_crossover(
 
 
 def write_artifact(artifact: dict, path: str) -> None:
-    """Atomic JSON write (same temp-file discipline as bench reports)."""
+    """Atomic JSON write: a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -214,3 +215,54 @@ def write_artifact(artifact: dict, path: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.snn.crossover",
+        description="Calibrate dense/sparse break-even densities per layer "
+                    "shape for SpikingNetwork.enable_sparse_dispatch.",
+    )
+    parser.add_argument("--root", default=".",
+                        help="directory of the default artefact")
+    parser.add_argument("--out", default=None,
+                        help="artefact path (default: <root>/CROSSOVER.json)")
+    parser.add_argument("--densities", default=None,
+                        help="comma-separated density grid to sweep")
+    parser.add_argument("--signatures", default=None,
+                        help="semicolon-separated layer signatures "
+                             "(default: tiny-VGG shapes)")
+    parser.add_argument("--batch", type=int, default=32,
+                        help="synthetic batch rows (default: %(default)s)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timing repeats per point (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="weight/spike-pattern seed (default: %(default)s)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-shape progress lines")
+    args = parser.parse_args(argv)
+
+    densities = (
+        [float(d) for d in args.densities.split(",")]
+        if args.densities else DEFAULT_DENSITIES
+    )
+    signatures = (
+        [s.strip() for s in args.signatures.split(";") if s.strip()]
+        if args.signatures else DEFAULT_SIGNATURES
+    )
+    artifact = calibrate_crossover(
+        signatures=signatures,
+        densities=densities,
+        batch=args.batch,
+        repeats=args.repeats,
+        seed=args.seed,
+        verbose=not args.quiet,
+    )
+    out = args.out or os.path.join(args.root, "CROSSOVER.json")
+    write_artifact(artifact, out)
+    console(f"wrote {out} ({len(artifact['entries'])} shapes)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,7 +5,7 @@ the sparse gather kernels (:mod:`repro.tensor.sparse`) win only below a
 per-layer-shape break-even density.  :class:`SparseDispatch` measures
 each weight layer's input spike density per forward and routes the call
 to whichever path is cheaper, using thresholds from a calibrated
-crossover artefact (``python -m repro.bench crossover``) with
+crossover artefact (``python -m repro.snn.crossover``) with
 conservative per-kind defaults as fallback.
 
 Wiring: :class:`~repro.snn.network.SpikingNetwork` installs its

@@ -499,7 +499,7 @@ class SpikingNetwork(SpikingModule):
         """Route weight layers through the activity-adaptive dispatcher.
 
         ``crossover`` is ``None`` (conservative per-kind defaults), a
-        path to a ``python -m repro.bench crossover`` artefact, or a
+        path to a ``python -m repro.snn.crossover`` artefact, or a
         :class:`~repro.snn.dispatch.CrossoverTable`.  ``int8=True``
         additionally packs each layer's weights to int8 so sparse
         gathers accumulate in integer form (quantize the network with

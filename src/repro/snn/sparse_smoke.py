@@ -35,8 +35,8 @@ import os
 
 import numpy as np
 
-#: Micro-calibration set: one conv + one linear shape from the tiny-VGG
-#: bench network, swept over two densities — enough to exercise the
+#: Micro-calibration set: one conv + one linear shape from the tiny
+#: VGG-11, swept over two densities — enough to exercise the
 #: timing loop and artefact round-trip in a couple of seconds.
 SMOKE_SIGNATURES = (
     "conv:cin=8,cout=16,k=3,s=1,p=1,h=4,w=4",
@@ -90,12 +90,12 @@ def main(argv=None) -> int:
                         default=os.path.join("results", "sparse_smoke"))
     args = parser.parse_args(argv)
 
-    from ..bench.crossover import calibrate_crossover, write_artifact
     from ..obs import load_run, observe, render_report
     from ..obs.dashboard import main as dashboard_main
     from ..obs.diff import diff_run_dirs
     from ..obs.instruments import record_dispatch_profile, record_energy_profile
     from ..tensor import no_grad
+    from .crossover import calibrate_crossover, write_artifact
     from .dispatch import CROSSOVER_SCHEMA, CrossoverTable
 
     # --- 1. calibration: deterministic under a fixed time_fn ----------

@@ -45,3 +45,23 @@ def tiny_config():
 def tiny_context(tiny_config):
     """A trained tiny VGG-11 context (trained once per test session)."""
     return get_context(tiny_config)
+
+
+@pytest.fixture
+def converted_tiny_vgg():
+    """A converted T=2 tiny VGG-11 (eval mode, fused engine) and a batch of
+    16 images: the workload of the paired timing gates."""
+    from repro.conversion import ConversionConfig, convert_dnn_to_snn
+    from repro.data import DataLoader
+    from repro.models import vgg11
+
+    rng = np.random.default_rng(0)
+    model = vgg11(
+        num_classes=10, image_size=8, width_multiplier=0.125,
+        rng=np.random.default_rng(1),
+    )
+    loader = DataLoader(rng.random((16, 3, 8, 8)), rng.integers(0, 10, 16), 16)
+    snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=2)).snn
+    snn.mode = "fused"
+    snn.eval()
+    return snn, rng.random((16, 3, 8, 8))

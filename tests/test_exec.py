@@ -6,12 +6,15 @@ returns at any worker count, under chaos worker kills, retries, and
 graceful downgrades — and the experiment drivers built on it
 (``run_fault_sweep``, ``seed_sweep``) must inherit that guarantee.
 An observed run (``repro.obs`` enabled) always maps serially, so its
-artefacts are a serial run's at any worker count.
+artefacts are a serial run's at any worker count.  A paired timing test
+checks that the pool really overlaps latency-bound tasks.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +49,13 @@ def _failing_task(payload):
 
 
 _TASKS = [(i, 10) for i in range(7)]
+
+
+def _sleep_task(seconds):
+    """A latency-bound task: waits rather than computes, so workers can
+    overlap it even on a single-core host."""
+    time.sleep(seconds)
+    return seconds
 
 
 def _instrumented_task(payload):
@@ -276,6 +286,37 @@ class TestObservedMapsRunSerially:
         assert outcome.ok
         assert outcome.stats.mode == "parallel"
         assert not outcome.stats.downgraded
+
+
+class TestWorkersOverlapTasks:
+    def test_four_workers_overlap_latency_bound_tasks(self):
+        """Ten 40 ms waits over 4 workers must finish at least 1.7x sooner
+        than serially: the pool really runs tasks concurrently.  Paired
+        back-to-back minima, retried, as medians on a busy host drift."""
+        from repro.profiling import time_callable
+
+        points = [0.04] * 10
+        serial = ParallelExecutor(workers=1)
+        parallel = ParallelExecutor(workers=4)
+
+        def run_serial():
+            assert serial.map(_sleep_task, points).ok
+
+        def run_parallel():
+            assert parallel.map(_sleep_task, points).ok
+
+        for attempt in range(3):
+            serial_t = time_callable(run_serial, repeats=3, warmup=0)
+            parallel_t = time_callable(run_parallel, repeats=3, warmup=0)
+            if parallel_t.minimum * 1.7 <= serial_t.minimum:
+                break
+        else:
+            raise AssertionError(
+                f"4 workers overlapped under 1.7x vs serial: "
+                f"{serial_t.minimum:.3f}s / {parallel_t.minimum:.3f}s = "
+                f"{serial_t.minimum / parallel_t.minimum:.2f}x"
+            )
+        assert multiprocessing.active_children() == []
 
 
 class TestExecHealthAlerts:

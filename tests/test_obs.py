@@ -285,14 +285,6 @@ class TestInstruments:
         assert len(rates) == 1
         assert registry.gauge("snn.layer_spike_rate", layer=0).value == rates[0]
 
-    def test_timed_uses_profiling_backend(self):
-        with obs.observe():
-            result = obs.timed("noop", lambda: None, repeats=2, warmup=0)
-        assert len(result.samples) == 2
-        assert obs.get_registry().histogram("noop.seconds").count == 2
-        names = [s["name"] for s in obs.state().spans]
-        assert "timed:noop" in names
-
     def test_measure_inference_memory_gauges(self):
         snn = tiny_snn()
         with obs.observe():

@@ -10,17 +10,18 @@ under injected dead-unit faults and across warm streaming windows.
 Crossover calibration must be deterministic under an injected clock and
 round-trip through its artefact, and the dispatcher's exact accumulate
 accounting must agree with the event-driven reference engine and reach
-the energy/observability gauges.
+the energy/observability gauges.  Two paired timing gates keep the
+dispatcher honest on a converted tiny VGG: on low-activity input the
+dispatched pass beats dense, and on a fully dense-routed workload the
+dispatcher's bookkeeping costs under 5%.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.bench.crossover import (
-    calibrate_crossover,
-    parse_signature,
-    write_artifact,
-)
 from repro.faults import FaultSpec
 from repro.hw.quantization import quantize_array, quantize_int8
 from repro.nn import Conv2d, Flatten, Linear
@@ -35,6 +36,12 @@ from repro.snn import (
     SpikingNetwork,
     SpikingSequential,
     StepWrapper,
+)
+from repro.snn.crossover import (
+    calibrate_crossover,
+    main as crossover_main,
+    parse_signature,
+    write_artifact,
 )
 from repro.snn.dispatch import (
     CROSSOVER_SCHEMA,
@@ -626,6 +633,125 @@ class TestCrossoverCalibration:
                 signatures=CAL_SIGNATURES, densities=(0.0, 0.1), batch=2,
                 time_fn=counting_timer(0.1),
             )
+
+    def test_cli_writes_loadable_artifact(self, tmp_path):
+        out = tmp_path / "crossover.json"
+        assert crossover_main([
+            "--signatures", "linear:in=64,out=32",
+            "--densities", "0.01,0.1",
+            "--repeats", "1", "--quiet", "--out", str(out),
+        ]) == 0
+        artefact = json.loads(out.read_text())
+        assert artefact["schema"] == CROSSOVER_SCHEMA
+        assert artefact["densities"] == [0.01, 0.1]
+        assert [e["signature"] for e in artefact["entries"]] == [
+            "linear:in=64,out=32"
+        ]
+        assert set(artefact["environment"]) == {
+            "python", "implementation", "platform", "machine", "numpy",
+            "cpu_count",
+        }
+        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
+        dispatch = snn.enable_sparse_dispatch(crossover=str(out))
+        (entry,) = artefact["entries"]
+        assert dispatch.table.threshold("linear:in=64,out=32") == (
+            entry["crossover_density"]
+        )
+
+
+# ======================================================================
+# Paired timing gates on a converted tiny VGG
+# ======================================================================
+#: The committed calibration artefact at the repository root.
+CROSSOVER_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "CROSSOVER.json",
+)
+
+
+class TestDispatchTimingGates:
+    """Back-to-back dense/dispatched timings on the same network, compared
+    by minima and retried: medians taken at different moments on a busy
+    host drift more than the effect size."""
+
+    def test_low_activity_dispatch_beats_dense(self, converted_tiny_vgg):
+        """Attenuated images put the hidden layers well below their
+        calibrated crossover densities (the operating point ultra-low-
+        latency conversion targets), so most layer-forwards route sparse
+        and the dispatched pass must beat the dense engine."""
+        from repro.profiling import time_callable
+
+        snn, images = converted_tiny_vgg
+        images = images * 0.25
+        with no_grad():
+            reference = snn(images).data
+        probe = snn.enable_sparse_dispatch(
+            crossover=CROSSOVER_PATH, count_ops=True
+        )
+        with no_grad():
+            routed = snn(images).data
+        assert np.allclose(routed, reference, atol=1e-9)
+        stats = probe.layer_stats()
+        hidden = [s.mean_density for s in stats[1:]]
+        assert max(hidden) <= 0.10, f"hidden density too high: {hidden}"
+        sparse_runs = sum(s.sparse_runs for s in stats)
+        calls = sum(s.calls for s in stats)
+        assert sparse_runs * 2 >= calls, (
+            f"sparse routing did not dominate: {sparse_runs}/{calls}"
+        )
+        dispatch = snn.enable_sparse_dispatch(crossover=CROSSOVER_PATH)
+
+        def run():
+            with no_grad():
+                return snn(images)
+
+        assert run().shape == (16, 10)
+        for attempt in range(3):
+            snn._dispatch = None
+            dense = time_callable(run, repeats=9, warmup=2)
+            snn._dispatch = dispatch
+            routed_t = time_callable(run, repeats=9, warmup=2)
+            if routed_t.minimum < dense.minimum:
+                break
+        else:
+            raise AssertionError(
+                f"sparse-routed pass did not beat dense: "
+                f"{routed_t.minimum * 1e3:.3f} ms vs "
+                f"{dense.minimum * 1e3:.3f} ms"
+            )
+
+    def test_dense_routed_dispatch_overhead(self, converted_tiny_vgg):
+        """At standard activity (15-40% hidden density) every weight layer
+        stays on the dense GEMM, so an installed dispatcher only pays its
+        routing bookkeeping: within 5% plus a 0.1 ms floor of the plain
+        engine."""
+        from repro.profiling import time_callable
+
+        snn, images = converted_tiny_vgg
+
+        def run():
+            with no_grad():
+                return snn(images)
+
+        assert run().shape == (16, 10)
+        dispatch = snn.enable_sparse_dispatch(crossover=CROSSOVER_PATH)
+        for attempt in range(3):
+            snn._dispatch = None
+            before = time_callable(run, repeats=9, warmup=2)
+            snn._dispatch = dispatch
+            after = time_callable(run, repeats=9, warmup=2)
+            if after.minimum <= before.minimum * 1.05 + 1e-4:
+                break
+        else:
+            raise AssertionError(
+                f"dense-path dispatch overhead gate failed: "
+                f"{after.minimum * 1e3:.3f} ms dispatched vs "
+                f"{before.minimum * 1e3:.3f} ms plain (> 5% + 0.1 ms)"
+            )
+        stats = dispatch.layer_stats()
+        assert stats and all(s.sparse_runs == 0 for s in stats), (
+            "expected the standard-activity workload to stay fully dense"
+        )
 
 
 # ======================================================================
