@@ -18,7 +18,7 @@ Quick start::
     session.summary()                          # realised fault counts
 
 Sweeps over fault rates live in :mod:`repro.experiments.fault_sweep`;
-``python -m repro.faults.smoke`` runs the deterministic smoke check.
+``make smoke`` runs the deterministic end-to-end checks (``pytest -m smoke``).
 """
 
 from .chaos import ChaosSpec

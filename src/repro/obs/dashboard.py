@@ -37,6 +37,8 @@ import time
 from typing import Dict, List, Optional
 
 from .core import parse_jsonl
+from .profile import aggregate
+from .report import _dispatch_rows
 
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 BAR_CHAR = "█"
@@ -173,39 +175,15 @@ class DashboardState:
 
     def dispatch_rows(self) -> List[dict]:
         """Per-layer sparse-dispatch gauges (``dispatch.*{layer=N}``)."""
-        gauges = (self.metrics or {}).get("gauges") or {}
-        rows: Dict[int, dict] = {}
-        for name, payload in gauges.items():
-            if not name.startswith("dispatch.") or "{layer=" not in name:
-                continue
-            field, label = name.split("{layer=", 1)
-            try:
-                layer = int(label.rstrip("}"))
-            except ValueError:
-                continue
-            value = (payload or {}).get("value")
-            if isinstance(value, (int, float)):
-                rows.setdefault(layer, {})[field[len("dispatch."):]] = float(value)
-        return [dict(row, layer=layer) for layer, row in sorted(rows.items())]
+        return _dispatch_rows((self.metrics or {}).get("gauges") or {})
 
     def alerts(self) -> List[dict]:
         return [r for r in self.health.records if r.get("kind") == "alert"]
 
     def hot_ops(self, top: int = 5) -> List[tuple]:
         """``(op, total_s, count)`` of the costliest op kinds so far."""
-        totals: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for record in self.profile.records:
-            if record.get("kind") != "op":
-                continue
-            dt = record.get("dt_s")
-            if not isinstance(dt, (int, float)):
-                continue
-            op = str(record.get("op", "?"))
-            totals[op] = totals.get(op, 0.0) + float(dt)
-            counts[op] = counts.get(op, 0) + 1
-        ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(op, total, counts[op]) for op, total in ranked[:top]]
+        ranked = aggregate(self.profile.records, top_k=top)["top"]
+        return [(row["op"], row["total_s"], row["count"]) for row in ranked]
 
 
 # ----------------------------------------------------------------------
@@ -254,9 +232,6 @@ def render_frame(state: DashboardState, width: int = 80) -> str:
     from the artefact files, never from the wall clock.
     """
     rule = "─" * width
-    lines = [
-        f"┌{rule}┐".replace("┌─", "┌─"),
-    ]
     lines = []
     header = (
         f" run {state.run_id()}  [{state.status()}]  {state.run_dir}"
@@ -305,9 +280,9 @@ def render_frame(state: DashboardState, width: int = 80) -> str:
     if dispatch:
         lines.append(" sparse dispatch (density vs crossover)")
         for row in dispatch:
-            density = row.get("density", 0.0)
-            threshold = row.get("threshold", 0.0)
-            frac = row.get("sparse_fraction", 0.0)
+            density = row.get("density") or 0.0
+            threshold = row.get("threshold") or 0.0
+            frac = row.get("sparse_fraction") or 0.0
             path = (
                 "sparse" if frac >= 1.0 else "dense " if frac <= 0.0 else "mixed "
             )

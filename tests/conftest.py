@@ -29,6 +29,17 @@ def _isolated_runs_root(tmp_path_factory):
         os.environ["REPRO_RUNS_ROOT"] = previous
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _reap_resource_tracker():
+    """Stop multiprocessing's resource tracker (started by shared-memory
+    model publishing) at session end and wait for it, so no helper
+    process outlives the test run."""
+    yield
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._stop()  # type: ignore[attr-defined]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

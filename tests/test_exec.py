@@ -90,6 +90,15 @@ def _micro_model(seed=0):
     )
 
 
+class _StatsExecutor(ParallelExecutor):
+    """Keeps the last map's stats, which run_fault_sweep drops."""
+
+    def map(self, *args, **kwargs):
+        outcome = super().map(*args, **kwargs)
+        self.last_stats = outcome.stats
+        return outcome
+
+
 class TestTreeReduce:
     def test_fixed_combination_order(self):
         combined = tree_reduce(lambda a, b: f"({a}+{b})", list("abcdefg"))
@@ -429,6 +438,7 @@ class TestDriverEquality:
             seed=0,
         )
 
+    @pytest.mark.smoke
     def test_fault_sweep_identical_across_workers(
         self, sweep_kwargs, tiny_context
     ):
@@ -438,8 +448,11 @@ class TestDriverEquality:
         assert serial["status"] == "ok" and serial["failures"] == []
         blob = json.dumps(serial, sort_keys=True)
         for workers in (2, 4):
-            parallel = run_fault_sweep(**sweep_kwargs, workers=workers)
+            executor = _StatsExecutor(workers=workers)
+            parallel = run_fault_sweep(**sweep_kwargs, executor=executor)
+            assert executor.last_stats.mode == "parallel"
             assert json.dumps(parallel, sort_keys=True) == blob
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.stress
     def test_fault_sweep_identical_under_chaos(
@@ -458,10 +471,12 @@ class TestDriverEquality:
             serial, sort_keys=True
         )
 
+    @pytest.mark.smoke
     def test_observed_fault_sweep_matches_serial(
         self, sweep_kwargs, tiny_context, tmp_path
     ):
         from repro.experiments import run_fault_sweep
+        from repro.obs.diff import diff_run_dirs
 
         runs = {}
         for workers in (1, 2):
@@ -486,6 +501,8 @@ class TestDriverEquality:
 
         assert non_exec(counters1) == non_exec(counters2)
         assert counters2["exec.downgrades"] == 1
+        diff = diff_run_dirs(str(tmp_path / "w1"), str(tmp_path / "w2"))
+        assert diff.ok, diff.render()
 
     def test_seed_sweep_identical_across_workers(self, tiny_config):
         from repro.experiments.multiseed import seed_sweep

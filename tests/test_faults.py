@@ -145,6 +145,7 @@ class TestLayerTargeting:
 
 
 class TestInjector:
+    @pytest.mark.smoke
     def test_null_spec_is_bitwise_identity(self, snn_setup):
         _, snn, images = snn_setup
         for mode in ("fused", "stepwise"):

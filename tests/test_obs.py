@@ -356,10 +356,10 @@ class TestReport:
 
 
 class TestPipelineTracing:
-    def test_run_pipeline_writes_nested_trace(self, tmp_path):
-        """Acceptance: a traced run_pipeline produces nested spans for
-        calibration -> Algorithm 1 -> conversion -> SNN eval plus
-        per-layer spike-rate histograms."""
+    @pytest.fixture(scope="class")
+    def pipeline_runs(self, tmp_path_factory):
+        """The tiny pipeline, observed and op-profiled, run twice with the
+        same seed (fresh caches each time) into two run directories."""
         from dataclasses import replace
 
         from repro.experiments import ExperimentConfig, get_scale, run_pipeline
@@ -381,16 +381,25 @@ class TestPipelineTracing:
         config = ExperimentConfig(
             arch="vgg11", dataset="cifar10", timesteps=2, scale=scale
         )
-        clear_context_cache()
-        clear_pipeline_cache()
+        root = tmp_path_factory.mktemp("pipeline")
+        run_dirs = [str(root / "a"), str(root / "b")]
         try:
-            with obs.observe(str(tmp_path)):
-                run_pipeline(config, fine_tune=False)
+            for run_dir in run_dirs:
+                clear_context_cache()
+                clear_pipeline_cache()
+                with obs.observe(run_dir, profile=True, seed=config.seed):
+                    run_pipeline(config, fine_tune=False)
         finally:
             clear_context_cache()
             clear_pipeline_cache()
+            _reset_obs()
+        return run_dirs
 
-        run = load_run(str(tmp_path))
+    def test_run_pipeline_writes_nested_trace(self, pipeline_runs):
+        """Acceptance: a traced run_pipeline produces nested spans for
+        calibration -> Algorithm 1 -> conversion -> SNN eval plus
+        per-layer spike-rate histograms."""
+        run = load_run(pipeline_runs[0])
         spans = {s["name"]: s for s in run.spans}
         for name in ("run_pipeline", "calibration", "algorithm1",
                      "conversion", "snn_eval"):
@@ -410,6 +419,35 @@ class TestPipelineTracing:
         # Scaling-factor trajectories were gauged per layer.
         assert "conversion.mu{layer=0}" in run.metrics["gauges"]
         assert "algorithm1.residual{layer=0}" in histograms
+
+    @pytest.mark.smoke
+    def test_identical_seed_runs_diff_clean(self, pipeline_runs, capsys):
+        """Two same-seed pipeline runs on this deterministic substrate
+        must diff regression-free, carry energy gauges and drift records,
+        profile the same op and layer sets, and render identical
+        dashboard frames."""
+        from repro.obs import profile as obs_profile
+        from repro.obs.dashboard import main as dashboard_main
+        from repro.obs.diff import diff_run_dirs
+
+        run_a, run_b = pipeline_runs
+        diff = diff_run_dirs(run_a, run_b)
+        assert diff.ok, diff.render()
+
+        run = load_run(run_a)
+        assert any(name.startswith("energy.") for name in run.metrics["gauges"])
+        assert run.drift
+
+        summaries = [obs_profile.load_summary(d) for d in pipeline_runs]
+        for table in ("by_op", "by_layer"):
+            assert summaries[0][table]
+            assert sorted(summaries[0][table]) == sorted(summaries[1][table])
+
+        frames = []
+        for _ in range(2):
+            assert dashboard_main([run_a, "--once"]) == 0
+            frames.append(capsys.readouterr().out)
+        assert frames[0] and frames[0] == frames[1]
 
 
 @pytest.fixture(scope="module")

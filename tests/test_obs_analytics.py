@@ -803,7 +803,8 @@ class TestEnergyInstrument:
             assert name in gauges, name
 
     def test_pipeline_energy_profile_spans(self):
-        # The pipeline hook is covered end-to-end by repro.obs.smoke;
+        # The pipeline hook is covered end-to-end by
+        # test_obs.py::TestPipelineTracing::test_identical_seed_runs_diff_clean;
         # here we only pin that the span name is stable for dashboards.
         registry = MetricsRegistry()
         snn = tiny_snn()

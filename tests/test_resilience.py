@@ -71,6 +71,7 @@ class TestNonFiniteGuard:
         site = guard.scan(model, FakeLoss())
         assert offender in site
 
+    @pytest.mark.smoke
     def test_recovers_from_transient_nan(self):
         model = _micro_model()
         guard = NonFiniteGuard(max_retries=2, lr_backoff=0.5)

@@ -790,6 +790,37 @@ class TestDispatchObservability:
         assert [row["layer"] for row in rows] == [0, 1]
         assert all(row["sparse_runs"] > 0 for row in rows)
 
+    @pytest.mark.smoke
+    def test_observed_dispatched_run(self, converted_tiny_vgg, tmp_path,
+                                     capsys):
+        """An observed, dispatched run of the converted tiny VGG with op
+        counting on: measured energy counts and dispatch.* gauges reach
+        metrics.json, the report and the dashboard show the sparse-dispatch
+        tables, and two such runs diff clean."""
+        from repro.obs import observe
+        from repro.obs.dashboard import main as dashboard_main
+        from repro.obs.diff import diff_run_dirs
+        from repro.obs.report import load_run, render_report
+
+        snn, images = converted_tiny_vgg
+        quiet = images * 0.25
+        labels = np.random.default_rng(0).integers(0, 10, len(images))
+        run_dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
+        for run_dir in run_dirs:
+            snn.enable_sparse_dispatch(crossover=CROSSOVER_PATH, count_ops=True)
+            with observe(run_dir, seed=0):
+                record_energy_profile(snn, [(quiet, labels)], (3, 8, 8))
+                record_dispatch_profile(snn)
+            gauges = load_run(run_dir).metrics["gauges"]
+            assert gauges["energy.measured_counts"]["value"] == 1
+            assert any(name.startswith("dispatch.") for name in gauges)
+
+        assert "## Sparse dispatch" in render_report(load_run(run_dirs[0]))
+        assert dashboard_main([run_dirs[0], "--once"]) == 0
+        assert "sparse dispatch (density vs crossover)" in capsys.readouterr().out
+        diff = diff_run_dirs(*run_dirs)
+        assert diff.ok, diff.render()
+
     def test_energy_profile_uses_measured_counts(self):
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
         snn.enable_sparse_dispatch(defaults=FORCE_SPARSE, count_ops=True)
