@@ -6,10 +6,10 @@ install:
 	python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 quicktest:
-	pytest tests/ --ignore=tests/test_experiment_drivers.py -q
+	PYTHONPATH=src python -m pytest tests/ --ignore=tests/test_experiment_drivers.py -q
 
 # End-to-end benchmark: the paper's pipeline in pinned subprocesses
 # (results under results/e2e); compare two output directories with

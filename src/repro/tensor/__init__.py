@@ -7,7 +7,8 @@ Public surface:
 - :func:`concatenate`, :func:`stack`, :func:`where`, :func:`maximum` —
   differentiable free functions.
 - :mod:`ops` — relu / threshold_relu / clip / softmax family / dropout.
-- :mod:`conv_ops` — conv2d, max/avg pooling (im2col based).
+- :mod:`conv_ops` — conv2d (channel-major window pack + GEMM, transposed-conv
+  input gradient), max/avg pooling.
 - :class:`no_grad` — disable graph recording.
 - :func:`check_gradients` — finite-difference validation helper.
 """

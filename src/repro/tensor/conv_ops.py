@@ -1,9 +1,15 @@
 """Differentiable 2-D convolution and pooling primitives.
 
-Convolution uses the im2col strategy: windows of the (padded) input are
-gathered with numpy stride tricks into a matrix, so the convolution
-becomes a single GEMM — the standard CPU implementation.  The backward
-pass scatters column gradients back with a small KH*KW loop (col2im).
+Convolution is one GEMM over a channel-major window pack: a single
+strided view of the (padded) input, copied once into a
+``(C_in * K * K, N * out_h * out_w)`` matrix whose contiguous runs are
+rows of outputs.  The same pack serves the forward GEMM and the weight
+gradient.  The input gradient is the transposed convolution of the
+output gradient -- dilated by the stride, zero-padded, packed the same
+way at stride 1 and multiplied by the flipped, channel-swapped filters
+-- and is skipped when the input needs no gradient.  On a 1x1 map with
+"same" padding only the centre tap sees data, so the conv is a dense
+``(N, C_in) @ (C_in, C_out)`` product.
 
 Pooling is restricted to non-overlapping windows (``stride == kernel``),
 which covers the VGG (2x2/2 max pool) and ResNet-20 (8x8 global average)
@@ -35,54 +41,25 @@ def conv2d_output_shape(
     return out_h, out_w
 
 
-def _im2col(
-    x: np.ndarray, kernel: int, stride: int
-) -> Tuple[np.ndarray, int, int]:
-    """Gather conv windows of a padded NCHW array.
+def _pack(x: np.ndarray, kernel: int, stride: int) -> Tuple[np.ndarray, int, int]:
+    """Pack the conv windows of a padded NCHW array channel-major.
 
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, out_h, out_w, C, kernel, kernel)`` (a strided view, no copy).
+    Returns ``(cols, out_h, out_w)`` where ``cols`` is a contiguous
+    ``(C * kernel * kernel, N * out_h * out_w)`` matrix: one strided
+    window view copied once, each contiguous run an output row.
     """
     n, c, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
-    # Direct window view: one as_strided call instead of
-    # sliding_window_view + stride slicing (the conv hot path is called
-    # once per layer per forward, so fixed per-call cost matters).
     sn, sc, sh, sw = x.strides
     windows = as_strided(
         x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        shape=(c, kernel, kernel, n, out_h, out_w),
+        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
         writeable=False,
     )
-    # (N, C, out_h, out_w, KH, KW) -> (N, out_h, out_w, C, KH, KW)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5)
+    cols = np.ascontiguousarray(windows).reshape(c * kernel * kernel, -1)
     return cols, out_h, out_w
-
-
-def _col2im(
-    dcols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add column grads to an image.
-
-    ``dcols`` has shape ``(N, out_h, out_w, C, KH, KW)``; the result has
-    ``input_shape`` (the *padded* input shape).
-    """
-    n, c, h, w = input_shape
-    _, out_h, out_w, _, _, _ = dcols.shape
-    dx = np.zeros(input_shape, dtype=dcols.dtype)
-    # (N, C, KH, KW, out_h, out_w) so each (i, j) offset is a strided slice.
-    d = dcols.transpose(0, 3, 4, 5, 1, 2)
-    for i in range(kernel):
-        row_end = i + stride * out_h
-        for j in range(kernel):
-            col_end = j + stride * out_w
-            dx[:, :, i:row_end:stride, j:col_end:stride] += d[:, :, i, j, :, :]
-    return dx
 
 
 def conv2d(
@@ -112,6 +89,28 @@ def conv2d(
     if kh != kw:
         raise ValueError("only square kernels are supported")
     kernel = kh
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    need_dx = x.requires_grad
+
+    if h == w == 1 and kernel % 2 and padding == kernel // 2:
+        # 1x1 map with "same" padding: every other tap multiplies zeros.
+        x_mat = x.data.reshape(n, c_in)
+        w_centre = weight.data[:, :, padding, padding]
+        out = x_mat @ w_centre.T
+        if bias is not None:
+            np.add(out, bias.data, out=out)
+
+        def bwd_centre(g):
+            g_mat = g.reshape(n, c_out)
+            dw = np.zeros_like(weight.data)
+            dw[:, :, padding, padding] = g_mat.T @ x_mat
+            dx = (g_mat @ w_centre).reshape(n, c_in, 1, 1) if need_dx else None
+            if bias is None:
+                return (dx, dw)
+            return (dx, dw, g_mat.sum(axis=0))
+
+        out = out.reshape(n, c_out, 1, 1)
+        return Tensor.from_op(out, parents, bwd_centre, "conv2d")
 
     if padding:
         # Preallocate + slice-assign: cheaper than np.pad's general
@@ -121,37 +120,37 @@ def conv2d(
         x_padded[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         x_padded = x.data
-    cols, out_h, out_w = _im2col(x_padded, kernel, stride)
-    # Pack the strided window view into one contiguous buffer; this single
-    # copy feeds the forward GEMM and is reused verbatim by the
-    # weight-gradient GEMM in backward.
-    mat_shape = (n * out_h * out_w, c_in * kernel * kernel)
-    cols_mat = np.ascontiguousarray(cols).reshape(mat_shape)
-    del cols  # drop the strided view; only the packed buffer stays alive
+    # The pack feeds the forward GEMM and is kept for the weight gradient.
+    cols, out_h, out_w = _pack(x_padded, kernel, stride)
+    del x_padded
     w_mat = weight.data.reshape(c_out, -1)
-    out = cols_mat @ w_mat.T
+    out = w_mat @ cols
     if bias is not None:
-        np.add(out, bias.data, out=out)  # GEMM output is fresh: add in place
-    out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
-
-    padded_shape = x_padded.shape
-    parents = (x, weight) if bias is None else (x, weight, bias)
+        np.add(out, bias.data[:, None], out=out)  # fresh GEMM output
+    out = out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3)
 
     def bwd(g):
-        # g: (N, C_out, out_h, out_w) -> (N*out_h*out_w, C_out)
-        g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        dw = (g_mat.T @ cols_mat).reshape(weight.data.shape)
-        dcols_mat = g_mat @ w_mat
-        dcols = dcols_mat.reshape(n, out_h, out_w, c_in, kernel, kernel)
-        dx_padded = _col2im(dcols, padded_shape, kernel, stride)
-        if padding:
-            dx = dx_padded[:, :, padding:-padding, padding:-padding]
-        else:
-            dx = dx_padded
+        g_mat = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
+        dw = (g_mat @ cols.T).reshape(weight.data.shape)
+        dx = None
+        if need_dx:
+            # Transposed convolution: dilate g by the stride and pad it by
+            # kernel - 1, plus the far rows/cols no window reached (they get
+            # zero gradient); correlate with the flipped filters, in and out
+            # channels swapped, and keep only the unpadded input rows.
+            k1 = kernel - 1
+            g_pad_shape = (n, c_out, h + 2 * padding + k1, w + 2 * padding + k1)
+            g_pad = np.zeros(g_pad_shape, dtype=g.dtype)
+            g_pad[:, :, k1:k1 + stride * out_h:stride, k1:k1 + stride * out_w:stride] = g
+            g_pad = g_pad[:, :, padding:padding + h + k1, padding:padding + w + k1]
+            dcols, _, _ = _pack(g_pad, kernel, 1)
+            del g_pad  # free the padded gradient before the dx GEMM
+            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dx = w_flip.reshape(c_in, -1) @ dcols
+            dx = dx.reshape(c_in, n, h, w).transpose(1, 0, 2, 3)
         if bias is None:
             return (dx, dw)
-        db = g_mat.sum(axis=0)
-        return (dx, dw, db)
+        return (dx, dw, g_mat.sum(axis=1))
 
     return Tensor.from_op(out, parents, bwd, "conv2d")
 

@@ -1,5 +1,7 @@
 """Convolution / pooling correctness against naive reference implementations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.tensor import (
     check_gradients,
     conv2d,
     conv2d_output_shape,
+    default_dtype,
     global_avg_pool2d,
     max_pool2d,
 )
@@ -30,6 +33,39 @@ def naive_conv2d(x, w, b, stride, padding):
     if b is not None:
         out += b[None, :, None, None]
     return out
+
+
+def naive_conv2d_adjoint(x, w, g, stride, padding):
+    """Loop adjoint of :func:`naive_conv2d`: ``(dx, dw, db)`` for grad ``g``."""
+    h, wdt = x.shape[2:]
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i in range(g.shape[2]):
+        for j in range(g.shape[3]):
+            rows = slice(i * stride, i * stride + k)
+            cols = slice(j * stride, j * stride + k)
+            dxp[:, :, rows, cols] += np.einsum("no,ochw->nchw", g[:, :, i, j], w)
+            dw += np.einsum("no,nchw->ochw", g[:, :, i, j], xp[:, :, rows, cols])
+    dx = dxp[:, :, padding : padding + h, padding : padding + wdt]
+    return dx, dw, g.sum(axis=(0, 2, 3))
+
+
+def assert_rel_close(actual, expected, rtol=1e-12):
+    """Elementwise ``rtol`` with an absolute floor of ``rtol * max|expected|``."""
+    scale = max(np.abs(expected).max(), 1.0)
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
+
+
+# stride x padding x kernel x map, minus geometries with an empty output.
+# Maps of 1 include the 1x1-map centre-tap path; the strided ones include
+# input rows no window reaches.
+ADJOINT_GRID = [
+    (s, p, k, m)
+    for s, p, k, m in itertools.product([1, 2, 3], [0, 1, 2], [1, 3, 5], [1, 2, 5, 7, 8])
+    if m + 2 * p >= k
+]
 
 
 class TestConv2d:
@@ -70,6 +106,52 @@ class TestConv2d:
             [x, w, b],
             atol=1e-4,
         )
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("stride,padding,kernel,size", ADJOINT_GRID)
+    def test_exact_adjoint(self, rng, stride, padding, kernel, size, with_bias):
+        x = Tensor(rng.normal(size=(2, 3, size, size)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, kernel, kernel)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True) if with_bias else None
+        out = conv2d(x, w, b, stride=stride, padding=padding)
+        expected = naive_conv2d(x.data, w.data, b.data if with_bias else None, stride, padding)
+        assert_rel_close(out.data, expected)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        dx, dw, db = naive_conv2d_adjoint(x.data, w.data, g, stride, padding)
+        assert_rel_close(x.grad, dx)
+        assert_rel_close(w.grad, dw)
+        if with_bias:
+            assert_rel_close(b.grad, db)
+
+    @pytest.mark.parametrize("size,padding", [(6, 1), (1, 1)])
+    def test_float32_preserved(self, rng, size, padding):
+        with default_dtype(np.float32):
+            x = Tensor(rng.normal(size=(2, 3, size, size)), requires_grad=True)
+            w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+            b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+            out = conv2d(x, w, b, padding=padding)
+            out.sum().backward()
+        assert out.dtype == np.float32
+        assert x.grad.dtype == w.grad.dtype == b.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("size", [6, 1])
+    def test_input_without_grad_skips_dx(self, rng, size):
+        data = rng.normal(size=(2, 3, size, size))
+        w_data = rng.normal(size=(4, 3, 3, 3))
+        g = rng.normal(size=(2, 4, size, size))
+        grads = {}
+        for x_grad in (False, True):
+            x = Tensor(data, requires_grad=x_grad)
+            w = Tensor(w_data, requires_grad=True)
+            out = conv2d(x, w, None, padding=1)
+            if not x_grad:
+                # A stem conv on raw images: backward computes no dx at all.
+                assert out._node.backward_fn(g)[0] is None
+            out.backward(g)
+            grads[x_grad] = (x.grad, w.grad)
+        assert grads[False][0] is None
+        np.testing.assert_array_equal(grads[False][1], grads[True][1])
 
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.normal(size=(1, 3, 5, 5)))
