@@ -41,17 +41,26 @@ def snn_staircase(
     ``V^th / 2T``).  With ``beta = 1`` and ``bias_shift = 0`` this is
     Eq. 5, with one refinement: Eq. 3's firing condition is *strict*
     (``U > V^th``), so an input sitting exactly on a step edge does NOT
-    fire — the floor is evaluated just below the edge, which makes this
-    function agree exactly with simulated IF dynamics for constant
-    inputs (property-tested in the suite).
+    fire.  The spike count is taken from the soft-reset IF recurrence
+    itself (``T`` vectorised float64 steps) rather than from the floor:
+    near a step edge the float input, not the real number it
+    approximates, decides whether the last spike fires (``0.4`` at
+    ``T = 5`` fires twice, ``0.2`` fires not at all), and no closed
+    form tracks that rounding.  The result agrees exactly with simulated
+    IF dynamics for constant inputs (property-tested in the suite).
     """
     if timesteps <= 0:
         raise ValueError("timesteps must be positive")
     if v_threshold <= 0:
         raise ValueError("v_threshold must be positive")
-    d = np.asarray(d, dtype=np.float64)
-    steps = np.floor((d + bias_shift) * timesteps / v_threshold - 1e-12)
-    steps = np.clip(steps, 0, timesteps)
+    x = np.asarray(d, dtype=np.float64) + bias_shift
+    membrane = np.zeros_like(x)
+    steps = np.zeros_like(x)
+    for _ in range(timesteps):
+        membrane += x
+        fired = membrane > v_threshold
+        steps += fired
+        membrane -= v_threshold * fired
     return (beta * v_threshold / timesteps) * steps
 
 

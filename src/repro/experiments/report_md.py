@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Optional
+
+from ..obs.report import md_table
 
 
 def _load(directory: str) -> Dict[str, dict]:
@@ -27,21 +29,6 @@ def _load(directory: str) -> Dict[str, dict]:
     if not payloads:
         raise ValueError(f"no .json results found in '{directory}'")
     return payloads
-
-
-def _md_table(headers: List[str], rows: List[List]) -> str:
-    def fmt(value) -> str:
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return str(value)
-
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(fmt(v) for v in row) + " |")
-    return "\n".join(lines)
 
 
 def _table1_section(payloads: Dict[str, dict]) -> Optional[str]:
@@ -58,7 +45,7 @@ def _table1_section(payloads: Dict[str, dict]) -> Optional[str]:
         ]
         for r in rows
     ]
-    return "## Table I\n\n" + _md_table(
+    return "## Table I\n\n" + md_table(
         ["arch", "dataset", "T", "DNN %", "conv %", "SGL %"], body
     )
 
@@ -75,7 +62,7 @@ def _table2_section(payloads: Dict[str, dict]) -> Optional[str]:
         ]
         sections.append(
             f"### {key.split('_', 1)[1]}\n\n"
-            + _md_table(["method", "T", "accuracy %", "DNN ref %"], body)
+            + md_table(["method", "T", "accuracy %", "DNN ref %"], body)
         )
     if not sections:
         return None
@@ -95,7 +82,7 @@ def _fig2_section(payloads: Dict[str, dict]) -> Optional[str]:
             for i, t in enumerate(timesteps)
         ]
         sections.append(
-            f"### {key.split('_', 1)[1]}\n\n" + _md_table(headers, body)
+            f"### {key.split('_', 1)[1]}\n\n" + md_table(headers, body)
         )
     if not sections:
         return None
@@ -117,7 +104,7 @@ def _fig3_section(payloads: Dict[str, dict]) -> Optional[str]:
         ]
         sections.append(
             f"### {key.split('_', 1)[1]}\n\n"
-            + _md_table(
+            + md_table(
                 ["T", "train s/epoch", "infer s/epoch",
                  "train MB", "infer MB"],
                 body,
@@ -147,7 +134,7 @@ def _fig4_section(payloads: Dict[str, dict]) -> Optional[str]:
         )
         sections.append(
             f"### {key.split('_', 1)[1]}\n\n"
-            + _md_table(
+            + md_table(
                 ["model", "T", "spikes/neuron", "FLOPs", "energy J", "DNN/SNN"],
                 body,
             )
@@ -178,7 +165,7 @@ def _faults_section(payloads: Dict[str, dict]) -> Optional[str]:
             sections.append(
                 f"### {curve['fault']} "
                 f"({payload.get('arch', '?')}, {payload.get('dataset', '?')})\n\n"
-                + _md_table(
+                + md_table(
                     ["severity", "DNN %", f"converted (T={timesteps}) %",
                      f"fine-tuned (T={timesteps}) %"],
                     body,

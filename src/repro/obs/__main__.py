@@ -8,14 +8,13 @@
     python -m repro.obs runs tag-baseline RUN_ID
     python -m repro.obs diff RUN_A RUN_B [--rtol ... --atol ... --json]
     python -m repro.obs diff RUN --baseline
-    python -m repro.obs dashboard RUN_DIR [--once]
     python -m repro.obs profile RUN_DIR [--top 10] [--json]
     python -m repro.obs profile RUN_DIR --chrome-trace out.json
 
-``diff``, ``dashboard`` and ``profile`` delegate to
-:mod:`repro.obs.diff`, :mod:`repro.obs.dashboard` and
+``diff`` and ``profile`` delegate to :mod:`repro.obs.diff` and
 :mod:`repro.obs.profile`; ``runs`` operates on the registry at
-``$REPRO_RUNS_ROOT`` (default ``runs/``).
+``$REPRO_RUNS_ROOT`` (default ``runs/``).  The markdown report of one
+run is :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import json
 import sys
 from typing import List, Optional
 
-from . import dashboard as dashboard_cli
 from . import diff as diff_cli
 from . import profile as profile_cli
 from .registry import RunRegistry, render_runs_table, runs_root
@@ -117,11 +115,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description=("Observability toolkit: run registry, diffs, "
-                     "dashboard, op profiles."),
+        description="Observability toolkit: run registry, diffs, op profiles.",
     )
     parser.add_argument("tool",
-                        choices=("runs", "diff", "dashboard", "profile"),
+                        choices=("runs", "diff", "profile"),
                         help="sub-tool to run")
     parser.add_argument("rest", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv)
@@ -130,9 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _runs_main(args.rest)
     if args.tool == "diff":
         return diff_cli.main(args.rest)
-    if args.tool == "profile":
-        return profile_cli.main(args.rest)
-    return dashboard_cli.main(args.rest)
+    return profile_cli.main(args.rest)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ saturating, gradient norms exploding just before the
 fed by the trainers (:meth:`observe_epoch`) and emits:
 
 - one JSONL record per alert into the run directory's ``alerts.jsonl``
-  (``kind: "alert"``), plus a ``kind: "health"`` heartbeat per epoch so
-  the live dashboard can tail loss/accuracy/spike rates;
+  (``kind: "alert"``), plus a ``kind: "health"`` heartbeat per epoch
+  carrying loss, accuracy and per-layer spike rates;
 - ``health.*`` gauges and an ``health.alerts`` counter in the metrics
   registry (global registry only while observability is enabled, an
   explicit registry always — the library-wide contract).

@@ -36,8 +36,8 @@ Inside an observed run (``observe(run_dir, profile=True)`` or the
 event per line) and writes a ``repro.obs.profile/v1`` aggregate to
 ``profile_summary.json`` at shutdown; both register in the run
 registry's artefact inventory.  ``python -m repro.obs profile RUN_DIR``
-renders the hot-path tables and ``--chrome-trace out.json`` exports a
-``chrome://tracing`` / Perfetto loadable trace.
+prints the run report's hot-ops section and ``--chrome-trace out.json``
+exports a ``chrome://tracing`` / Perfetto loadable trace.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ import time
 from typing import IO, List, Optional
 
 from ..tensor.tensor import add_op_observer, remove_op_observer
-from . import trace
-from .core import parse_jsonl
+from . import report, trace
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
 PROFILE_SCHEMA_VERSION = 1
@@ -382,99 +381,18 @@ def end_session() -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Reading back / CLI
+# CLI
 # ----------------------------------------------------------------------
-def load_records(run_dir: str) -> List[dict]:
-    """Op events from ``run_dir/profile.jsonl`` (missing file → empty;
-    torn/corrupt lines skipped, matching ``load_run``'s tolerance)."""
-    path = os.path.join(run_dir, PROFILE_FILENAME)
-    if not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as fp:
-        records, _ = parse_jsonl(fp)
-    return [r for r in records if r.get("kind") == "op"]
-
-
-def load_summary(run_dir: str) -> Optional[dict]:
-    """The persisted summary, or ``None`` when absent/unreadable."""
-    path = os.path.join(run_dir, SUMMARY_FILENAME)
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            summary = json.load(fp)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return summary if isinstance(summary, dict) else None
-
-
-def format_bytes(nbytes: float) -> str:
-    value = float(nbytes)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{value:.0f} B"
-        value /= 1024.0
-    return f"{value:.1f} GiB"
-
-
-def _format_seconds(seconds: float) -> str:
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.0f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds:.3f} s"
-
-
-def render_tables(summary: dict, top: int = 10) -> str:
-    """Plain-text hot-path tables (``python -m repro.obs profile``)."""
-    lines = [
-        f"profile: {summary.get('ops', 0)} ops, "
-        f"{_format_seconds(float(summary.get('total_s') or 0.0))} attributed, "
-        f"{format_bytes(summary.get('bytes_total') or 0)} allocated"
-    ]
-    if summary.get("dropped"):
-        lines.append(f"(dropped {summary['dropped']} events past the record cap)")
-    lines.append("")
-    lines.append(f"hot ops (top {top} by total time)")
-    lines.append(
-        f"{'op':<24} {'count':>7} {'total':>11} {'median':>11} "
-        f"{'bytes':>11} {'%':>6}"
-    )
-    lines.append("-" * 76)
-    for entry in (summary.get("top") or [])[:top]:
-        lines.append(
-            f"{str(entry.get('op', '?'))[:24]:<24} {entry.get('count', 0):>7} "
-            f"{_format_seconds(float(entry.get('total_s') or 0.0)):>11} "
-            f"{_format_seconds(float(entry.get('median_s') or 0.0)):>11} "
-            f"{format_bytes(entry.get('bytes') or 0):>11} "
-            f"{float(entry.get('pct') or 0.0):>5.1f}%"
-        )
-    by_layer = summary.get("by_layer") or {}
-    ranked = sorted(
-        by_layer.items(), key=lambda item: (-(item[1].get("total_s") or 0.0), item[0])
-    )
-    lines.append("")
-    lines.append(f"hot layers (top {top} by total time)")
-    lines.append(f"{'layer':<44} {'ops':>7} {'total':>11} {'bytes':>11} {'%':>6}")
-    lines.append("-" * 84)
-    for name, entry in ranked[:top]:
-        lines.append(
-            f"{name[:44]:<44} {entry.get('count', 0):>7} "
-            f"{_format_seconds(float(entry.get('total_s') or 0.0)):>11} "
-            f"{format_bytes(entry.get('bytes') or 0):>11} "
-            f"{float(entry.get('pct') or 0.0):>5.1f}%"
-        )
-    return "\n".join(lines)
-
-
 def main(argv=None) -> int:
     """CLI body shared with ``python -m repro.obs profile``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs profile",
-        description="Hot-path tables and Chrome-trace export for a "
-                    "profiled run directory.",
+        description="The report's hot-ops section and Chrome-trace export "
+                    "for a profiled run directory.",
     )
     parser.add_argument("run_dir", help="run directory holding profile.jsonl")
     parser.add_argument("--top", type=int, default=10,
-                        help="rows per hot-path table (default: %(default)s)")
+                        help="rows per hot-ops table (default: %(default)s)")
     parser.add_argument("--json", action="store_true",
                         help="emit the aggregate summary as JSON")
     parser.add_argument("--chrome-trace", metavar="OUT",
@@ -482,32 +400,32 @@ def main(argv=None) -> int:
                              "built from profile.jsonl")
     args = parser.parse_args(argv)
 
-    if not os.path.isdir(args.run_dir):
-        parser.error(f"run directory not found: {args.run_dir}")
-    records = load_records(args.run_dir)
+    try:
+        data = report.load_run(args.run_dir)
+    except FileNotFoundError as exc:
+        parser.error(str(exc))
     if args.chrome_trace:
-        if not records:
+        if not data.profile:
             parser.error(
                 f"no op events in {os.path.join(args.run_dir, PROFILE_FILENAME)}"
                 " — was the run profiled?"
             )
         with open(args.chrome_trace, "w", encoding="utf-8") as fp:
-            json.dump(chrome_trace(records), fp)
+            json.dump(chrome_trace(data.profile), fp)
             fp.write("\n")
-        print(f"wrote {args.chrome_trace} ({len(records)} events)")
+        print(f"wrote {args.chrome_trace} ({len(data.profile)} events)")
         return 0
-    # Prefer recomputing from the raw events (covers torn summaries);
-    # fall back to the persisted aggregate when only it survives.
-    summary = aggregate(records, top_k=args.top) if records else load_summary(args.run_dir)
-    if summary is None:
+    if not (data.profile or data.profile_summary):
         parser.error(
             f"{args.run_dir} holds neither {PROFILE_FILENAME} nor "
             f"{SUMMARY_FILENAME} — was the run profiled?"
         )
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(json.dumps(report.profile_summary(data), indent=2, sort_keys=True))
     else:
-        print(render_tables(summary, top=args.top))
+        lines: List[str] = []
+        report.render_profile(data, lines, top=args.top)
+        print("\n".join(lines).rstrip())
     return 0
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -206,6 +207,15 @@ def _format_duration(seconds: Optional[float]) -> str:
     return f"{seconds:.3f} s"
 
 
+def _format_bytes(nbytes: float) -> str:
+    value = float(nbytes)
+    for unit in ("B", "KiB", "MiB", "GiB"):
+        if abs(value) < 1024.0 or unit == "GiB":
+            return f"{value:.1f} {unit}" if unit != "B" else f"{value:.0f} B"
+        value /= 1024.0
+    return f"{value:.1f} GiB"
+
+
 def _fields_cell(span: dict) -> str:
     fields = span.get("fields") or {}
     parts = []
@@ -219,6 +229,22 @@ def _fields_cell(span: dict) -> str:
 
 def _fmt(value, spec: str = ".4g") -> str:
     return format(value, spec) if isinstance(value, (int, float)) else "-"
+
+
+def md_table(headers, rows, align: str = "") -> str:
+    """One markdown table: ``align`` holds one ``"l"``/``"r"`` per column
+    (missing columns align left); float cells print as ``.4g``, any
+    other cell as ``str``."""
+    def cell(value) -> str:
+        return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+    align = align.ljust(len(headers), "l")
+    lines = [
+        "| " + " | ".join(headers) + " |",
+        "| " + " | ".join("---:" if a == "r" else "---" for a in align) + " |",
+    ]
+    lines.extend("| " + " | ".join(cell(v) for v in row) + " |" for row in rows)
+    return "\n".join(lines)
 
 
 def _render_drift(data: RunData, lines: List[str]) -> None:
@@ -242,20 +268,19 @@ def _render_drift(data: RunData, lines: List[str]) -> None:
     phase = current[0].get("phase", "?") if current else "?"
     lines.append(f"### Per-layer gaps — snapshot {latest} (`{phase}`)")
     lines.append("")
-    lines.append(
-        "| layer | mu | alpha | beta | K(mu) | h(T,mu) "
-        "| predicted gap | measured gap | relative gap |"
-    )
-    lines.append("| ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |")
-    for record in current:
-        lines.append(
-            f"| {record.get('layer', '?')} | {_fmt(record.get('mu'))} "
-            f"| {_fmt(record.get('alpha'))} | {_fmt(record.get('beta'))} "
-            f"| {_fmt(record.get('k_mu'))} | {_fmt(record.get('h_t_mu'))} "
-            f"| {_fmt(record.get('predicted_gap'))} "
-            f"| {_fmt(record.get('measured_gap'))} "
-            f"| {_fmt(record.get('relative_gap'))} |"
-        )
+    lines.append(md_table(
+        ["layer", "mu", "alpha", "beta", "K(mu)", "h(T,mu)",
+         "predicted gap", "measured gap", "relative gap"],
+        [
+            [record.get("layer", "?")] + [
+                _fmt(record.get(key))
+                for key in ("mu", "alpha", "beta", "k_mu", "h_t_mu",
+                            "predicted_gap", "measured_gap", "relative_gap")
+            ]
+            for record in current
+        ],
+        "r" * 9,
+    ))
     lines.append("")
     worst = max(
         current,
@@ -300,20 +325,23 @@ def _render_dispatch(data: RunData, lines: List[str]) -> None:
         f"{dense_total:g} dense layer-forwards)"
     )
     lines.append("")
-    lines.append(
-        "| layer | density | threshold | path | sparse | dense | accumulates |"
-    )
-    lines.append("| ---: | ---: | ---: | --- | ---: | ---: | ---: |")
+    table = []
     for row in rows:
         frac = row.get("sparse_fraction") or 0.0
         path = "sparse" if frac >= 1.0 else "dense" if frac <= 0.0 else "mixed"
-        lines.append(
-            f"| {row['layer']} | {_fmt(row.get('density'))} "
-            f"| {_fmt(row.get('threshold'))} | {path} "
-            f"| {row.get('sparse_runs') or 0:g} "
-            f"| {row.get('dense_runs') or 0:g} "
-            f"| {row.get('accumulates') or 0:g} |"
-        )
+        table.append([
+            row["layer"], _fmt(row.get("density")),
+            _fmt(row.get("threshold")), path,
+            f"{row.get('sparse_runs') or 0:g}",
+            f"{row.get('dense_runs') or 0:g}",
+            f"{row.get('accumulates') or 0:g}",
+        ])
+    lines.append(md_table(
+        ["layer", "density", "threshold", "path", "sparse", "dense",
+         "accumulates"],
+        table,
+        "rrrlrrr",
+    ))
     lines.append("")
 
 
@@ -331,17 +359,34 @@ def _render_exec(data: RunData, lines: List[str]) -> None:
     lines.append("")
 
 
-def _render_profile(data: RunData, lines: List[str]) -> None:
-    """The "Hot ops" section: top-k op-kind table plus per-layer
-    attribution, from the persisted summary or re-aggregated events."""
-    from .profile import UNATTRIBUTED, aggregate, format_bytes
+def profile_summary(data: RunData) -> dict:
+    """The run's ``repro.obs.profile/v1`` summary: the persisted one
+    (which alone knows the profiler's dropped-event count), else one
+    re-aggregated from the surviving events."""
+    from .profile import aggregate
 
-    summary = data.profile_summary or aggregate(data.profile)
+    return data.profile_summary or aggregate(data.profile)
+
+
+def _ranked(table: dict, top: int) -> List[tuple]:
+    """The ``top`` rows of a per-group table by total time, ties by name."""
+    return sorted(
+        table.items(),
+        key=lambda item: (-(item[1].get("total_s") or 0.0), item[0]),
+    )[:top]
+
+
+def render_profile(data: RunData, lines: List[str], top: int = 10) -> None:
+    """The "Hot ops" section: the ``top`` op kinds plus per-layer
+    attribution (``python -m repro.obs profile`` prints this alone)."""
+    from .profile import UNATTRIBUTED
+
+    summary = profile_summary(data)
     total_s = float(summary.get("total_s") or 0.0)
     lines.append(
         f"## Hot ops ({summary.get('ops', 0)} ops, "
         f"{_format_duration(total_s)} attributed, "
-        f"{format_bytes(summary.get('bytes_total') or 0)} allocated)"
+        f"{_format_bytes(summary.get('bytes_total') or 0)} allocated)"
     )
     lines.append("")
     if summary.get("dropped"):
@@ -350,37 +395,40 @@ def _render_profile(data: RunData, lines: List[str]) -> None:
             "profiler's record cap"
         )
         lines.append("")
-    top = summary.get("top") or []
-    if top:
-        lines.append("| op | count | total | median | bytes | % of run |")
-        lines.append("| --- | ---: | ---: | ---: | ---: | ---: |")
-        for entry in top:
-            lines.append(
-                f"| `{entry.get('op', '?')}` | {entry.get('count', 0)} "
-                f"| {_format_duration(entry.get('total_s'))} "
-                f"| {_format_duration(entry.get('median_s'))} "
-                f"| {format_bytes(entry.get('bytes') or 0)} "
-                f"| {float(entry.get('pct') or 0.0):.1f}% |"
-            )
+    by_op = _ranked(summary.get("by_op") or {}, top)
+    if by_op:
+        lines.append(md_table(
+            ["op", "count", "total", "median", "bytes", "% of run"],
+            [
+                [
+                    f"`{name}`", entry.get("count", 0),
+                    _format_duration(entry.get("total_s")),
+                    _format_duration(entry.get("median_s")),
+                    _format_bytes(entry.get("bytes") or 0),
+                    f"{float(entry.get('pct') or 0.0):.1f}%",
+                ]
+                for name, entry in by_op
+            ],
+            "lrrrrr",
+        ))
         lines.append("")
     by_layer = summary.get("by_layer") or {}
-    attributed = {k: v for k, v in by_layer.items() if k != UNATTRIBUTED}
-    if attributed:
-        ranked = sorted(
-            by_layer.items(),
-            key=lambda item: (-(item[1].get("total_s") or 0.0), item[0]),
-        )
-        lines.append("### Per-layer attribution (top 10)")
+    if any(name != UNATTRIBUTED for name in by_layer):
+        lines.append(f"### Per-layer attribution (top {top})")
         lines.append("")
-        lines.append("| layer | ops | total | bytes | % of run |")
-        lines.append("| --- | ---: | ---: | ---: | ---: |")
-        for name, entry in ranked[:10]:
-            lines.append(
-                f"| `{name}` | {entry.get('count', 0)} "
-                f"| {_format_duration(entry.get('total_s'))} "
-                f"| {format_bytes(entry.get('bytes') or 0)} "
-                f"| {float(entry.get('pct') or 0.0):.1f}% |"
-            )
+        lines.append(md_table(
+            ["layer", "ops", "total", "bytes", "% of run"],
+            [
+                [
+                    f"`{name}`", entry.get("count", 0),
+                    _format_duration(entry.get("total_s")),
+                    _format_bytes(entry.get("bytes") or 0),
+                    f"{float(entry.get('pct') or 0.0):.1f}%",
+                ]
+                for name, entry in _ranked(by_layer, top)
+            ],
+            "lrrrr",
+        ))
         lines.append("")
 
 
@@ -396,15 +444,19 @@ def render_report(data: RunData) -> str:
     lines.append(f"## Spans ({len(data.spans)})")
     lines.append("")
     if data.spans:
-        lines.append("| span | duration | status | fields |")
-        lines.append("| --- | ---: | --- | --- |")
-        for span in _span_tree_rows(data.spans):
-            indent = "&nbsp;&nbsp;" * int(span.get("depth", 0))
-            name = f"{indent}{span.get('name', '?')}"
-            lines.append(
-                f"| {name} | {_format_duration(span.get('duration_s'))} "
-                f"| {span.get('status', '?')} | {_fields_cell(span)} |"
-            )
+        lines.append(md_table(
+            ["span", "duration", "status", "fields"],
+            [
+                [
+                    "&nbsp;&nbsp;" * int(span.get("depth", 0))
+                    + str(span.get("name", "?")),
+                    _format_duration(span.get("duration_s")),
+                    span.get("status", "?"), _fields_cell(span),
+                ]
+                for span in _span_tree_rows(data.spans)
+            ],
+            "lr",
+        ))
     else:
         lines.append("_no spans recorded_")
     lines.append("")
@@ -431,38 +483,39 @@ def render_report(data: RunData) -> str:
     if counters:
         lines.append("### Counters")
         lines.append("")
-        lines.append("| counter | value |")
-        lines.append("| --- | ---: |")
-        for name, value in counters.items():
-            lines.append(f"| {name} | {value:g} |")
+        lines.append(md_table(
+            ["counter", "value"],
+            [[name, f"{value:g}"] for name, value in counters.items()],
+            "lr",
+        ))
         lines.append("")
     if gauges:
         lines.append("### Gauges")
         lines.append("")
-        lines.append("| gauge | last | writes |")
-        lines.append("| --- | ---: | ---: |")
-        for name, payload in gauges.items():
-            value = payload.get("value")
-            value_text = f"{value:.6g}" if isinstance(value, (int, float)) else "-"
-            lines.append(
-                f"| {name} | {value_text} | {len(payload.get('trajectory', []))} |"
-            )
+        lines.append(md_table(
+            ["gauge", "last", "writes"],
+            [
+                [name, _fmt(payload.get("value"), ".6g"),
+                 len(payload.get("trajectory", []))]
+                for name, payload in gauges.items()
+            ],
+            "lrr",
+        ))
         lines.append("")
     if histograms:
         lines.append("### Histograms")
         lines.append("")
-        lines.append("| histogram | count | mean | std | min | p50 | p95 | max |")
-        lines.append("| --- | ---: | ---: | ---: | ---: | ---: | ---: | ---: |")
-        for name, payload in histograms.items():
-            def cell(key):
-                value = payload.get(key)
-                return f"{value:.4g}" if isinstance(value, (int, float)) else "-"
-
-            lines.append(
-                f"| {name} | {payload.get('count', 0)} | {cell('mean')} "
-                f"| {cell('std')} | {cell('min')} | {cell('p50')} "
-                f"| {cell('p95')} | {cell('max')} |"
-            )
+        lines.append(md_table(
+            ["histogram", "count", "mean", "std", "min", "p50", "p95", "max"],
+            [
+                [name, payload.get("count", 0)] + [
+                    _fmt(payload.get(key))
+                    for key in ("mean", "std", "min", "p50", "p95", "max")
+                ]
+                for name, payload in histograms.items()
+            ],
+            "lrrrrrrr",
+        ))
         lines.append("")
     if not (counters or gauges or histograms):
         lines.append("_no metrics recorded_")
@@ -476,15 +529,12 @@ def render_report(data: RunData) -> str:
     _render_exec(data, lines)
 
     if data.profile or data.profile_summary:
-        _render_profile(data, lines)
+        render_profile(data, lines)
 
     if data.alerts:
         lines.append(f"## Health alerts ({len(data.alerts)})")
         lines.append("")
-        by_rule: Dict[str, int] = {}
-        for alert in data.alerts:
-            rule = alert.get("rule", "?")
-            by_rule[rule] = by_rule.get(rule, 0) + 1
+        by_rule = Counter(alert.get("rule", "?") for alert in data.alerts)
         lines.append(
             ", ".join(f"{rule}: {count}" for rule, count in sorted(by_rule.items()))
         )
@@ -500,10 +550,7 @@ def render_report(data: RunData) -> str:
     if data.faults:
         lines.append(f"## Fault events ({len(data.faults)})")
         lines.append("")
-        by_fault: Dict[str, int] = {}
-        for fault in data.faults:
-            name = fault.get("fault", "?")
-            by_fault[name] = by_fault.get(name, 0) + 1
+        by_fault = Counter(fault.get("fault", "?") for fault in data.faults)
         lines.append(
             ", ".join(f"{name}: {count}" for name, count in sorted(by_fault.items()))
         )
@@ -512,10 +559,7 @@ def render_report(data: RunData) -> str:
     log_events = [e for e in data.events if e.get("kind") == "log"]
     lines.append(f"## Events ({len(data.events)} total, {len(log_events)} log)")
     lines.append("")
-    by_level: Dict[str, int] = {}
-    for event in log_events:
-        level = event.get("level", "?")
-        by_level[level] = by_level.get(level, 0) + 1
+    by_level = Counter(event.get("level", "?") for event in log_events)
     if by_level:
         lines.append(
             ", ".join(f"{level}: {count}" for level, count in sorted(by_level.items()))

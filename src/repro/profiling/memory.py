@@ -128,7 +128,10 @@ def inference_memory(model: Module, input_shape, batch_size: int = 1) -> MemoryR
 
     For spiking networks only the per-step working set counts — spikes
     of earlier steps are not retained — which is why the estimate is
-    nearly independent of ``T`` (the paper's Fig. 3b observation).
+    nearly independent of ``T`` (the paper's Fig. 3b observation).  The
+    SNN is traced in its ``"stepwise"`` engine: the fused engine folds
+    all ``T`` steps into one ``(T·N, ...)`` batch, which is a speed
+    trade, not the per-step working set.
     """
     was_training = model.training
     model.eval()
@@ -136,7 +139,8 @@ def inference_memory(model: Module, input_shape, batch_size: int = 1) -> MemoryR
         with no_grad():
             if isinstance(model, SpikingNetwork):
                 dummy = np.zeros((batch_size,) + tuple(input_shape))
-                sizes = _traced_bytes(lambda: model(dummy))
+                with model.using_mode("stepwise"):
+                    sizes = _traced_bytes(lambda: model(dummy))
                 membranes = sum(
                     neuron.membrane.data.nbytes
                     for neuron in model.spiking_neurons()

@@ -421,13 +421,11 @@ class TestPipelineTracing:
         assert "algorithm1.residual{layer=0}" in histograms
 
     @pytest.mark.smoke
-    def test_identical_seed_runs_diff_clean(self, pipeline_runs, capsys):
+    def test_identical_seed_runs_diff_clean(self, pipeline_runs):
         """Two same-seed pipeline runs on this deterministic substrate
         must diff regression-free, carry energy gauges and drift records,
-        profile the same op and layer sets, and render identical
-        dashboard frames."""
-        from repro.obs import profile as obs_profile
-        from repro.obs.dashboard import main as dashboard_main
+        profile the same op and layer sets, and render byte-identical
+        reports."""
         from repro.obs.diff import diff_run_dirs
 
         run_a, run_b = pipeline_runs
@@ -438,16 +436,13 @@ class TestPipelineTracing:
         assert any(name.startswith("energy.") for name in run.metrics["gauges"])
         assert run.drift
 
-        summaries = [obs_profile.load_summary(d) for d in pipeline_runs]
+        summaries = [load_run(d).profile_summary for d in pipeline_runs]
         for table in ("by_op", "by_layer"):
             assert summaries[0][table]
             assert sorted(summaries[0][table]) == sorted(summaries[1][table])
 
-        frames = []
-        for _ in range(2):
-            assert dashboard_main([run_a, "--once"]) == 0
-            frames.append(capsys.readouterr().out)
-        assert frames[0] and frames[0] == frames[1]
+        renders = [render_report(load_run(run_a)) for _ in range(2)]
+        assert renders[0] and renders[0] == renders[1]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
 """Cross-run analytics: run registry, diff engine, health monitors,
-terminal dashboard, machine-readable reports and energy gauges."""
+markdown and machine-readable reports and energy gauges."""
 
 import json
 import os
@@ -12,14 +12,6 @@ from repro.nn import Flatten, Linear, Sequential, ThresholdReLU
 from repro.obs import health as obs_health
 from repro.obs import trace
 from repro.obs.__main__ import main as obs_main
-from repro.obs.dashboard import (
-    DashboardState,
-    JsonlTailer,
-    hbar,
-    render_frame,
-    sparkline,
-)
-from repro.obs.dashboard import main as dashboard_main
 from repro.obs.diff import diff_run_dirs, metric_direction
 from repro.obs.diff import main as diff_main
 from repro.obs.health import HealthConfig, HealthMonitor
@@ -616,105 +608,6 @@ class TestTrainerHealthIntegration:
 
 
 # ----------------------------------------------------------------------
-# Dashboard
-# ----------------------------------------------------------------------
-class TestJsonlTailer:
-    def test_partial_trailing_line_deferred(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"kind": "a"}\n{"kind": "b"')
-        tailer = JsonlTailer(str(path))
-        assert [r["kind"] for r in tailer.poll()] == ["a"]
-        assert tailer.skipped == 0
-        # The writer finishes the line: the record arrives on next poll.
-        with open(path, "a", encoding="utf-8") as fp:
-            fp.write('}\n')
-        assert [r["kind"] for r in tailer.poll()] == ["b"]
-        assert tailer.poll() == []
-
-    def test_malformed_complete_line_skipped(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"kind": "a"}\nnot json at all\n{"kind": "c"}\n')
-        tailer = JsonlTailer(str(path))
-        assert [r["kind"] for r in tailer.poll()] == ["a", "c"]
-        assert tailer.skipped == 1
-
-    def test_missing_file_is_quiet(self, tmp_path):
-        tailer = JsonlTailer(str(tmp_path / "nope.jsonl"))
-        assert tailer.poll() == []
-
-    def test_truncated_file_resets(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"kind": "a"}\n{"kind": "b"}\n')
-        tailer = JsonlTailer(str(path))
-        tailer.poll()
-        path.write_text('{"kind": "fresh"}\n')
-        assert [r["kind"] for r in tailer.poll()] == ["fresh"]
-        assert [r["kind"] for r in tailer.records] == ["fresh"]
-
-
-class TestDashboard:
-    def test_sparkline_and_bars(self):
-        assert len(sparkline([], width=10)) == 10
-        line = sparkline([0.0, 1.0, 2.0, 3.0], width=4)
-        assert line[0] == "▁" and line[-1] == "█"
-        assert hbar(0.0, width=4) == "····"
-        assert hbar(1.0, width=4) == "████"
-
-    def test_once_is_deterministic_and_complete(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        with obs.observe(str(run_dir)):
-            with trace.span("convert"):
-                pass
-            obs_health.active().observe_epoch(
-                "snn", 1, loss=0.9, accuracy=0.4,
-                timesteps=2, layer_rates=[0.3, 0.0],
-            )
-            obs_health.active().observe_epoch(
-                "snn", 2, loss=0.7, accuracy=0.5, grad_norm=9e9,
-                timesteps=2, layer_rates=[0.3, 0.0],
-            )
-        frames = []
-        for _ in range(2):
-            assert dashboard_main([str(run_dir), "--once"]) == 0
-            frames.append(capsys.readouterr().out)
-        assert frames[0] == frames[1]
-        frame = frames[0]
-        assert "[completed]" in frame
-        assert "grad_explosion" in frame
-        assert "convert" in frame
-        assert "\x1b[" not in frame  # --once carries no cursor control
-
-    def test_degraded_run_dir_renders(self, tmp_path, capsys):
-        run_dir = tmp_path / "torn"
-        run_dir.mkdir()
-        # Only a torn events file, no other artefacts at all.
-        (run_dir / "events.jsonl").write_text(
-            '{"kind": "run_start", "run_id": "r-1"}\n{"kind": "lo'
-        )
-        assert dashboard_main([str(run_dir), "--once"]) == 0
-        frame = capsys.readouterr().out
-        assert "r-1" in frame and "[running]" in frame
-        assert "(no spike-rate telemetry yet)" in frame
-
-    def test_missing_run_dir_errors(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            dashboard_main([str(tmp_path / "ghost"), "--once"])
-
-    def test_state_falls_back_to_spike_rate_gauges(self, tmp_path):
-        run_dir = write_run_dir(
-            tmp_path, "gauges",
-            metrics={"gauges": {
-                "health.spike_rate{layer=0}": {"value": 0.25},
-                "health.spike_rate{layer=1}": {"value": 0.5},
-            }},
-        )
-        state = DashboardState(run_dir)
-        state.refresh()
-        assert state.layer_rates() == [0.25, 0.5]
-        assert "spike rate per layer" in render_frame(state)
-
-
-# ----------------------------------------------------------------------
 # Report: JSON mode, errored spans, degraded inputs
 # ----------------------------------------------------------------------
 class TestReport:
@@ -776,6 +669,47 @@ class TestReport:
         with pytest.raises(FileNotFoundError):
             load_run(str(tmp_path / "ghost"))
 
+    def test_cli_missing_run_dir_errors(self, tmp_path):
+        with pytest.raises(SystemExit):
+            report_main([str(tmp_path / "ghost")])
+
+    def test_render_is_deterministic_and_complete(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        with obs.observe(str(run_dir)):
+            with trace.span("convert"):
+                pass
+            obs_health.active().observe_epoch(
+                "snn", 1, loss=0.9, accuracy=0.4,
+                timesteps=2, layer_rates=[0.3, 0.0],
+            )
+            obs_health.active().observe_epoch(
+                "snn", 2, loss=0.7, accuracy=0.5, grad_norm=9e9,
+                timesteps=2, layer_rates=[0.3, 0.0],
+            )
+        renders = []
+        for _ in range(2):
+            assert report_main([str(run_dir)]) == 0
+            renders.append(capsys.readouterr().out)
+        assert renders[0] == renders[1]
+        assert renders[0] == render_report(load_run(str(run_dir)))
+        assert "`grad_explosion`" in renders[0]
+        assert "| convert |" in renders[0]
+
+    def test_torn_events_only_run_dir_renders(self, tmp_path):
+        run_dir = tmp_path / "torn"
+        run_dir.mkdir()
+        # Only a torn events file, no other artefacts at all.
+        (run_dir / "events.jsonl").write_text(
+            '{"kind": "run_start", "run_id": "r-1"}\n{"kind": "lo'
+        )
+        run = load_run(str(run_dir))
+        assert [e["run_id"] for e in run.events] == ["r-1"]
+        report = render_report(run)
+        assert "`events.jsonl`: skipped 1 malformed line(s)" in report
+        assert "`trace.jsonl` missing" in report
+        assert "`metrics.json` missing" in report
+        assert "## Events (1 total, 0 log)" in report
+
 
 # ----------------------------------------------------------------------
 # Energy gauges
@@ -805,7 +739,7 @@ class TestEnergyInstrument:
     def test_pipeline_energy_profile_spans(self):
         # The pipeline hook is covered end-to-end by
         # test_obs.py::TestPipelineTracing::test_identical_seed_runs_diff_clean;
-        # here we only pin that the span name is stable for dashboards.
+        # here we only pin that the span name is stable for reports.
         registry = MetricsRegistry()
         snn = tiny_snn()
         rng = np.random.default_rng(0)

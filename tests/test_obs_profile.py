@@ -1,11 +1,9 @@
 """Op-level profiler: from_op hook, per-layer attribution, artefacts,
-hot-path reporting, dashboard/diff integration, dtype-accurate memory,
+hot-path reporting, report/diff integration, dtype-accurate memory,
 and the paired timing gate on the disabled path."""
 
-import io
 import json
 import os
-import contextlib
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from repro.obs import health as obs_health
 from repro.obs import profile as obs_profile
 from repro.obs import trace
 from repro.obs.__main__ import main as obs_main
-from repro.obs.dashboard import main as dashboard_main
 from repro.obs.diff import diff_run_dirs, metric_direction
 from repro.obs.profile import (
     NULL_REGION,
@@ -271,7 +268,7 @@ class TestProfiledRun:
     def test_artefacts_registry_and_report(self, tmp_path, registry_root):
         run_dir, run_id = self._profiled_run(tmp_path)
         assert os.path.getsize(os.path.join(run_dir, PROFILE_FILENAME)) > 0
-        summary = obs_profile.load_summary(run_dir)
+        summary = load_run(run_dir).profile_summary
         assert summary["schema"] == PROFILE_SCHEMA
         assert any(k != UNATTRIBUTED for k in summary["by_layer"])
         entry = RunRegistry().get(run_id)
@@ -297,7 +294,7 @@ class TestProfiledRun:
         run_dir, _ = self._profiled_run(tmp_path)
         assert obs_main(["profile", run_dir]) == 0
         out = capsys.readouterr().out
-        assert "hot ops" in out and "hot layers" in out
+        assert "## Hot ops" in out and "### Per-layer attribution" in out
         assert obs_main(["profile", run_dir, "--json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["schema"] == PROFILE_SCHEMA
@@ -328,8 +325,7 @@ class TestProfiledRun:
         ]
         assert profile_series  # aligned, informational
 
-    def test_degraded_torn_tail_and_absence(self, tmp_path, registry_root,
-                                            capsys):
+    def test_degraded_torn_tail_and_absence(self, tmp_path, registry_root):
         run_dir, _ = self._profiled_run(tmp_path, "run_torn")
         path = os.path.join(run_dir, PROFILE_FILENAME)
         with open(path, "a", encoding="utf-8") as fp:
@@ -338,23 +334,32 @@ class TestProfiledRun:
         assert data.profile  # intact lines survive
         assert any("profile.jsonl" in w for w in data.warnings)
         assert "## Hot ops" in render_report(data)
-        frames = []
-        for _ in range(2):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                assert dashboard_main([run_dir, "--once"]) == 0
-            frames.append(buf.getvalue())
-        assert frames[0] == frames[1]
-        assert "hot ops" in frames[0]
-        # Absent profile: dashboard and report degrade silently.
+        renders = [render_report(load_run(run_dir)) for _ in range(2)]
+        assert renders[0] == renders[1]
+        # Absent profile: the report degrades silently.
         os.remove(path)
         os.remove(os.path.join(run_dir, SUMMARY_FILENAME))
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert dashboard_main([run_dir, "--once"]) == 0
-        assert "(no op profile recorded)" in buf.getvalue()
         data = load_run(run_dir)
         assert not any("profile.jsonl" in w for w in data.warnings)
+        assert "## Hot ops" not in render_report(data)
+
+    def test_cli_carries_persisted_dropped_count(self, tmp_path,
+                                                 registry_root, capsys):
+        """The CLI reads the run like the report: the persisted summary's
+        dropped count (never written to profile.jsonl) is shown."""
+        run_dir, _ = self._profiled_run(tmp_path, "run_capped")
+        path = os.path.join(run_dir, SUMMARY_FILENAME)
+        with open(path, "r", encoding="utf-8") as fp:
+            summary = json.load(fp)
+        summary["dropped"] = 5
+        with open(path, "w", encoding="utf-8") as fp:
+            json.dump(summary, fp)
+        dropped_line = "> ⚠ 5 op event(s) dropped past the profiler's record cap"
+        assert dropped_line in render_report(load_run(run_dir))
+        assert obs_main(["profile", run_dir]) == 0
+        assert dropped_line in capsys.readouterr().out
+        assert obs_main(["profile", run_dir, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dropped"] == 5
 
 
 # ----------------------------------------------------------------------

@@ -121,6 +121,20 @@ class TestInferenceMemory:
             totals[t] = inference_memory(conversion.snn, (3, 8, 8), 4).total
         assert totals[5] < 1.2 * totals[2]
 
+    def test_snn_traced_per_step_and_mode_restored(self, model_and_loader):
+        """The estimate traces the per-step working set, so it does not
+        move with T at all, and it leaves the SNN's engine as it was."""
+        model, loader = model_and_loader
+        totals = {}
+        for t in (2, 5):
+            snn = convert_dnn_to_snn(
+                model, loader, ConversionConfig(timesteps=t)
+            ).snn
+            assert snn.mode == "fused"
+            totals[t] = inference_memory(snn, (3, 8, 8), 4).total
+            assert snn.mode == "fused"
+        assert totals[5] == totals[2]
+
 
 class TestTiming:
     def test_time_callable_stats(self):
