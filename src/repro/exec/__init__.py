@@ -2,17 +2,20 @@
 
 Public surface:
 
-* :class:`ParallelExecutor` — supervised ``multiprocessing`` map with
-  bitwise-deterministic, task-index-ordered results, bounded retries,
-  poison-task quarantine, and graceful serial degradation.
+* :class:`ParallelExecutor` — ``multiprocessing`` map with
+  bitwise-deterministic, task-index-ordered results.  Each worker is
+  one process holding one task at a time, watched through its pipe and
+  its process sentinel; a worker death or timeout is charged to the
+  task it held, with bounded retries, poison-task quarantine and
+  graceful serial degradation.
 * :func:`tree_reduce` — fixed-order pairwise reduction.
 * :class:`ModelStore` / :func:`attach_model` — publish model weights
   once over shared memory instead of pickling them per task.
 * :func:`executor_scope` — install an ambient executor that
-  ``--workers``-aware call sites (the sweep drivers) pick up without
-  explicit plumbing; the run
-  registry records :func:`active_executor_config` in its environment
-  fingerprint so cross-worker-count diffs are flagged.
+  ``--workers``-aware call sites (the sweep drivers) pick up through
+  :func:`resolve_executor` without explicit plumbing; the run registry
+  records :func:`active_executor_config` in its environment fingerprint
+  so cross-worker-count diffs are flagged.
 """
 
 from __future__ import annotations
@@ -42,16 +45,22 @@ __all__ = [
     "attach_model",
     "clear_attach_cache",
     "executor_scope",
-    "ambient_executor",
+    "resolve_executor",
     "active_executor_config",
 ]
 
 _AMBIENT: Optional[ParallelExecutor] = None
 
 
-def ambient_executor() -> Optional[ParallelExecutor]:
-    """The executor installed by the innermost :func:`executor_scope`."""
-    return _AMBIENT
+def resolve_executor(
+    workers: int = 1, executor: Optional[ParallelExecutor] = None
+) -> Optional[ParallelExecutor]:
+    """The executor a ``workers``-aware call site maps with: ``executor``
+    when given, else a fresh pool when ``workers > 1``, else the ambient
+    one (``None`` outside any :func:`executor_scope`)."""
+    if executor is not None:
+        return executor
+    return ParallelExecutor(workers=workers) if workers > 1 else _AMBIENT
 
 
 @contextmanager

@@ -1,66 +1,44 @@
 """Fault-tolerant multi-process task executor.
 
-``ParallelExecutor`` shards an indexed task list over a pool of
-``multiprocessing`` workers while preserving the repo's bitwise
-determinism contract: results are assembled **by task index**, so the
-output of :meth:`ParallelExecutor.map` is identical to serial execution
-regardless of worker count, scheduling, retries, or completion order.
-Reductions go through :func:`repro.exec.reduce.tree_reduce` for the
-same reason.
+``ParallelExecutor.map`` shards an indexed task list over worker
+processes and assembles results **by task index**, so its output is
+bitwise identical to a serial run at any worker count, whatever the
+scheduling, retries or completion order.  Reductions go through the
+fixed-order :func:`repro.exec.reduce.tree_reduce` for the same reason.
 
-Robustness is the headline, not raw speed:
-
-* **Supervision** — every worker runs a daemon heartbeat thread; the
-  parent detects dead workers (segfault / OOM kill / ``os._exit``),
-  stale heartbeats, and per-task wall-clock timeouts, kills the
-  offender, and re-dispatches its in-flight task with bounded retries
-  and exponential backoff.
-* **Poison quarantine** — a task that takes down ``poison_threshold``
-  workers in a row is quarantined: recorded as a failure, never
-  retried again, and the sweep completes with status ``"partial"``
-  instead of hanging or crash-looping.
-* **Graceful degradation** — ``workers=1``, an unavailable start
-  method, a pool that fails to spawn, or a pool that exhausts its
-  restart budget all fall back to the serial path with a logged
-  downgrade and the same results.
-* **Observed runs are serial** — while ``repro.obs`` is enabled, ``map``
-  takes the serial path in the parent process, so an observed run's
-  artefacts are exactly a serial run's at any worker count.  Workers
-  never talk to obs: they quiesce everything they inherit.
-
-Deterministic failure injection for all of the above lives in
-:class:`repro.faults.chaos.ChaosSpec` (kill/hang keyed by task index
-and attempt number, applied worker-side).
+Each worker slot is one process holding at most one task over a
+private duplex pipe, and the parent waits on every pipe and process
+sentinel at once.  A dead worker is charged to the task it held and
+respawned; a task past ``task_timeout_s`` has its worker killed; a task
+that kills ``poison_threshold`` workers is quarantined.  ``workers=1``,
+an observed run, an unavailable start method, a pool that fails to
+spawn and a spent restart budget all fall back to running tasks in this
+process, with a logged downgrade and the same results.  Deterministic
+failure injection lives in :class:`repro.faults.chaos.ChaosSpec`.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
-import threading
 import time
-import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..obs import metrics as obs_metrics
+from ..obs import trace as obs_trace
 from ..obs.logging import get_logger
 from .reduce import tree_reduce
 
-__all__ = [
-    "ExecutorError",
-    "TaskFailure",
-    "ExecStats",
-    "MapResult",
-    "ParallelExecutor",
-]
+__all__ = ["ExecutorError", "TaskFailure", "ExecStats", "MapResult", "ParallelExecutor"]
 
 _LOG = get_logger("repro.exec")
-
-_POLL_INTERVAL_S = 0.05
 
 
 class ExecutorError(RuntimeError):
@@ -72,19 +50,13 @@ class TaskFailure:
     """Terminal record for a task that could not produce a result."""
 
     index: int
-    kind: str  # "error" | "poison" | "timeout" | "lost"
+    kind: str  # "error" | "poison" | "timeout"
     message: str
     attempts: int
     worker_crashes: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-            "worker_crashes": self.worker_crashes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -97,20 +69,16 @@ class ExecStats:
     downgraded: bool = False
     downgrade_reason: str = ""
     tasks: int = 0
-    dispatched: int = 0
-    completed: int = 0
     retried: int = 0
-    errors: int = 0
     crashes: int = 0
     timeouts: int = 0
     restarts: int = 0
-    quarantined: int = 0
     failed: int = 0
     serial_fallback_tasks: int = 0
     duration_s: float = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 @dataclass
@@ -143,123 +111,38 @@ class MapResult:
         return self.results
 
 
-class _Worker:
-    __slots__ = (
-        "slot", "process", "queue", "conn",
-        "busy", "dispatched_at", "last_beat", "dead",
-    )
+@dataclass
+class _Slot:
+    """One worker process, holding at most one task, and the parent's end
+    of its private duplex pipe.  A worker dying mid-reply breaks only its
+    own pipe, so the loss is charged to this slot's task and no other."""
 
-    def __init__(self, slot: int, process, queue, conn) -> None:
-        self.slot = slot
-        self.process = process
-        self.queue = queue
-        self.conn = conn  # parent end of this worker's private result pipe
-        self.busy: Optional[Tuple[int, int]] = None  # (index, attempt)
-        self.dispatched_at: float = 0.0
-        self.last_beat: float = time.monotonic()
-        self.dead = False
+    process: Any
+    conn: Any
+    task: Optional[int] = None
+    deadline: float = math.inf  # monotonic time the held task must finish by
 
-
-def _quiesce_child_observability() -> None:
-    """Disable obs sinks and ambient fan-out inherited across fork/spawn.
-
-    Workers must never write to the parent's JSONL sinks (shared file
-    offsets after fork would interleave corrupt records) or register
-    runs.  Metrics get a fresh registry so no lock inherited mid-hold
-    from a parent thread can deadlock the child.  The ambient executor
-    is cleared too: a worker re-fanning-out (e.g. Algorithm 1 inside a
-    per-seed pipeline task) would try to spawn children of a daemonic
-    process.
-
-    The inherited health monitor and profiler hooks are dropped too,
-    so no parent file handle (shared offset!) stays reachable.
-    """
-    os.environ["REPRO_RUNS_DISABLE"] = "1"
-    try:
-        import repro.exec as exec_pkg
-
-        exec_pkg._AMBIENT = None
-    except Exception:
-        pass
-    try:
-        from ..obs import core as obs_core
-
-        state = obs_core.state()
-        state.enabled = False
-        for attr in ("_events_fp", "_trace_fp"):
-            if hasattr(state, attr):
-                setattr(state, attr, None)
-    except Exception:
-        pass
-    try:
-        obs_metrics.reset_registry()
-    except Exception:
-        pass
-    try:
-        from ..obs import trace as obs_trace
-
-        obs_trace.reset(counter=True)
-    except Exception:
-        pass
-    try:
-        from ..obs import health as obs_health
-
-        obs_health.quiesce_forked()
-    except Exception:
-        pass
-    try:
-        from ..obs import profile as obs_profile
-
-        obs_profile.quiesce_forked()
-    except Exception:
-        pass
+    def stop(self) -> Optional[int]:
+        """Kill the worker if it still runs, reap it, return its exit code."""
+        self.process.kill()
+        self.process.join()
+        code = self.process.exitcode
+        self.process.close()
+        self.conn.close()
+        return code
 
 
 def _worker_main(
-    fn: Callable[[Any], Any],
-    task_queue,
-    conn,
-    heartbeat_interval_s: float,
-    chaos,
-    initializer: Optional[Callable[..., None]],
-    initargs: Tuple[Any, ...],
+    fn: Callable[[Any], Any], conn, chaos, setup: Optional[Callable]
 ) -> None:
-    _quiesce_child_observability()
-    if initializer is not None:
-        initializer(*initargs)
+    """Answer each ``(index, attempt, payload)`` message until ``None``."""
+    from .. import exec as exec_pkg
 
-    # Each worker owns a private result pipe.  A worker dying mid-write
-    # (segfault, OOM kill, chaos ``os._exit``) can corrupt *its own*
-    # channel only; the supervisor attributes the broken pipe to this
-    # worker's in-flight task instead of losing everyone's messages, as
-    # a shared result queue would.  The heartbeat thread shares the
-    # pipe with the task loop, so sends are serialised by a lock.
-    send_lock = threading.Lock()
-    stop = threading.Event()
-
-    def _send(message) -> bool:
-        try:
-            with send_lock:
-                conn.send(message)
-            return True
-        except (BrokenPipeError, OSError):
-            return False
-
-    def _beat() -> None:
-        while not stop.is_set():
-            if not _send(("heartbeat",)):
-                return
-            stop.wait(heartbeat_interval_s)
-
-    beat_thread = threading.Thread(target=_beat, name="exec-heartbeat", daemon=True)
-    beat_thread.start()
-    _send(("ready",))
-
-    while True:
-        message = task_queue.get()
-        if message is None:
-            break
-        index, attempt, payload = message
+    obs.quiesce_forked()
+    exec_pkg._AMBIENT = None  # a daemonic worker cannot fan out again
+    if setup is not None:
+        setup()
+    for index, attempt, payload in iter(conn.recv, None):
         if chaos is not None:
             if chaos.should_kill(index, attempt):
                 os._exit(chaos.exit_code)
@@ -267,20 +150,12 @@ def _worker_main(
                 time.sleep(chaos.hang_seconds)
         try:
             value = fn(payload)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to supervisor
-            detail = f"{type(exc).__name__}: {exc}"
-            if not _send(("error", index, attempt, detail, traceback.format_exc())):
-                break
+        except Exception as exc:  # noqa: BLE001 - forwarded to supervisor
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
         else:
             if chaos is not None and chaos.should_kill_after(index, attempt):
                 os._exit(chaos.exit_code)
-            if not _send(("result", index, attempt, value)):
-                break
-    stop.set()
-    try:
-        conn.close()
-    except OSError:
-        pass
+            conn.send(("result", value))
 
 
 class ParallelExecutor:
@@ -289,12 +164,12 @@ class ParallelExecutor:
     Parameters
     ----------
     workers:
-        Pool size.  ``1`` selects the serial path outright.
+        Pool size.  ``1`` selects the serial path outright.  One ``map``
+        respawns at most ``3 * workers`` lost workers, then finishes
+        the remaining tasks serially.
     start_method:
-        ``multiprocessing`` start method (``fork``/``spawn``/
-        ``forkserver``).  ``None`` prefers ``fork`` when available.
-        An unavailable method downgrades to serial (logged), it never
-        raises.
+        ``multiprocessing`` start method; ``None`` prefers ``fork`` when
+        available.  An unavailable method downgrades to serial (logged).
     max_retries:
         Extra attempts after a task raises an exception (crashes are
         governed by ``poison_threshold`` instead).
@@ -303,12 +178,6 @@ class ParallelExecutor:
         before it is quarantined.
     task_timeout_s:
         Per-task wall-clock budget; ``None`` disables timeout kills.
-    heartbeat_timeout_s:
-        A worker silent for this long is presumed hung and replaced.
-    max_worker_restarts:
-        Total replacement workers allowed per ``map`` before the
-        executor downgrades the remainder to serial.  Defaults to
-        ``3 * workers``.
     chaos:
         Optional :class:`repro.faults.chaos.ChaosSpec` applied inside
         workers (ignored, with a log line, on the serial path).
@@ -322,11 +191,6 @@ class ParallelExecutor:
         max_retries: int = 2,
         poison_threshold: int = 2,
         task_timeout_s: Optional[float] = None,
-        heartbeat_interval_s: float = 0.1,
-        heartbeat_timeout_s: float = 30.0,
-        backoff_base_s: float = 0.02,
-        backoff_max_s: float = 0.5,
-        max_worker_restarts: Optional[int] = None,
         chaos=None,
     ) -> None:
         if workers < 1:
@@ -340,27 +204,14 @@ class ParallelExecutor:
         self.max_retries = int(max_retries)
         self.poison_threshold = int(poison_threshold)
         self.task_timeout_s = task_timeout_s
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.heartbeat_timeout_s = float(heartbeat_timeout_s)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_max_s = float(backoff_max_s)
-        self.max_worker_restarts = (
-            3 * self.workers if max_worker_restarts is None else int(max_worker_restarts)
-        )
-        self.chaos = chaos
+        self.chaos = None if chaos is None or chaos.is_null else chaos
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def resolved_start_method(self) -> str:
         if self.workers <= 1:
             return "serial"
         available = multiprocessing.get_all_start_methods()
-        if self.start_method is not None:
-            return self.start_method if self.start_method in available else "serial"
-        if "fork" in available:
-            return "fork"
-        return available[0] if available else "serial"
+        method = self.start_method or ("fork" if "fork" in available else available[0])
+        return method if method in available else "serial"
 
     def config_dict(self) -> Dict[str, Any]:
         """Executor fingerprint recorded in the run registry."""
@@ -371,9 +222,6 @@ class ParallelExecutor:
             "poison_threshold": self.poison_threshold,
         }
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def map(
         self,
         fn: Callable[[Any], Any],
@@ -385,44 +233,62 @@ class ParallelExecutor:
     ) -> MapResult:
         """Apply ``fn`` to every task, preserving task order in results.
 
-        An observed run (``repro.obs`` enabled) always maps serially in
-        this process: its artefacts then are a serial run's, whatever
-        the worker count.
+        An observed run (``repro.obs`` enabled) maps serially in this
+        process, so its artefacts are a serial run's at any worker count.
         """
         items = list(tasks)
-        stats = ExecStats(
-            workers=self.workers,
-            start_method=self.resolved_start_method(),
-            tasks=len(items),
-        )
-        from ..obs import core as obs_core
-        from ..obs import trace as obs_trace
-
+        setup = None if initializer is None else partial(initializer, *initargs)
+        method = self.resolved_start_method()
+        stats = ExecStats(workers=self.workers, start_method=method, tasks=len(items))
+        result = MapResult(results=[None] * len(items), stats=stats)
+        todo: Sequence[int] = range(len(items))  # indices to run in this process
         started = time.monotonic()
         with obs_trace.span(
             "exec.map", label=label, workers=self.workers, tasks=len(items)
         ):
-            if self.workers <= 1 or len(items) <= 1:
-                result = self._map_serial(fn, items, stats, initializer, initargs)
-            elif obs_core.is_enabled():
-                self._note_downgrade(stats, "observed run")
-                result = self._map_serial(fn, items, stats, initializer, initargs)
-            else:
-                method = self.resolved_start_method()
-                if method == "serial":
+            if self.workers > 1 and len(items) > 1:
+                if obs.is_enabled():
+                    self._note_downgrade(stats, "observed run")
+                elif method == "serial":
                     self._note_downgrade(
                         stats,
                         f"start method {self.start_method!r} unavailable "
                         f"(have {multiprocessing.get_all_start_methods()})",
                     )
-                    result = self._map_serial(fn, items, stats, initializer, initargs)
                 else:
-                    result = self._map_parallel(
-                        fn, items, stats, method, label, initializer, initargs
+                    todo = self._map_parallel(fn, items, result, method, label, setup)
+            if stats.mode == "serial" and self.chaos is not None:
+                _LOG.info("exec: chaos schedule ignored on serial path")
+            if todo and setup is not None:
+                setup()
+            for index in todo:
+                for attempt in range(self.max_retries + 1):
+                    stats.retried += attempt > 0
+                    try:
+                        result.results[index] = fn(items[index])
+                        break
+                    except Exception as exc:  # noqa: BLE001 - mirrored from workers
+                        error = f"{type(exc).__name__}: {exc}"
+                else:
+                    result.failures[index] = TaskFailure(
+                        index, "error", error, self.max_retries + 1
                     )
+        stats.failed = len(result.failures)
         stats.duration_s = time.monotonic() - started
-        self._flush_telemetry(stats, label)
-        self._surface_health(result, label)
+        obs_metrics.gauge("exec.workers", stats.workers)
+        obs_metrics.gauge("exec.pool_duration_s", stats.duration_s, label=label)
+        obs_metrics.inc("exec.maps")
+
+        # Observed runs surface permanently failed tasks as a health
+        # alert; a clean map under the same label re-arms the rule.
+        monitor = obs.health.active()
+        if monitor is not None:
+            ordered = sorted(result.failures.values(), key=lambda f: f.index)
+            detail = "; ".join(
+                f"task {f.index}: {f.kind} ({f.message})" for f in ordered[:4]
+            )
+            errors = sum(1 for f in ordered if f.kind == "error")
+            monitor.observe_exec(label, failures=errors, detail=detail or None)
         return result
 
     def map_reduce(
@@ -437,379 +303,153 @@ class ParallelExecutor:
     ) -> Any:
         """Map then fixed-order tree-reduce; raises on a partial map."""
         outcome = self.map(fn, tasks, label=label, initializer=initializer, initargs=initargs)
-        values = outcome.values_or_raise()
-        return tree_reduce(combine, values)
+        return tree_reduce(combine, outcome.values_or_raise())
 
-    # ------------------------------------------------------------------
-    # Serial path
-    # ------------------------------------------------------------------
-    def _map_serial(
-        self,
-        fn: Callable[[Any], Any],
-        items: List[Any],
-        stats: ExecStats,
-        initializer: Optional[Callable[..., None]],
-        initargs: Tuple[Any, ...],
-    ) -> MapResult:
-        stats.mode = "serial"
-        if self.chaos is not None and not self.chaos.is_null:
-            _LOG.info("exec: chaos schedule ignored on serial path")
-        if initializer is not None:
-            initializer(*initargs)
-        results: List[Any] = [None] * len(items)
-        failures: Dict[int, TaskFailure] = {}
-        for index, payload in enumerate(items):
-            attempts = 0
-            while True:
-                attempts += 1
-                stats.dispatched += 1
-                if attempts > 1:
-                    stats.retried += 1
-                try:
-                    results[index] = fn(payload)
-                except Exception as exc:  # noqa: BLE001 - mirrored from workers
-                    stats.errors += 1
-                    if attempts > self.max_retries:
-                        failures[index] = TaskFailure(
-                            index=index,
-                            kind="error",
-                            message=f"{type(exc).__name__}: {exc}",
-                            attempts=attempts,
-                        )
-                        stats.failed += 1
-                        break
-                else:
-                    stats.completed += 1
-                    break
-        return MapResult(results=results, failures=failures, stats=stats)
-
-    # ------------------------------------------------------------------
-    # Parallel path
-    # ------------------------------------------------------------------
     def _map_parallel(
         self,
         fn: Callable[[Any], Any],
         items: List[Any],
-        stats: ExecStats,
+        result: MapResult,
         method: str,
         label: str,
-        initializer: Optional[Callable[..., None]],
-        initargs: Tuple[Any, ...],
-    ) -> MapResult:
-        stats.mode = "parallel"
-        try:
-            ctx = multiprocessing.get_context(method)
-        except ValueError as exc:
-            self._note_downgrade(stats, f"get_context({method!r}) failed: {exc}")
-            return self._map_serial(fn, items, stats, initializer, initargs)
+        setup: Optional[Callable],
+    ) -> Sequence[int]:
+        """Fill ``result`` from a supervised pool; return the indices the
+        pool left for :meth:`map` to run in this process (every index
+        when the pool fails to spawn)."""
+        stats = result.stats
+        ctx = multiprocessing.get_context(method)
 
-        n = len(items)
-        pool_size = min(self.workers, n)
-        workers: List[_Worker] = []
-
-        def _spawn(slot: int) -> _Worker:
-            task_queue = ctx.SimpleQueue()
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
+        def spawn() -> _Slot:
+            conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_worker_main,
-                args=(
-                    fn,
-                    task_queue,
-                    child_conn,
-                    self.heartbeat_interval_s,
-                    self.chaos,
-                    initializer,
-                    initargs,
-                ),
+                args=(fn, child_conn, self.chaos, setup),
                 daemon=True,
-                name=f"repro-exec-{label}-{slot}",
+                name=f"repro-exec-{label}",
             )
-            process.start()
-            # Close the child end in the parent so the pipe reports EOF
-            # the moment the worker (its only writer) dies.
-            child_conn.close()
-            return _Worker(slot, process, task_queue, parent_conn)
+            # Once started, the worker holds the only other end, so the
+            # parent's end reads EOF the moment the worker dies.
+            with child_conn:
+                process.start()
+            return _Slot(process, conn)
 
+        slots: List[_Slot] = []
         try:
-            for slot in range(pool_size):
-                workers.append(_spawn(slot))
+            for _ in range(min(self.workers, len(items))):
+                slots.append(spawn())
         except Exception as exc:  # noqa: BLE001 - any spawn failure downgrades
-            for worker in workers:
-                self._kill_worker(worker)
+            self._shutdown(slots)
             self._note_downgrade(stats, f"worker spawn failed: {exc}")
-            return self._map_serial(fn, items, stats, initializer, initargs)
+            return range(len(items))
+        stats.mode = "parallel"
+        attempts = [0] * len(items)  # dispatches per task
+        crashes = [0] * len(items)
+        pending = deque(range(len(items)))
+        restarts_left = 3 * self.workers
 
-        results: List[Any] = [None] * n
-        done: List[bool] = [False] * n
-        failures: Dict[int, TaskFailure] = {}
-        attempts = [0] * n  # dispatch count per task
-        error_counts = [0] * n
-        crash_counts = [0] * n
-        pending = deque(range(n))
-        delayed: List[Tuple[float, int]] = []  # (ready_at, index) heap
-        restarts_used = 0
-        settled = 0  # completed + failed
-
-        def _settle_failure(failure: TaskFailure) -> None:
-            nonlocal settled
-            failures[failure.index] = failure
-            stats.failed += 1
-            if failure.kind in ("poison", "timeout"):
-                stats.quarantined += 1
-            settled += 1
-
-        def _record_result(index: int, value: Any) -> None:
-            nonlocal settled
-            if done[index] or index in failures:
-                return  # stale duplicate from a raced re-dispatch
-            results[index] = value
-            done[index] = True
-            stats.completed += 1
-            settled += 1
-
-        def _requeue(index: int) -> None:
-            delay = min(
-                self.backoff_max_s,
-                self.backoff_base_s * (2 ** max(0, attempts[index] - 1)),
+        def fail(index: int, kind: str, message: str) -> None:
+            result.failures[index] = TaskFailure(
+                index, kind, message, attempts[index], crashes[index]
             )
-            heapq.heappush(delayed, (time.monotonic() + delay, index))
+            _LOG.warning(f"exec: task {index} failed ({kind}): {message}", label=label)
 
-        def _handle_worker_loss(worker: _Worker, kind: str, detail: str) -> None:
-            nonlocal restarts_used
-            if worker.dead:
-                return
-            worker.dead = True
-            self._kill_worker(worker)
+        def lose(slot: _Slot, timed_out: bool = False) -> None:
+            """Charge a lost worker to the task it held, then respawn it."""
+            nonlocal restarts_left
+            code = slot.stop()
+            slots.remove(slot)
             stats.crashes += 1
-            if kind == "timeout":
-                stats.timeouts += 1
-            in_flight = worker.busy
-            worker.busy = None
-            if in_flight is not None:
-                index = in_flight[0]
-                if not done[index] and index not in failures:
-                    crash_counts[index] += 1
-                    if crash_counts[index] >= self.poison_threshold:
-                        _settle_failure(
-                            TaskFailure(
-                                index=index,
-                                kind="poison" if kind == "crash" else kind,
-                                message=(
-                                    f"task killed {crash_counts[index]} workers in a row; "
-                                    f"quarantined ({detail})"
-                                ),
-                                attempts=attempts[index],
-                                worker_crashes=crash_counts[index],
-                            )
-                        )
-                        _LOG.warning(
-                            f"exec: quarantined poison task {index} after "
-                            f"{crash_counts[index]} worker deaths",
-                            label=label,
-                        )
-                    else:
-                        _requeue(index)
-            if restarts_used < self.max_worker_restarts:
-                restarts_used += 1
+            stats.timeouts += timed_out
+            index = slot.task
+            if index is not None:
+                crashes[index] += 1
+                if crashes[index] < self.poison_threshold:
+                    pending.append(index)
+                else:
+                    detail = (
+                        f"task exceeded {self.task_timeout_s:.3f}s wall clock"
+                        if timed_out
+                        else f"worker exited with code {code}"
+                    )
+                    kind = "timeout" if timed_out else "poison"
+                    message = f"task killed {crashes[index]} workers in a row"
+                    fail(index, kind, f"{message}; quarantined ({detail})")
+            if restarts_left:
+                restarts_left -= 1
                 stats.restarts += 1
                 try:
-                    replacement = _spawn(worker.slot)
+                    slots.append(spawn())
                 except Exception as exc:  # noqa: BLE001
                     _LOG.warning(f"exec: worker respawn failed: {exc}", label=label)
-                else:
-                    workers[workers.index(worker)] = replacement
 
-        deadline_slack = 4 * _POLL_INTERVAL_S
-        while settled < n:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, index = heapq.heappop(delayed)
-                if not done[index] and index not in failures:
-                    pending.append(index)
+        try:
+            while slots and (pending or any(s.task is not None for s in slots)):
+                for slot in slots:
+                    if slot.task is None and pending:
+                        index = slot.task = pending.popleft()
+                        stats.retried += attempts[index] > 0
+                        if self.task_timeout_s is not None:
+                            slot.deadline = time.monotonic() + self.task_timeout_s
+                        with suppress(OSError):  # a dead worker's sentinel reports it
+                            slot.conn.send((index, attempts[index], items[index]))
+                        attempts[index] += 1
 
-            for worker in workers:
-                if worker.dead or worker.busy is not None or not pending:
-                    continue
-                index = pending.popleft()
-                if done[index] or index in failures:
-                    continue
-                attempt = attempts[index]
-                attempts[index] += 1
-                worker.busy = (index, attempt)
-                worker.dispatched_at = now
-                worker.queue.put((index, attempt, items[index]))
-                stats.dispatched += 1
-                if attempt > 0:
-                    stats.retried += 1
-
-            live_conns = {w.conn: w for w in workers if not w.dead}
-            try:
+                wake = min(s.deadline for s in slots)
                 ready = multiprocessing.connection.wait(
-                    list(live_conns), timeout=_POLL_INTERVAL_S
+                    [s.conn for s in slots] + [s.process.sentinel for s in slots],
+                    None if wake == math.inf else max(0.0, wake - time.monotonic()),
                 )
-            except OSError:
-                ready = []
-            for conn in ready:
-                worker = live_conns[conn]
-                # Drain everything buffered on this worker's pipe.  Any
-                # failure to read (EOF after death, partial pickle from
-                # a kill mid-write) is attributed to *this* worker only.
-                while not worker.dead:
-                    try:
-                        if not conn.poll():
-                            break
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        code = worker.process.exitcode
-                        _handle_worker_loss(
-                            worker, "crash",
-                            f"result channel closed (exit code {code})",
-                        )
-                        break
-                    except Exception as exc:  # noqa: BLE001 - corrupt frame
-                        _handle_worker_loss(
-                            worker, "crash", f"result channel corrupt: {exc}"
-                        )
-                        break
-                    kind = message[0]
-                    if kind in ("heartbeat", "ready"):
-                        worker.last_beat = time.monotonic()
-                    elif kind == "result":
-                        _, index, attempt, value = message
-                        _record_result(index, value)
-                        if worker.busy == (index, attempt):
-                            worker.busy = None
-                    elif kind == "error":
-                        _, index, attempt, detail, _tb = message
-                        if worker.busy == (index, attempt):
-                            worker.busy = None
-                        if not done[index] and index not in failures:
-                            error_counts[index] += 1
-                            stats.errors += 1
-                            if error_counts[index] > self.max_retries:
-                                _settle_failure(
-                                    TaskFailure(
-                                        index=index,
-                                        kind="error",
-                                        message=detail,
-                                        attempts=attempts[index],
-                                        worker_crashes=crash_counts[index],
-                                    )
-                                )
-                            else:
-                                _requeue(index)
+                now = time.monotonic()
+                for slot in list(slots):
+                    index = slot.task
+                    if slot.conn in ready:
+                        try:
+                            kind, value = slot.conn.recv()
+                        except Exception:  # noqa: BLE001 - EOF or a reply cut short
+                            lose(slot)
+                            continue
+                        slot.task, slot.deadline = None, math.inf
+                        if kind == "result":
+                            result.results[index] = value
+                        elif attempts[index] - crashes[index] <= self.max_retries:
+                            pending.append(index)  # every reply so far was an error
+                        else:
+                            fail(index, "error", value)
+                    elif slot.process.sentinel in ready:
+                        lose(slot)
+                    elif now >= slot.deadline:
+                        lose(slot, timed_out=True)
+        finally:
+            self._shutdown(slots)
 
-            # --- supervision sweep -----------------------------------
-            now = time.monotonic()
-            for worker in list(workers):
-                if worker.dead:
-                    continue
-                if not worker.process.is_alive():
-                    code = worker.process.exitcode
-                    _handle_worker_loss(worker, "crash", f"worker exited with code {code}")
-                    continue
-                if (
-                    self.task_timeout_s is not None
-                    and worker.busy is not None
-                    and now - worker.dispatched_at > self.task_timeout_s + deadline_slack
-                ):
-                    _handle_worker_loss(
-                        worker,
-                        "timeout",
-                        f"task exceeded {self.task_timeout_s:.3f}s wall clock",
-                    )
-                    continue
-                if now - worker.last_beat > self.heartbeat_timeout_s:
-                    _handle_worker_loss(
-                        worker,
-                        "timeout" if worker.busy is not None else "crash",
-                        f"no heartbeat for {self.heartbeat_timeout_s:.3f}s",
-                    )
+        if not pending:
+            return []
+        # The restart budget is spent: finish the remainder here rather
+        # than losing the sweep, except tasks that already killed a
+        # worker, which are not safe to run in the parent.
+        self._note_downgrade(stats, "worker pool exhausted restart budget")
+        reason = "crash history; not retried in parent after pool loss"
+        for index in pending:
+            if crashes[index]:
+                fail(index, "poison", reason)
+        remaining = sorted(i for i in pending if not crashes[i])
+        stats.serial_fallback_tasks = len(remaining)
+        return remaining
 
-            if all(w.dead for w in workers):
-                # Pool is gone and the restart budget is spent: finish
-                # the remainder serially rather than losing the sweep.
-                self._note_downgrade(stats, "worker pool exhausted restart budget")
-                if initializer is not None:
-                    initializer(*initargs)
-                for index in range(n):
-                    if done[index] or index in failures:
-                        continue
-                    if crash_counts[index] > 0:
-                        # A task that already killed workers is not safe
-                        # to run in the parent process.
-                        _settle_failure(
-                            TaskFailure(
-                                index=index,
-                                kind="poison",
-                                message="crash history; not retried in parent after pool loss",
-                                attempts=attempts[index],
-                                worker_crashes=crash_counts[index],
-                            )
-                        )
-                        continue
-                    stats.serial_fallback_tasks += 1
-                    stats.dispatched += 1
-                    try:
-                        value = fn(items[index])
-                    except Exception as exc:  # noqa: BLE001
-                        stats.errors += 1
-                        _settle_failure(
-                            TaskFailure(
-                                index=index,
-                                kind="error",
-                                message=f"{type(exc).__name__}: {exc}",
-                                attempts=attempts[index] + 1,
-                            )
-                        )
-                    else:
-                        _record_result(index, value)
-                break
-
-        self._shutdown_pool(workers)
-        return MapResult(results=results, failures=failures, stats=stats)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     @staticmethod
-    def _kill_worker(worker: _Worker) -> None:
-        process = worker.process
-        try:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=0.5)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=0.5)
-        except Exception:
-            pass
-        try:
-            process.close()
-        except Exception:
-            pass
-        try:
-            worker.conn.close()
-        except Exception:
-            pass
-
-    def _shutdown_pool(self, workers: List[_Worker]) -> None:
-        for worker in workers:
-            if worker.dead:
-                continue
-            try:
-                worker.queue.put(None)
-            except Exception:
-                pass
+    def _shutdown(slots: List[_Slot]) -> None:
+        """Send every worker ``None``, give the pool 2 s to exit, then reap.
+        Closing the parent's end of a pipe is no signal: under ``fork``
+        every worker inherits that end, so it never reads EOF."""
+        for slot in slots:
+            with suppress(OSError):
+                slot.conn.send(None)
         deadline = time.monotonic() + 2.0
-        for worker in workers:
-            if worker.dead:
-                continue
-            try:
-                worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            except Exception:
-                pass
-            self._kill_worker(worker)
+        for slot in slots:
+            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
+            slot.stop()
+        slots.clear()
 
     def _note_downgrade(self, stats: ExecStats, reason: str) -> None:
         if not stats.downgraded:
@@ -817,33 +457,3 @@ class ParallelExecutor:
             stats.downgrade_reason = reason
             obs_metrics.inc("exec.downgrades")
             _LOG.warning(f"exec: downgraded to serial execution: {reason}")
-
-    def _flush_telemetry(self, stats: ExecStats, label: str) -> None:
-        try:
-            obs_metrics.gauge("exec.workers", stats.workers)
-            obs_metrics.gauge("exec.pool_duration_s", stats.duration_s, label=label)
-            obs_metrics.inc("exec.maps")
-        except Exception:
-            pass
-
-    def _surface_health(self, result: MapResult, label: str) -> None:
-        """Surface permanently failed tasks as a health alert
-        (``alerts.jsonl``) when a monitor is installed — i.e. for
-        observed runs.  Once per pathological stretch: a clean map
-        under the same label re-arms the rule."""
-        try:
-            from ..obs import health as obs_health
-
-            monitor = obs_health.active()
-            if monitor is None:
-                return
-            plain_failures = sum(
-                1 for f in result.failures.values() if f.kind == "error"
-            )
-            detail = "; ".join(
-                f"task {f.index}: {f.kind} ({f.message})"
-                for f in sorted(result.failures.values(), key=lambda f: f.index)[:4]
-            )
-            monitor.observe_exec(label, failures=plain_failures, detail=detail or None)
-        except Exception:
-            pass

@@ -191,14 +191,9 @@ def run_fault_sweep(
     kinds = list(fault_kinds) if fault_kinds is not None else list(DEFAULT_LADDERS)
     ladders = {**DEFAULT_LADDERS, **(ladders or {})}
 
-    if executor is None and workers > 1:
-        from ..exec import ParallelExecutor
+    from ..exec import resolve_executor
 
-        executor = ParallelExecutor(workers=workers)
-    if executor is None:
-        from ..exec import ambient_executor
-
-        executor = ambient_executor()
+    executor = resolve_executor(workers, executor)
     parallel = executor is not None and executor.workers > 1
 
     failures: List[Dict] = []

@@ -82,15 +82,9 @@ def seed_sweep(
     if not seeds:
         raise ValueError("need at least one seed")
 
-    if executor is None and workers > 1:
-        from ..exec import ParallelExecutor
+    from ..exec import resolve_executor
 
-        executor = ParallelExecutor(workers=workers)
-    if executor is None:
-        from ..exec import ambient_executor
-
-        executor = ambient_executor()
-
+    executor = resolve_executor(workers, executor)
     seed_list = [int(s) for s in seeds]
     failed: List[Dict] = []
     if executor is not None and executor.workers > 1 and len(seed_list) > 1:

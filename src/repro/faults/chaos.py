@@ -14,7 +14,8 @@ function executes:
   indistinguishable from a segfault or an OOM kill from the
   supervisor's point of view.
 * ``hang``  — the worker sleeps ``hang_seconds`` before running the
-  task, exercising per-task timeouts and stale-heartbeat detection.
+  task, exercising per-task timeouts (the supervisor kills the worker
+  once the task passes its deadline).
 * ``kill_after`` — the worker dies *after* the task function returns
   but before its result is sent, so the finished work is lost and the
   task must be re-dispatched.
@@ -81,7 +82,8 @@ class ChaosSpec:
     @classmethod
     def kill_task_after(cls, index: int, attempts: int = 1, **kwargs) -> "ChaosSpec":
         """Kill the worker running ``index`` right after the task body
-        completes (mid-telemetry-write) on its first ``attempts`` tries."""
+        returns, before its result is sent, on its first ``attempts``
+        tries."""
         return cls(
             kill_after=frozenset((index, a) for a in range(attempts)), **kwargs
         )

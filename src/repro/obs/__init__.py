@@ -26,6 +26,8 @@ Quick start::
 then ``python -m repro.obs.report results/run_1`` renders the run.
 """
 
+import os
+
 from . import health, metrics, profile, trace
 from .core import (
     configure,
@@ -50,6 +52,27 @@ from .logging import Logger, console, get_logger, set_console_level
 from .metrics import MetricsRegistry, get_registry, reset_registry
 from .profile import OpProfiler
 from .registry import BaselineError, RunRegistry
+
+
+def quiesce_forked() -> None:
+    """Cut a worker process off from the observed run it inherited.
+
+    A worker must never write through the parent's JSONL handles (their
+    file offsets are shared after ``fork``), register runs, or reach the
+    parent's health monitor or profiler; the handles are forgotten, not
+    closed, since closing would flush through the shared offset.  Metrics
+    get a fresh registry, so no lock inherited mid-hold can deadlock the
+    worker.
+    """
+    os.environ["REPRO_RUNS_DISABLE"] = "1"
+    current = state()
+    current.enabled = False
+    current._events_fp = None
+    current._trace_fp = None
+    reset_registry()
+    trace.reset(counter=True)
+    health.quiesce_forked()
+    profile.quiesce_forked()
 
 
 def load_run(run_dir):
@@ -116,6 +139,7 @@ __all__ = [
     "monitored",
     "observe",
     "profile",
+    "quiesce_forked",
     "record_dispatch_profile",
     "record_energy_profile",
     "record_spike_profile",

@@ -186,6 +186,52 @@ class TestSupervision:
         assert outcome.results == serial.results
         assert outcome.stats.crashes >= 1
         assert outcome.stats.restarts >= 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.stress
+    def test_kill_after_task_body_is_retried_identically(self):
+        """A worker that dies after the task body returns, before its
+        result is sent, loses finished work: the task is charged one
+        crash and re-run, and the map still equals the serial one."""
+        serial = ParallelExecutor(workers=1).map(_checksum_task, _TASKS)
+        outcome = ParallelExecutor(
+            workers=2, chaos=ChaosSpec.kill_task_after(3)
+        ).map(_checksum_task, _TASKS)
+        assert outcome.ok
+        assert outcome.results == serial.results
+        assert outcome.stats.crashes == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.stress
+    def test_spent_restart_budget_finishes_serially(self):
+        """A task that kills every worker it meets exhausts the restart
+        budget before its poison threshold: the rest of the map runs in
+        the parent, and the crashing task is marked poison there."""
+        outcome = ParallelExecutor(
+            workers=2,
+            poison_threshold=100,
+            chaos=ChaosSpec.kill_task(0, attempts=100),
+        ).map(_checksum_task, _TASKS)
+        assert set(outcome.failures) == {0}
+        assert outcome.failures[0].kind == "poison"
+        assert outcome.stats.downgraded
+        assert "restart budget" in outcome.stats.downgrade_reason
+        serial = ParallelExecutor(workers=1).map(_checksum_task, _TASKS)
+        assert outcome.results[1:] == serial.results[1:]
+        assert multiprocessing.active_children() == []
+
+    def test_spawn_failure_downgrades(self):
+        """A task the ``spawn`` start method cannot pickle fails the pool
+        at start-up; the map downgrades to serial with the same results."""
+        outcome = ParallelExecutor(workers=2, start_method="spawn").map(
+            lambda payload: _checksum_task(payload), _TASKS
+        )
+        assert outcome.ok
+        assert outcome.stats.downgraded
+        assert "worker spawn failed" in outcome.stats.downgrade_reason
+        serial = ParallelExecutor(workers=1).map(_checksum_task, _TASKS)
+        assert outcome.results == serial.results
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.stress
     def test_poison_task_quarantined(self):
@@ -206,6 +252,7 @@ class TestSupervision:
             outcome.results[i] == serial.results[i]
             for i in range(len(_TASKS)) if i != 4
         )
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.stress
     def test_hung_task_times_out(self):
@@ -219,6 +266,7 @@ class TestSupervision:
         assert set(outcome.failures) == {1}
         assert outcome.failures[1].kind == "timeout"
         assert outcome.stats.timeouts >= 1
+        assert multiprocessing.active_children() == []
 
     def test_unavailable_start_method_downgrades(self):
         executor = ParallelExecutor(workers=4, start_method="not-a-method")
@@ -415,6 +463,21 @@ class TestAmbientScope:
     def test_none_scope_is_noop(self):
         with executor_scope(None):
             assert active_executor_config() is None
+
+    def test_resolve_executor_precedence(self):
+        """The sweep drivers' lookup: an explicit executor wins, then a
+        fresh pool for ``workers > 1``, then the ambient scope."""
+        from repro.exec import resolve_executor
+
+        explicit = ParallelExecutor(workers=2)
+        ambient = ParallelExecutor(workers=3)
+        assert resolve_executor(1, None) is None
+        assert resolve_executor(4, explicit) is explicit
+        assert resolve_executor(2, None).workers == 2
+        with executor_scope(ambient):
+            assert resolve_executor(1, None) is ambient
+            assert resolve_executor(1, explicit) is explicit
+            assert resolve_executor(4, None).workers == 4
 
     def test_fingerprint_records_executor(self):
         from repro.obs.registry import _environment_fingerprint
