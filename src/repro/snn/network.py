@@ -272,12 +272,17 @@ class TemporalDropout(SpikingModule):
             # frame, shared by all T time blocks.
             keep = (self.rng.random(frame_shape) >= self.p).astype(x.data.dtype)
             self._mask = keep / (1.0 - self.p)
-        mask = np.tile(self._mask, (timesteps,) + (1,) * (x.data.ndim - 1))
+        mask = self._mask
+        blocks = (timesteps,) + frame_shape
+
+        def masked(a):
+            # The frame mask broadcast over a (T, N, ...) view of the batch.
+            return (a.reshape(blocks) * mask).reshape(a.shape)
 
         def bwd(g):
-            return (g * mask,)
+            return (masked(g),)
 
-        return Tensor.from_op(x.data * mask, (x,), bwd, "temporal_dropout")
+        return Tensor.from_op(masked(x.data), (x,), bwd, "temporal_dropout")
 
     def extra_repr(self) -> str:
         return f"p={self.p}"

@@ -131,49 +131,37 @@ def fused_spike_scan(
         or v_threshold.requires_grad
         or leak.requires_grad
     )
+    # The membrane updates in place and every op writes into a buffer
+    # allocated once, so the scan allocates nothing per step; the order
+    # of operations is the stepwise chain's.
     out = np.empty_like(frames)
     fired_all = np.empty(frames.shape, dtype=bool)
-
-    if not needs_grad:
-        # Inference fast path: update the membrane in place and skip the
-        # surrogate windows / entering-membrane history entirely.  Every
-        # elementwise op writes into a preallocated buffer — the spike
-        # rows of ``out``, the ``fired_all`` rows, one reset temporary —
-        # so the scan allocates nothing per step.
-        u = np.full(frames.shape[1:], initial_potential, dtype=dtype)
-        reset_tmp = None if beta == 1.0 else np.empty_like(u)
-        for t in range(timesteps):
-            if leak_val != 1.0:
-                u *= dtype.type(leak_val)
-            u += frames[t]
-            fired = fired_all[t]
-            np.greater(u, v_th, out=fired)
-            np.multiply(fired, amp, out=out[t])
-            if reset_mode == "soft":
-                if beta == 1.0:
-                    # amp == v_th: the spike row already is v_th * fired.
-                    u -= out[t]
-                else:
-                    np.multiply(fired, dtype.type(v_th), out=reset_tmp)
-                    u -= reset_tmp
-            else:
-                u[fired] = zero
-        return Tensor(out.reshape(data.shape), dtype=dtype), u, float(fired_all.sum())
-
-    windows = np.empty_like(frames)
-    u_prev = np.empty_like(frames)  # membrane entering each step
+    windows = np.empty_like(frames) if needs_grad else None
+    u_prev = np.empty_like(frames) if needs_grad else None
     u = np.full(frames.shape[1:], initial_potential, dtype=dtype)
+    reset_tmp = None if beta == 1.0 else np.empty_like(u)
     for t in range(timesteps):
-        u_prev[t] = u
-        u_tmp = u * leak_val + frames[t]
-        fired = u_tmp > v_th
-        fired_all[t] = fired
-        out[t] = np.where(fired, amp, zero)
-        windows[t] = surrogate(u_tmp, v_th)
+        if needs_grad:
+            u_prev[t] = u
+        if leak_val != 1.0:
+            u *= dtype.type(leak_val)
+        u += frames[t]
+        fired = fired_all[t]
+        np.greater(u, v_th, out=fired)
+        np.multiply(fired, amp, out=out[t])
+        if needs_grad:
+            windows[t] = surrogate(u, v_th)
         if reset_mode == "soft":
-            u = u_tmp - v_th * fired.astype(dtype)
+            if beta == 1.0:
+                # amp == v_th: the spike row already is v_th * fired.
+                u -= out[t]
+            else:
+                np.multiply(fired, dtype.type(v_th), out=reset_tmp)
+                u -= reset_tmp
         else:
-            u = np.where(fired, zero, u_tmp)
+            np.copyto(u, zero, where=fired)
+    if not needs_grad:
+        return Tensor(out.reshape(data.shape), dtype=dtype), u, float(fired_all.sum())
 
     spikes = Tensor.from_op(
         out.reshape(data.shape),

@@ -15,8 +15,8 @@ stays binary (the paper's requirement for AC-only hidden layers) and
 its average converges to the maximum of the input averages, matching
 the DNN's max pooling.
 
-Gradient: routed one-hot to the selected window element, like ordinary
-max pooling.
+It is :func:`~repro.tensor.max_pool2d`'s window kernel scored by running
+counts: the gradient goes to the selected window element alone.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ from typing import Optional
 import numpy as np
 
 from ..tensor import Tensor
+from ..tensor.conv_ops import (
+    _check_pool_args,
+    pool_windows,
+    route_to_winners,
+    window_argmax,
+)
 from .network import SpikingModule
 
 
@@ -44,43 +50,25 @@ class SpikingMaxPool(SpikingModule):
         super().reset_state()
 
     def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.data.shape
         k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(f"spatial size {h}x{w} not divisible by pool {k}")
-        out_h, out_w = h // k, w // k
-        # (N, C, out_h, out_w, k*k) window view of the current frame.
-        frames = (
-            x.data.reshape(n, c, out_h, k, out_w, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, out_h, out_w, k * k)
-        )
+        _check_pool_args(x, k, k)
+        frames = pool_windows(x.data, k)
         if self._counts is None or self._counts.shape != frames.shape:
             self._counts = np.zeros_like(frames)
         self._counts += frames
-        winners = self._counts.argmax(axis=-1)
-        out = np.take_along_axis(frames, winners[..., None], axis=-1)[..., 0]
+        out, winners = window_argmax(frames, self._counts)
 
         def bwd(g):
-            # One-hot gate materialised lazily: only backward needs it.
-            gate = np.eye(k * k, dtype=g.dtype)[winners]
-            g_win = g[..., None] * gate
-            gx = (
-                g_win.reshape(n, c, out_h, out_w, k, k)
-                .transpose(0, 1, 2, 4, 3, 5)
-                .reshape(n, c, h, w)
-            )
-            return (gx,)
+            return (route_to_winners(g, winners, k),)
 
         return Tensor.from_op(out, (x,), bwd, "spiking_max_pool")
 
     def forward_fused(self, x: Tensor, timesteps: int) -> Tensor:
         """Scan the rate-gating dynamics over a time-folded batch.
 
-        The running window counts at step ``t`` are the cumulative sum
-        of the window views over the leading time blocks — computed in
-        the same left-to-right order as the stepwise ``+=``, so winners
-        (and argmax tie-breaks) are bit-identical.
+        The running window counts are summed in place, step after step,
+        in the order of the stepwise ``+=``, so winners and argmax
+        tie-breaks are bit-identical.
         """
         total, c, h, w = x.data.shape
         if timesteps <= 0 or total % timesteps:
@@ -88,39 +76,25 @@ class SpikingMaxPool(SpikingModule):
                 f"time-folded batch of {total} rows is not divisible by "
                 f"timesteps={timesteps}"
             )
-        n = total // timesteps
         k = self.kernel_size
-        if h % k or w % k:
-            raise ValueError(f"spatial size {h}x{w} not divisible by pool {k}")
-        out_h, out_w = h // k, w // k
-        # (T, N, C, out_h, out_w, k*k) window views, time-major.
-        frames = (
-            x.data.reshape(timesteps, n, c, out_h, k, out_w, k)
-            .transpose(0, 1, 2, 3, 5, 4, 6)
-            .reshape(timesteps, n, c, out_h, out_w, k * k)
-        )
-        counts = np.cumsum(frames, axis=0)
+        _check_pool_args(x, k, k)
+        # (T, N, C, H/k, W/k, k*k) window rows, time-major.
+        frames = pool_windows(x.data.reshape(timesteps, -1, c, h, w), k)
+        counts = frames.copy()
         if self._counts is not None and self._counts.shape == counts.shape[1:]:
-            counts += self._counts
-        winners = counts.argmax(axis=-1)
-        out = (
-            np.take_along_axis(frames, winners[..., None], axis=-1)[..., 0]
-            .reshape(total, c, out_h, out_w)
-        )
+            counts[0] += self._counts
+        for t in range(1, timesteps):
+            counts[t] += counts[t - 1]
+        out, winners = window_argmax(frames, counts)
         self._counts = counts[-1].copy()
 
         def bwd(g):
-            # One-hot gate materialised lazily: only backward needs it.
-            gate = np.eye(k * k, dtype=g.dtype)[winners]
-            g_win = g.reshape(timesteps, n, c, out_h, out_w)[..., None] * gate
-            gx = (
-                g_win.reshape(timesteps, n, c, out_h, out_w, k, k)
-                .transpose(0, 1, 2, 3, 5, 4, 6)
-                .reshape(total, c, h, w)
-            )
-            return (gx,)
+            g = g.reshape(timesteps, -1, *g.shape[1:])
+            return (route_to_winners(g, winners, k).reshape(total, c, h, w),)
 
-        return Tensor.from_op(out, (x,), bwd, "spiking_max_pool_fused")
+        return Tensor.from_op(
+            out.reshape(total, c, h // k, w // k), (x,), bwd, "spiking_max_pool_fused"
+        )
 
     def extra_repr(self) -> str:
         return f"kernel_size={self.kernel_size}"

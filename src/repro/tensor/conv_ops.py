@@ -14,7 +14,10 @@ way at stride 1 and multiplied by the flipped, channel-swapped filters
 Pooling is restricted to non-overlapping windows (``stride == kernel``),
 which covers the VGG (2x2/2 max pool) and ResNet-20 (8x8 global average)
 architectures used in the paper, and keeps both passes fully vectorised.
-All layouts are NCHW.
+Max pooling, DNN and spiking, is one window kernel: :func:`pool_windows`
+copies the windows into ``k*k``-long rows, :func:`window_argmax` picks
+each row's first maximum and :func:`route_to_winners` scatters the
+gradient back.  All layouts are NCHW.
 """
 
 from __future__ import annotations
@@ -167,25 +170,55 @@ def _check_pool_args(x: Tensor, kernel: int, stride: int) -> None:
         )
 
 
+def pool_windows(a: np.ndarray, kernel: int) -> np.ndarray:
+    """``(..., H, W)`` -> contiguous ``(..., H/k, W/k, k*k)`` window rows.
+
+    One strided copy per tap, in row-major window order: faster than a
+    transpose copy whose innermost run is ``k`` long.
+    """
+    *lead, h, w = a.shape
+    rows = np.empty((*lead, h // kernel, w // kernel, kernel * kernel), dtype=a.dtype)
+    for tap in range(kernel * kernel):
+        di, dj = divmod(tap, kernel)
+        rows[..., tap] = a[..., di::kernel, dj::kernel]
+    return rows
+
+
+def window_argmax(values: np.ndarray, scores: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per window row, the value at the first maximum of ``scores``.
+
+    Returns ``(out, winners)``, ``winners`` being flat indices into
+    ``values``; a NaN score wins, as with ``argmax``.
+    """
+    winners = scores.argmax(axis=-1)
+    winners += np.arange(0, values.size, values.shape[-1]).reshape(winners.shape)
+    return values.reshape(-1)[winners], winners
+
+
+def route_to_winners(g: np.ndarray, winners: np.ndarray, kernel: int) -> np.ndarray:
+    """Scatter ``g`` to its :func:`window_argmax` winners in ``(..., H, W)``.
+
+    Every other input gets ``+0.0``.
+    """
+    *lead, out_h, out_w = g.shape
+    rows = np.zeros((*lead, out_h, out_w, kernel * kernel), dtype=g.dtype)
+    rows.reshape(-1)[winners] = g
+    gx = np.empty((*lead, out_h * kernel, out_w * kernel), dtype=g.dtype)
+    for tap in range(kernel * kernel):
+        di, dj = divmod(tap, kernel)
+        gx[..., di::kernel, dj::kernel] = rows[..., tap]
+    return gx
+
+
 def max_pool2d(x: Tensor, kernel: int, stride: int = None) -> Tensor:
     """Non-overlapping max pooling over ``kernel x kernel`` windows."""
     stride = kernel if stride is None else stride
     _check_pool_args(x, kernel, stride)
-    n, c, h, w = x.data.shape
-    out_h, out_w = h // kernel, w // kernel
-    windows = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-    out = windows.max(axis=(3, 5))
-    mask = windows == out[:, :, :, None, :, None]
-    # Break ties: keep only the first max per window so the gradient is
-    # routed to exactly one element (matches framework conventions).
-    flat = mask.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, out_h, out_w, -1)
-    first = flat.cumsum(axis=-1) == 1
-    routed = (flat & first).reshape(n, c, out_h, out_w, kernel, kernel)
-    routed = routed.transpose(0, 1, 2, 4, 3, 5)
+    rows = pool_windows(x.data, kernel)
+    out, winners = window_argmax(rows, rows)
 
     def bwd(g):
-        g_win = g[:, :, :, None, :, None] * routed
-        return (g_win.reshape(n, c, h, w),)
+        return (route_to_winners(g, winners, kernel),)
 
     return Tensor.from_op(out, (x,), bwd, "max_pool2d")
 

@@ -97,12 +97,12 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(x.data.shape) >= p).astype(x.data.dtype)
-    scale = 1.0 / (1.0 - p)
-    out = x.data * keep * scale
+    # Exactly 0 or 1/(1-p): one multiply gives the values of x*keep*scale.
+    mask = (rng.random(x.data.shape) >= p) * x.data.dtype.type(1.0 / (1.0 - p))
+    out = x.data * mask
 
     def bwd(g):
-        return (g * keep * scale,)
+        return (g * mask,)
 
     return Tensor.from_op(out, (x,), bwd, "dropout")
 

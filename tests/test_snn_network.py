@@ -1,5 +1,7 @@
 """Spiking network structure: wrappers, dropout, residual blocks, loop."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,101 @@ class TestSpikingNetwork:
         out.sum().backward()
         neuron = snn.spiking_neurons()[0]
         assert neuron.v_threshold.grad is not None
+
+
+def naive_spiking_max_pool(frames, k, grads):
+    """Per-window loop reference over a list of frames: each window
+    passes the current value of the input with the highest running sum
+    (first maximum in row-major window order on ties), and each step's
+    output gradient is routed to that input alone."""
+    n, c, h, w = frames[0].shape
+    counts = np.zeros((n, c, h // k, w // k, k * k))
+    outs, gxs = [], []
+    for frame, g in zip(frames, grads):
+        out = np.zeros((n, c, h // k, w // k))
+        gx = np.zeros_like(frame)
+        for b, ch, i, j in itertools.product(range(n), range(c), range(h // k), range(w // k)):
+            best = 0
+            for tap, (di, dj) in enumerate(itertools.product(range(k), range(k))):
+                counts[b, ch, i, j, tap] += frame[b, ch, i * k + di, j * k + dj]
+                if counts[b, ch, i, j, tap] > counts[b, ch, i, j, best]:
+                    best = tap
+            di, dj = divmod(best, k)
+            out[b, ch, i, j] = frame[b, ch, i * k + di, j * k + dj]
+            gx[b, ch, i * k + di, j * k + dj] = g[b, ch, i, j]
+        outs.append(out)
+        gxs.append(gx)
+    return outs, gxs
+
+
+def tie_heavy_frames(rng, kind, steps, k):
+    raw = rng.normal(size=(steps, 2, 3, 2 * k, 2 * k))
+    return {
+        "relu": np.maximum(raw, 0.0),
+        "rounded": np.round(raw),
+        "spikes": (raw > 0.3).astype(float),
+    }[kind]
+
+
+def run_stepwise_pool(pool, frames, grads):
+    outs, gxs = [], []
+    for frame, g in zip(frames, grads):
+        x = Tensor(frame, requires_grad=True)
+        out = pool(x)
+        out.backward(g)
+        outs.append(out.data)
+        gxs.append(x.grad)
+    return outs, gxs
+
+
+class TestSpikingMaxPoolPins:
+    """The stepwise and fused pools against a per-window loop, with ties."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", ["relu", "rounded", "spikes"])
+    def test_stepwise_matches_window_loop(self, rng, k, kind):
+        frames = tie_heavy_frames(rng, kind, 3, k)
+        grads = rng.normal(size=(3, 2, 3, 2, 2))
+        want_outs, want_gxs = naive_spiking_max_pool(frames, k, grads)
+        outs, gxs = run_stepwise_pool(SpikingMaxPool(k), frames, grads)
+        for t in range(3):
+            np.testing.assert_array_equal(outs[t], want_outs[t])
+            assert (gxs[t] == want_gxs[t]).all()
+
+    @pytest.mark.parametrize("timesteps", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", ["relu", "rounded", "spikes"])
+    def test_fused_equals_stepwise(self, rng, timesteps, k, kind):
+        frames = tie_heavy_frames(rng, kind, timesteps, k)
+        grads = rng.normal(size=(timesteps, 2, 3, 2, 2))
+        outs, gxs = run_stepwise_pool(SpikingMaxPool(k), frames, grads)
+        x = Tensor(frames.reshape((-1,) + frames.shape[2:]), requires_grad=True)
+        out = SpikingMaxPool(k).forward_fused(x, timesteps)
+        out.backward(grads.reshape((-1,) + grads.shape[2:]))
+        np.testing.assert_array_equal(out.data, np.concatenate(outs))
+        assert (x.grad == np.concatenate(gxs)).all()
+
+    @pytest.mark.parametrize("kind", ["relu", "rounded", "spikes"])
+    def test_fused_carries_counts_across_calls(self, rng, kind):
+        frames = tie_heavy_frames(rng, kind, 5, 2)
+        grads = rng.normal(size=(5, 2, 3, 2, 2))
+        want_outs, want_gxs = run_stepwise_pool(SpikingMaxPool(2), frames, grads)
+        pool = SpikingMaxPool(2)
+        for chunk in (slice(0, 2), slice(2, 5)):
+            x = Tensor(frames[chunk].reshape((-1, 3, 4, 4)), requires_grad=True)
+            out = pool.forward_fused(x, len(frames[chunk]))
+            out.backward(grads[chunk].reshape((-1, 3, 2, 2)))
+            np.testing.assert_array_equal(out.data, np.concatenate(want_outs[chunk]))
+            assert (x.grad == np.concatenate(want_gxs[chunk])).all()
+
+    def test_nan_window_yields_nan(self):
+        frame = np.ones((1, 1, 4, 4))
+        frame[0, 0, 0, 1] = np.nan
+        stepwise = SpikingMaxPool(2)(Tensor(frame)).data
+        fused = SpikingMaxPool(2).forward_fused(Tensor(np.concatenate([frame, frame])), 2).data
+        for out in (stepwise, fused[:1], fused[1:]):
+            assert np.isnan(out[0, 0, 0, 0])
+            np.testing.assert_array_equal(out[0, 0].ravel()[1:], [1.0, 1.0, 1.0])
 
 
 class TestSpikingMaxPool:

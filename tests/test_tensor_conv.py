@@ -172,6 +172,23 @@ class TestConv2d:
             conv2d_output_shape(2, 2, 5, 1, 0)
 
 
+def naive_max_pool2d(x, k, g):
+    """Per-window loop reference: the first maximum in row-major window
+    order wins, and the output gradient ``g`` is routed to it alone."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // k, w // k))
+    grad = np.zeros_like(x)
+    for b, ch, i, j in itertools.product(range(n), range(c), range(h // k), range(w // k)):
+        best = None
+        for di, dj in itertools.product(range(k), range(k)):
+            v = x[b, ch, i * k + di, j * k + dj]
+            if best is None or v > best[0]:
+                best = (v, di, dj)
+        out[b, ch, i, j] = best[0]
+        grad[b, ch, i * k + best[1], j * k + best[2]] = g[b, ch, i, j]
+    return out, grad
+
+
 class TestPooling:
     def test_max_pool_values(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
@@ -183,6 +200,30 @@ class TestPooling:
         x = Tensor(data, requires_grad=True)
         max_pool2d(x, 2).sum().backward()
         assert x.grad.sum() == 1.0  # gradient routed to exactly one element
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", ["relu", "rounded", "spikes"])
+    def test_max_pool_matches_window_loop(self, rng, k, kind):
+        raw = rng.normal(size=(2, 3, 2 * k, 3 * k))
+        data = {
+            "relu": np.maximum(raw, 0.0),
+            "rounded": np.round(raw),
+            "spikes": (raw > 0.3).astype(float),
+        }[kind]
+        g = rng.normal(size=(2, 3, 2, 3))
+        want_out, want_grad = naive_max_pool2d(data, k, g)
+        x = Tensor(data, requires_grad=True)
+        out = max_pool2d(x, k)
+        out.backward(g)
+        np.testing.assert_array_equal(out.data, want_out)
+        assert (x.grad == want_grad).all()
+
+    def test_max_pool_nan_window_yields_nan(self):
+        data = np.arange(16.0).reshape(1, 1, 4, 4)
+        data[0, 0, 1, 0] = np.nan
+        out = max_pool2d(Tensor(data), 2).data
+        assert np.isnan(out[0, 0, 0, 0])
+        np.testing.assert_array_equal(out[0, 0].ravel()[1:], [7.0, 13.0, 15.0])
 
     def test_avg_pool_values(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
