@@ -24,11 +24,13 @@ the same spirit as the paper's normalised (E_compute, E_static) pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..nn import Conv2d, Linear
-from ..snn import SpikingNetwork
+from ..snn import SpikingNetwork, StepWrapper
+from ..snn.dispatch import CrossoverTable
+from ..tensor import no_grad
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,13 @@ def map_network(
 ) -> DeploymentReport:
     """Map every weight layer of ``snn`` onto neuromorphic cores.
 
-    The mapping is driven by an exact event-driven measurement run
-    (:class:`repro.snn.EventDrivenNetwork`): each layer's geometry
-    comes from the shape it actually saw (so pooling / flatten stages
-    are handled exactly), and its input spike traffic from the counted
-    events — no rate approximations.
+    The mapping is driven by one exact measurement pass through a
+    counting :class:`~repro.snn.dispatch.SparseDispatch`: each layer's
+    geometry comes from the shape it actually saw (so pooling / flatten
+    stages are handled exactly), and its input spike traffic from the
+    counted events — no rate approximations.  The pass routes every
+    layer dense, so the spikes are the dense simulator's, and a
+    dispatcher already installed on ``snn`` is left as it was.
 
     Parameters
     ----------
@@ -179,20 +183,31 @@ def map_network(
     core_spec:
         Core capabilities (TrueNorth-like defaults).
     """
-    from ..snn import EventDrivenNetwork
-
     spec = core_spec or CoreSpec()
-    runner = EventDrivenNetwork(snn)
-    _logits, counts = runner.run(images)
-    if not runner.weight_layers:
+    weight_layers = [
+        m.inner for m in snn.modules()
+        if isinstance(m, StepWrapper) and isinstance(m.inner, (Conv2d, Linear))
+    ]
+    if not weight_layers:
         raise ValueError("network has no weight layers to map")
 
+    installed, was_training = snn.sparse_dispatch, snn.training
+    dispatch = snn.enable_sparse_dispatch(
+        CrossoverTable(defaults={"conv": -1.0, "linear": -1.0}), count_ops=True
+    )
+    snn.eval()
+    try:
+        with no_grad():
+            snn(images)
+    finally:
+        snn.sparse_dispatch = installed
+        snn.train(was_training)
+
     layers: List[LayerMapping] = []
-    input_events = counts.input_events_per_image()
-    for index, inner in enumerate(runner.weight_layers):
-        in_shape = counts.input_shapes[index]
+    for index, inner in enumerate(weight_layers):
+        st = dispatch.stats[id(inner)]
         neurons, inputs, fan_in, synapses, _out_shape = _layer_geometry(
-            inner, in_shape
+            inner, st.unit_shape
         )
         cores = _cores_for_layer(neurons, fan_in, spec)
         # Fraction of deliveries that cross cores: with one core there
@@ -200,13 +215,13 @@ def map_network(
         crossing = 0.0 if cores == 1 else (cores - 1) / cores
         layers.append(
             LayerMapping(
-                name=counts.layer_names[index],
+                name=f"{type(inner).__name__.lower()}{index}",
                 neurons=neurons,
                 inputs=inputs,
                 fan_in=fan_in,
                 synapses=synapses,
                 cores=cores,
-                input_spikes_per_inference=float(input_events[index]),
+                input_spikes_per_inference=st.per_image(st.events, snn.timesteps),
                 crossing_fraction=crossing,
             )
         )

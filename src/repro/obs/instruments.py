@@ -229,13 +229,11 @@ def _measured_snn_ops(dispatch, records, images, timesteps):
 
     The dispatcher records one stats entry per weight layer in execution
     order — the same order the structural FLOP walk yields.  The
-    hardware pays ``timesteps`` presentations per image at every layer,
-    but the simulator may have run a layer on fewer frames (the fused
-    engine's direct-encoding prefix computes once per forward; a folded
-    layer covers all steps in one ``(T*N)`` call) — each layer's summed
-    input batch says exactly how many frames it did see, so scaling by
-    ``timesteps * images / batch_sum`` recovers the per-presentation
-    count for every engine.
+    simulator may have run a layer on fewer frames than the hardware
+    presents (the fused engine's direct-encoding prefix computes once
+    per forward; a folded layer covers all steps in one ``(T*N)``
+    call), so :meth:`~repro.snn.dispatch.LayerDispatchStats.per_image`
+    rescales by the frames each layer did see.
     """
     if dispatch is None or not dispatch.count_ops:
         return None
@@ -244,10 +242,7 @@ def _measured_snn_ops(dispatch, records, images, timesteps):
         return None
     if any(st.batch_sum <= 0 for st in stats):
         return None
-    return [
-        st.accumulates * timesteps / st.batch_sum
-        for st in stats
-    ]
+    return [st.per_image(st.accumulates, timesteps) for st in stats]
 
 
 def record_dispatch_profile(

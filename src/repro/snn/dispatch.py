@@ -18,11 +18,14 @@ and uniform amplitude), so the dispatcher can decide and pack without
 re-scanning the dense frame.  Training and autograd-enabled passes
 never see a context and keep the dense autograd path bit-for-bit.
 
-The dispatcher also keeps exact accumulate accounting (one accumulate
-per spike event per reachable output connection — the same semantics
-:mod:`repro.snn.event_driven` validates), which :func:`repro.obs.
-instruments.record_energy_profile` consumes to replace rate-based
-energy estimates with measured counts.
+The dispatcher is also the one exact-accumulate counter (Section VI of
+the paper).  With ``count_ops=True`` a hidden weight layer pays one
+accumulate per input spike per reachable output connection
+(:func:`conv_fanout_map`), and the layer that receives the encoder's
+frames pays for every input element at every step, whichever path
+computed the values.  :func:`repro.obs.instruments.record_energy_profile`
+and :func:`repro.hw.map_network` read the counts per image through
+:meth:`LayerDispatchStats.per_image`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +53,30 @@ CROSSOVER_SCHEMA = "repro.bench.crossover/v1"
 #: Measured on the reference host the gather kernels only beat BLAS
 #: well below 10% activity; these defaults err toward the dense path.
 DEFAULT_THRESHOLDS = {"conv": 0.01, "linear": 0.05}
+
+
+def conv_fanout_map(
+    in_shape: Tuple[int, int, int], layer: Conv2d
+) -> np.ndarray:
+    """Per-input-position fan-out of a convolution.
+
+    Returns an ``(C, H, W)`` integer array: the number of *output*
+    connections each input element feeds (``out_channels x`` the number
+    of kernel placements covering that position).  Border positions
+    have smaller fan-out — exactly the count a spike event from that
+    position triggers.
+    """
+    _, height, width = in_shape
+    k, s, p = layer.kernel_size, layer.stride, layer.padding
+
+    def coverage(length: int) -> np.ndarray:
+        """Kernel placements covering each position along one axis."""
+        starts = np.arange((length + 2 * p - k) // s + 1) * s - p
+        taps = (starts[:, None] + np.arange(k)).ravel()
+        return np.bincount(taps[(taps >= 0) & (taps < length)], minlength=length)
+
+    per_position = np.outer(coverage(height), coverage(width)) * layer.out_channels
+    return np.broadcast_to(per_position, tuple(in_shape)).copy()
 
 
 def layer_signature(layer, unit_shape) -> str:
@@ -120,7 +147,15 @@ class CrossoverTable:
 
 @dataclass
 class LayerDispatchStats:
-    """Per-layer dispatch telemetry (exact event accounting included)."""
+    """Per-layer dispatch telemetry (exact event accounting included).
+
+    ``events`` are input events: the nonzero inputs of a hidden layer,
+    every input element of the layer that receives the encoder's
+    frames.  ``accumulates`` (kept only with ``count_ops``) are the
+    synaptic operations those events trigger.  Both are summed over the
+    calls the simulator made; :meth:`per_image` turns either into a
+    per-inference figure.
+    """
 
     signature: str
     kind: str
@@ -133,7 +168,7 @@ class LayerDispatchStats:
     #: the fused engine ran once on the (T*N)-folded batch from one the
     #: direct-encoding prefix ran once on N analog frames — both have
     #: ``calls == 1`` but the hardware pays T presentations either way,
-    #: so energy accounting rescales by ``timesteps * N / batch_sum``.
+    #: so :meth:`per_image` rescales by ``timesteps / batch_sum``.
     batch_sum: float = 0.0
     last_density: float = 0.0
     density_sum: float = 0.0
@@ -150,6 +185,15 @@ class LayerDispatchStats:
     @property
     def sparse_fraction(self) -> float:
         return self.sparse_runs / self.calls if self.calls else 0.0
+
+    def per_image(self, count: float, timesteps: int) -> float:
+        """``count`` (``events`` or ``accumulates``) per inference.
+
+        The hardware pays ``timesteps`` presentations per image, and the
+        layer saw ``batch_sum`` frames in total, however the engine
+        folded them.
+        """
+        return count * timesteps / self.batch_sum
 
     def as_dict(self) -> dict:
         return {
@@ -195,8 +239,9 @@ class SparseDispatch:
         runs, where the event-driven op count is what the hardware would
         pay regardless of which simulator path computed the values.
         Off by default: counting costs a few vectorised passes per layer
-        per step, so it is opt-in for energy-profiling runs
-        (:func:`repro.obs.instruments.record_energy_profile`).
+        per step, so it is opt-in for energy-profiling and mapping runs
+        (:func:`repro.obs.instruments.record_energy_profile`,
+        :func:`repro.hw.map_network`).
     """
 
     def __init__(
@@ -204,19 +249,12 @@ class SparseDispatch:
         crossover=None,
         int8: bool = False,
         count_ops: bool = False,
-        defaults: Optional[Dict[str, float]] = None,
     ) -> None:
         if crossover is None:
-            table = CrossoverTable(defaults=defaults)
-        elif isinstance(crossover, CrossoverTable):
-            table = crossover
-            if defaults:
-                table.defaults.update(defaults)
-        else:
-            table = CrossoverTable.load(crossover)
-            if defaults:
-                table.defaults.update(defaults)
-        self.table = table
+            crossover = CrossoverTable()
+        elif not isinstance(crossover, CrossoverTable):
+            crossover = CrossoverTable.load(crossover)
+        self.table = crossover
         self.int8 = bool(int8)
         self.count_ops = bool(count_ops)
         self.stats: Dict[int, LayerDispatchStats] = {}
@@ -224,6 +262,10 @@ class SparseDispatch:
         self._packed: Dict[int, _PackedLayer] = {}
         # Latest spike tensor offered by a neuron: (id, ref, nnz, amp).
         self._offer = None
+        # id of the weight layer that receives the encoder's frames:
+        # _PENDING until the first weight layer of a network forward
+        # claims it, None outside network forwards.
+        self._input_layer = None
 
     # ------------------------------------------------------------------
     # Neuron-side spike emission
@@ -286,8 +328,6 @@ class SparseDispatch:
         key = tuple(unit_shape)
         fanout = pl.fanout.get(key)
         if fanout is None:
-            from .event_driven import conv_fanout_map
-
             fanout = conv_fanout_map(key, layer).reshape(-1)
             pl.fanout[key] = fanout
             pl.fanout_sum[key] = float(fanout.sum())
@@ -325,6 +365,8 @@ class SparseDispatch:
         data = x.data
         if kind == "conv" and data.ndim != 4:
             return None
+        if self._input_layer is _PENDING:
+            self._input_layer = id(layer)
         st = self._stats_for(layer, kind, data.shape[1:])
         claimed = self._claim(data)
         if claimed is not None:
@@ -343,13 +385,16 @@ class SparseDispatch:
         density = nnz / data.size if data.size else 0.0
         st.last_density = density
         st.density_sum += density
-        st.events += nnz
+        # The encoder's frames reach the hardware as analog input: every
+        # element is an event at every step, whatever its value.
+        events = data.size if id(layer) == self._input_layer else nnz
+        st.events += events
         st.batch_sum += data.shape[0]
         sparse = density <= st.threshold
         pl = self._packed_for(layer) if (sparse or self.count_ops) else None
         if self.count_ops:
             st.accumulates += self._exact_accumulates(
-                layer, kind, data, nnz, amplitude, counts, pl
+                layer, kind, data, events, amplitude, counts, pl
             )
         if not sparse:
             st.dense_runs += 1
@@ -391,7 +436,7 @@ class SparseDispatch:
             return float(nnz) * layer.out_features
         fanout, fanout_sum = self._fanout_for(pl, layer, data.shape[1:])
         if nnz == data.size:
-            # Dense (analog) input: every unit fires — no scan needed.
+            # Every unit is an event — no scan needed.
             return fanout_sum * data.shape[0]
         if nnz == 0:
             return 0.0
@@ -418,6 +463,10 @@ class SparseDispatch:
 #: every call, and ``None`` keeps them on the dense fast path.
 _ACTIVE_DISPATCH: Optional[SparseDispatch] = None
 
+#: Marks a dispatcher whose next weight layer receives the encoder's
+#: frames (see :func:`dispatch_context`).
+_PENDING = object()
+
 
 def active_dispatch() -> Optional[SparseDispatch]:
     return _ACTIVE_DISPATCH
@@ -425,10 +474,14 @@ def active_dispatch() -> Optional[SparseDispatch]:
 
 @contextmanager
 def dispatch_context(dispatch: Optional[SparseDispatch]):
-    """Install ``dispatch`` as the active dispatcher within the block."""
+    """Install ``dispatch`` as the active dispatcher for one network
+    forward within the block; the first weight layer it then sees is
+    the one that receives the encoder's frames."""
     global _ACTIVE_DISPATCH
     previous = _ACTIVE_DISPATCH
     _ACTIVE_DISPATCH = dispatch
+    if dispatch is not None:
+        dispatch._input_layer = _PENDING
     try:
         yield dispatch
     finally:

@@ -499,7 +499,6 @@ class SpikingNetwork(SpikingModule):
         crossover=None,
         int8: bool = False,
         count_ops: bool = False,
-        defaults=None,
     ) -> SparseDispatch:
         """Route weight layers through the activity-adaptive dispatcher.
 
@@ -521,7 +520,6 @@ class SpikingNetwork(SpikingModule):
             crossover=crossover,
             int8=int8,
             count_ops=count_ops,
-            defaults=defaults,
         )
         return self._dispatch
 
@@ -531,6 +529,10 @@ class SpikingNetwork(SpikingModule):
     @property
     def sparse_dispatch(self) -> Optional[SparseDispatch]:
         return self._dispatch
+
+    @sparse_dispatch.setter
+    def sparse_dispatch(self, dispatch: Optional[SparseDispatch]) -> None:
+        self._dispatch = dispatch
 
     def _dispatch_eligible(self) -> bool:
         return (

@@ -1,4 +1,10 @@
-"""Event-driven execution: exact accounting and sparse-kernel equivalence."""
+"""Exact event accounting: the dispatcher's fan-out map and counts.
+
+``SparseDispatch(count_ops=True)`` is the repository's one exact
+accumulate counter; these tests pin its fan-out map and its per-layer
+counts on a converted VGG against the brute-force oracle of
+``snn_oracle``, and bound the rate-based FLOP estimator by them.
+"""
 
 import numpy as np
 import pytest
@@ -6,14 +12,17 @@ import pytest
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
 from repro.models import vgg11
-from repro.nn import Conv2d, Linear
-from repro.snn import (
-    EventDrivenNetwork,
-    conv_fanout_map,
-    sparse_conv2d,
-    sparse_linear,
+from repro.nn import Conv2d
+from repro.snn.dispatch import conv_fanout_map
+from repro.tensor import no_grad
+
+from .snn_oracle import (
+    FORCE_DENSE,
+    FORCE_SPARSE,
+    brute_force_fanout,
+    counted_forward,
+    weight_layers,
 )
-from repro.tensor import Tensor, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +38,17 @@ def converted():
     return conversion.snn, images
 
 
+def fanout_of(in_shape, layer):
+    """The dispatcher's fan-out map, checked against the oracle's."""
+    fanout = conv_fanout_map(in_shape, layer)
+    np.testing.assert_array_equal(fanout, brute_force_fanout(layer, in_shape))
+    return fanout
+
+
 class TestFanoutMap:
     def test_interior_fanout(self):
         layer = Conv2d(2, 4, 3, stride=1, padding=1, rng=np.random.default_rng(0))
-        fanout = conv_fanout_map((2, 6, 6), layer)
+        fanout = fanout_of((2, 6, 6), layer)
         # Interior positions are covered by all 9 kernel placements.
         assert fanout[0, 3, 3] == 9 * 4
         # Corners only by 4 placements.
@@ -40,7 +56,7 @@ class TestFanoutMap:
 
     def test_no_padding(self):
         layer = Conv2d(1, 1, 3, stride=1, padding=0, rng=np.random.default_rng(0))
-        fanout = conv_fanout_map((1, 5, 5), layer)
+        fanout = fanout_of((1, 5, 5), layer)
         assert fanout[0, 2, 2] == 9
         assert fanout[0, 0, 0] == 1
 
@@ -48,7 +64,7 @@ class TestFanoutMap:
         # With no padding every kernel tap lands on a real input, so the
         # fan-out total equals the dense MAC count exactly.
         layer = Conv2d(3, 8, 3, stride=1, padding=0, rng=np.random.default_rng(0))
-        fanout = conv_fanout_map((3, 6, 6), layer)
+        fanout = fanout_of((3, 6, 6), layer)
         dense_macs = 4 * 4 * 8 * 3 * 3 * 3  # out_hw * out_c * in_c * k * k
         assert fanout.sum() == dense_macs
 
@@ -57,89 +73,49 @@ class TestFanoutMap:
         # zero pad; the event fan-out counts only real-input taps and is
         # therefore strictly smaller.
         layer = Conv2d(3, 8, 3, stride=1, padding=1, rng=np.random.default_rng(0))
-        fanout = conv_fanout_map((3, 6, 6), layer)
+        fanout = fanout_of((3, 6, 6), layer)
         dense_macs = 6 * 6 * 8 * 3 * 3 * 3
         assert 0 < fanout.sum() < dense_macs
 
     def test_strided(self):
         layer = Conv2d(1, 2, 3, stride=2, padding=0, rng=np.random.default_rng(0))
-        fanout = conv_fanout_map((1, 9, 9), layer)
+        fanout = fanout_of((1, 9, 9), layer)
         out_hw = 4 * 4
         assert fanout.sum() == out_hw * 2 * 1 * 3 * 3
 
 
-class TestSparseKernels:
-    def test_sparse_conv_matches_dense(self, rng):
-        layer = Conv2d(3, 4, 3, stride=1, padding=1, rng=rng)
-        spikes = (rng.random((2, 3, 6, 6)) < 0.3) * 1.7  # sparse, amp 1.7
-        dense = layer(Tensor(spikes)).data
-        sparse = sparse_conv2d(spikes, layer)
-        np.testing.assert_allclose(sparse, dense, atol=1e-10)
-
-    def test_sparse_conv_strided(self, rng):
-        layer = Conv2d(2, 3, 3, stride=2, padding=1, rng=rng)
-        spikes = (rng.random((1, 2, 8, 8)) < 0.2) * 1.0
-        np.testing.assert_allclose(
-            sparse_conv2d(spikes, layer), layer(Tensor(spikes)).data, atol=1e-10
-        )
-
-    def test_sparse_conv_all_silent(self, rng):
-        layer = Conv2d(1, 2, 3, padding=1, rng=rng)
-        out = sparse_conv2d(np.zeros((1, 1, 4, 4)), layer)
-        np.testing.assert_allclose(out, 0.0)
-
-    def test_sparse_linear_matches_dense(self, rng):
-        layer = Linear(10, 4, rng=rng)
-        spikes = (rng.random((3, 10)) < 0.4) * 0.9
-        np.testing.assert_allclose(
-            sparse_linear(spikes, layer), layer(Tensor(spikes)).data, atol=1e-12
-        )
-
-
-class TestEventDrivenNetwork:
+class TestDispatcherCounts:
     def test_outputs_match_dense_simulator(self, converted):
         snn, images = converted
-        runner = EventDrivenNetwork(snn)
-        logits, _counts = runner.run(images)
-        snn.eval()
+        # Default crossovers: quiet layers may route to the gathers.
+        logits, _measured, _expected = counted_forward(snn, images, routing=None)
         with no_grad():
             reference = snn(images)
-        np.testing.assert_allclose(logits.data, reference.data, atol=1e-10)
+        np.testing.assert_allclose(logits, reference.data, atol=1e-10)
 
     def test_sparse_mode_matches_too(self, converted):
         snn, images = converted
-        dense_logits, _ = EventDrivenNetwork(snn).run(images)
-        sparse_logits, _ = EventDrivenNetwork(snn, sparse=True).run(images)
-        np.testing.assert_allclose(
-            sparse_logits.data, dense_logits.data, atol=1e-8
-        )
+        dense_logits, dense_counts, _ = counted_forward(snn, images, FORCE_DENSE)
+        logits, counts, _ = counted_forward(snn, images, FORCE_SPARSE)
+        np.testing.assert_allclose(logits, dense_logits, atol=1e-8)
+        assert counts == dense_counts
 
     def test_counts_structure(self, converted):
         snn, images = converted
-        _logits, counts = EventDrivenNetwork(snn).run(images)
-        assert counts.images == images.shape[0]
-        assert len(counts.layer_names) == len(counts.accumulates)
-        assert counts.total > 0
+        _logits, measured, expected = counted_forward(snn, images)
+        assert measured == expected
+        assert len(measured) == len(weight_layers(snn))
+        assert sum(accumulates for _, accumulates in measured) > 0
 
     def test_first_layer_counts_scale_with_t_and_batch(self, converted):
         snn, images = converted
-        from repro.snn import conv_fanout_map
-
-        _logits, counts = EventDrivenNetwork(snn).run(images)
-        first_conv = None
-        from repro.nn import Conv2d
-        from repro.snn import StepWrapper
-
-        for module in snn.modules():
-            if isinstance(module, StepWrapper) and isinstance(module.inner, Conv2d):
-                first_conv = module.inner
-                break
-        expected = (
-            conv_fanout_map(images.shape[1:], first_conv).sum()
-            * snn.timesteps
-            * images.shape[0]
+        _logits, measured, _expected = counted_forward(snn, images)
+        first_conv = weight_layers(snn)[0]
+        fanout = brute_force_fanout(first_conv, images.shape[1:])
+        # Per image: every input element at each of the T steps.
+        assert measured[0] == (
+            fanout.size * snn.timesteps, fanout.sum() * snn.timesteps
         )
-        assert counts.accumulates[0] == pytest.approx(expected)
 
     def test_rate_estimator_agrees_with_exact_counts(self):
         """The Fig. 4(b) estimator must track event-driven ground truth.
@@ -150,7 +126,6 @@ class TestEventDrivenNetwork:
         so no degenerate 1x1 stages) the totals must agree within a
         factor well below the order-of-magnitude claims of Fig. 4.
         """
-        from repro.data import DataLoader
         from repro.energy import measure_spiking_activity, snn_layer_flops
 
         rng = np.random.default_rng(5)
@@ -162,7 +137,7 @@ class TestEventDrivenNetwork:
         snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=3)).snn
         images = rng.random((4, 3, 16, 16))
         labels = np.zeros(4, dtype=np.int64)
-        _logits, counts = EventDrivenNetwork(snn).run(images)
+        _logits, measured, _expected = counted_forward(snn, images)
         report = measure_spiking_activity(
             snn, DataLoader(images, labels, batch_size=4)
         )
@@ -170,11 +145,12 @@ class TestEventDrivenNetwork:
             snn, images.shape[1:], report.rates_by_neuron_id(snn)
         )
         estimated_total = sum(r.snn_ops for r in records)
-        exact_total = counts.total / counts.images
+        exact_total = sum(accumulates for _, accumulates in measured)
         assert 0.5 < estimated_total / exact_total < 2.0
 
     def test_silent_network_counts_only_first_layer(self, converted):
         snn, images = converted
-        _logits, counts = EventDrivenNetwork(snn).run(np.zeros_like(images))
-        assert counts.accumulates[0] > 0
-        assert all(c == 0 for c in counts.accumulates[1:])
+        _logits, measured, expected = counted_forward(snn, np.zeros_like(images))
+        assert measured == expected
+        assert measured[0][1] > 0
+        assert all(accumulates == 0 for _, accumulates in measured[1:])

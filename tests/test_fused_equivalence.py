@@ -19,21 +19,17 @@ from repro.data import DataLoader
 from repro.experiments.fig1 import _collect_snn_average_currents
 from repro.faults import FaultSpec, FaultTelemetry, TransmissionFaults, inject_faults
 from repro.models import vgg11
-from repro.nn import BatchNorm2d, Conv2d, Flatten, Linear, tap
+from repro.nn import Conv2d, Flatten, Linear, tap
 from repro.obs import DriftMonitor, monitored
 from repro.obs.metrics import MetricsRegistry
 from repro.snn import (
-    EventDrivenNetwork,
     IFNeuron,
-    LIFNeuron,
     PoissonEncoder,
-    SpikingMaxPool,
     SpikingNetwork,
     SpikingNeuron,
     SpikingResidualBlock,
     SpikingSequential,
     StepWrapper,
-    TemporalDropout,
     fold_time,
     record_spike_raster,
     tile_time,
@@ -43,71 +39,16 @@ from repro.tensor import Tensor, no_grad
 from repro.train.lsuv import lsuv_init
 from repro.train.regularizers import SpikeRateRegularizer
 
-T = 3
-
-# (constructor, kwargs) triples covering the neuron design space: plain
-# IF, a leaky neuron with beta-scaled spikes and a bias-shift initial
-# potential, and the hard-reset variant (detached reset branch).
-NEURON_CONFIGS = [
-    pytest.param(lambda: IFNeuron(v_threshold=0.6), id="if-soft"),
-    pytest.param(
-        lambda: LIFNeuron(v_threshold=0.6, leak=0.85, beta=1.3,
-                          initial_potential=0.35),
-        id="lif-beta-shift",
-    ),
-    pytest.param(
-        lambda: LIFNeuron(v_threshold=0.6, leak=1.0, reset_mode="hard"),
-        id="if-hard",
-    ),
-]
-
-
-def build_net(neuron_fn, mode, timesteps=T, output_mode="mean",
-              encoder=None, dropout=None, batchnorm=False, seed=0):
-    """A tiny conv -> neuron -> pool -> linear network, seeded so two
-    builds with the same ``seed`` are exact parameter twins."""
-    rng = np.random.default_rng(seed)
-    layers = [StepWrapper(Conv2d(1, 2, 3, padding=1, rng=rng))]
-    if batchnorm:
-        layers.append(StepWrapper(BatchNorm2d(2)))
-    layers.append(neuron_fn())
-    layers.append(SpikingMaxPool(2))
-    if dropout is not None:
-        layers.append(TemporalDropout(dropout, rng=np.random.default_rng(99)))
-    layers += [
-        StepWrapper(Flatten()),
-        StepWrapper(Linear(2 * 2 * 2, 3, rng=rng)),
-    ]
-    body = SpikingSequential(*layers)
-    return SpikingNetwork(
-        body, timesteps=timesteps, encoder=encoder,
-        output_mode=output_mode, mode=mode,
-    )
-
-
-def images_batch(n=4, seed=3):
-    return np.random.default_rng(seed).random((n, 1, 4, 4))
-
-
-def assert_logits_match(fused, stepwise):
-    """Logit equality up to GEMM reduction order.
-
-    BLAS may block a GEMM over the folded ``(T*N, ...)`` batch
-    differently than T per-step GEMMs, so outputs agree to within a few
-    ulp rather than bitwise.
-    """
-    np.testing.assert_allclose(fused, stepwise, rtol=1e-12, atol=1e-14)
-
-
-def run_recorded(snn, images):
-    """Eval-mode no-grad forward with spike recording; returns
-    ``(logits, total spike count)``."""
-    snn.eval()
-    snn.reset_spike_stats()
-    snn.set_recording(True)
-    with no_grad():
-        logits = snn(images)
-    return logits.data, snn.total_spikes()
+from .snn_oracle import (
+    FUSED_CONTRACT,
+    NEURON_CONFIGS,
+    T,
+    assert_logits_match,
+    build_net,
+    counted_forward,
+    images_batch,
+    run_recorded,
+)
 
 
 def backward_pass(snn, images, seed=11):
@@ -271,18 +212,19 @@ class TestGradientEquivalence:
 
 class TestEventDrivenEquivalence:
     def test_accumulate_counts_match(self):
-        # EventDrivenNetwork taps the weight layers to count events per
-        # step; the fused engine fires the tap once per time block, so
-        # exact accounting survives.
+        # The fused engine runs the direct-encoded stem once and the
+        # hidden layers once on the folded batch; per image, the
+        # dispatcher's exact counts still equal the stepwise engine's
+        # and the brute-force oracle's.
         images = images_batch()
         logits, counts = {}, {}
         for mode in SpikingNetwork.MODES:
             snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
-            snn.eval()
-            logits[mode], counts[mode] = EventDrivenNetwork(snn).run(images)
-        assert_logits_match(logits["fused"].data, logits["stepwise"].data)
+            logits[mode], counts[mode], expected = counted_forward(snn, images)
+            assert counts[mode] == expected
+        assert_logits_match(logits["fused"], logits["stepwise"])
         assert counts["fused"] == counts["stepwise"]
-        assert counts["fused"].total > 0
+        assert all(accumulates > 0 for _, accumulates in counts["fused"])
 
 
 def _raster_probe(snn, images):
@@ -337,9 +279,9 @@ def _transmission_probe(**rates):
 
 
 def _event_counts_probe(snn, images):
-    logits, counts = EventDrivenNetwork(snn).run(images)
-    assert counts.total > 0
-    return {"logits": ("close", logits.data), "counts": ("exact", counts)}
+    logits, counts, expected = counted_forward(snn, images)
+    assert counts == expected
+    return {"logits": ("close", logits), "counts": ("exact", counts)}
 
 
 def _inner_conv_probe(snn, images):
@@ -371,7 +313,7 @@ TAP_PROBES = [
 
 
 TOLERANCES = {
-    "close": dict(rtol=1e-12, atol=1e-14),  # logits contract
+    "close": FUSED_CONTRACT,                # logits contract
     "grad": dict(rtol=1e-9, atol=1e-12),    # gradient contract
 }
 

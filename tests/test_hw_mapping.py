@@ -1,5 +1,6 @@
 """Neuromorphic core-mapping model tests."""
 
+import copy
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.hw import CoreSpec, EnergyCoefficients, map_network
 from repro.hw.mapping import _cores_for_layer, _layer_geometry
 from repro.models import resnet20, vgg11
 from repro.nn import Conv2d, Linear
+from repro.tensor import no_grad
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +148,21 @@ class TestMapNetwork:
         assert report.layers[0].input_spikes_per_inference == pytest.approx(
             pixels * snn.timesteps
         )
+
+    def test_leaves_installed_dispatcher_untouched(self, mapped_vgg):
+        snn, images = mapped_vgg
+        was_training = snn.training
+        installed = snn.enable_sparse_dispatch(count_ops=True)
+        try:
+            snn.eval()
+            with no_grad():
+                snn(images)
+            before = [copy.copy(st) for st in installed.layer_stats()]
+            snn.train()
+            map_network(snn, images)
+            assert snn.sparse_dispatch is installed
+            assert installed.layer_stats() == before
+            assert snn.training
+        finally:
+            snn.disable_sparse_dispatch()
+            snn.train(was_training)

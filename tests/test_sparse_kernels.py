@@ -9,9 +9,9 @@ stepwise, IF and LIF, soft and hard reset, direct and Poisson encoding,
 under injected dead-unit faults and across warm streaming windows.
 Crossover calibration must be deterministic under an injected clock and
 round-trip through its artefact, and the dispatcher's exact accumulate
-accounting must agree with the event-driven reference engine and reach
-the energy/observability gauges.  Two paired timing gates keep the
-dispatcher honest on a converted tiny VGG: on low-activity input the
+accounting must equal the brute-force oracle of ``snn_oracle`` on
+random small networks and reach the energy/observability gauges.  Two
+paired timing gates keep the dispatcher honest on a converted tiny VGG: on low-activity input the
 dispatched pass beats dense, and on a fully dense-routed workload the
 dispatcher's bookkeeping costs under 5%.
 """
@@ -21,22 +21,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.faults import FaultSpec
 from repro.hw.quantization import quantize_array, quantize_int8
 from repro.nn import Conv2d, Flatten, Linear
 from repro.obs.instruments import record_dispatch_profile, record_energy_profile
 from repro.obs.metrics import MetricsRegistry
-from repro.snn import (
-    EventDrivenNetwork,
-    IFNeuron,
-    LIFNeuron,
-    PoissonEncoder,
-    SpikingMaxPool,
-    SpikingNetwork,
-    SpikingSequential,
-    StepWrapper,
-)
+from repro.snn import IFNeuron, PoissonEncoder, SpikingNetwork
 from repro.snn.crossover import (
     calibrate_crossover,
     main as crossover_main,
@@ -58,25 +50,23 @@ from repro.tensor.sparse import (
     sparse_linear_gather,
 )
 
-T = 3
-
-#: Route every weight layer sparse regardless of measured density.
-FORCE_SPARSE = {"conv": 1.1, "linear": 1.1}
-#: Keep every weight layer dense (density is never <= -1).
-FORCE_DENSE = {"conv": -1.0, "linear": -1.0}
-
-NEURON_CONFIGS = [
-    pytest.param(lambda: IFNeuron(v_threshold=0.6), id="if-soft"),
-    pytest.param(
-        lambda: LIFNeuron(v_threshold=0.6, leak=0.85, beta=1.3,
-                          initial_potential=0.35),
-        id="lif-beta-shift",
-    ),
-    pytest.param(
-        lambda: LIFNeuron(v_threshold=0.6, leak=1.0, reset_mode="hard"),
-        id="if-hard",
-    ),
-]
+from .snn_oracle import (
+    FORCE_DENSE,
+    FORCE_SPARSE,
+    GATHER_CONTRACT,
+    NEURON_CONFIGS,
+    T,
+    assert_logits_match,
+    brute_force_fanout,
+    build_net,
+    build_random_net,
+    counted_forward,
+    images_batch,
+    random_images,
+    random_nets,
+    run_recorded,
+    weight_layers,
+)
 
 ENCODER_CONFIGS = [
     pytest.param(lambda: None, id="direct"),
@@ -84,28 +74,6 @@ ENCODER_CONFIGS = [
         lambda: PoissonEncoder(rng=np.random.default_rng(5)), id="poisson"
     ),
 ]
-
-
-def build_net(neuron_fn, mode, timesteps=T, output_mode="mean",
-              encoder=None, seed=0):
-    """Seeded conv -> neuron -> pool -> linear twin-builder (same idiom
-    as test_fused_equivalence: equal seeds give exact parameter twins)."""
-    rng = np.random.default_rng(seed)
-    body = SpikingSequential(
-        StepWrapper(Conv2d(1, 2, 3, padding=1, rng=rng)),
-        neuron_fn(),
-        SpikingMaxPool(2),
-        StepWrapper(Flatten()),
-        StepWrapper(Linear(2 * 2 * 2, 3, rng=rng)),
-    )
-    return SpikingNetwork(
-        body, timesteps=timesteps, encoder=encoder,
-        output_mode=output_mode, mode=mode,
-    )
-
-
-def images_batch(n=4, seed=3):
-    return np.random.default_rng(seed).random((n, 1, 4, 4))
 
 
 def spike_frame(shape, density, seed=0, amplitude=1.0):
@@ -117,21 +85,6 @@ def spike_frame(shape, density, seed=0, amplitude=1.0):
     if active:
         flat[rng.permutation(total)[:active]] = amplitude
     return flat.reshape(shape)
-
-
-def run_recorded(snn, images):
-    snn.eval()
-    snn.reset_spike_stats()
-    snn.set_recording(True)
-    with no_grad():
-        logits = snn(images)
-    return logits.data, snn.total_spikes()
-
-
-def assert_logits_match(sparse, dense):
-    """Gather kernels sum events in a different order than the GEMM, so
-    agreement is to within a few ulp rather than bitwise."""
-    np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-12)
 
 
 # ======================================================================
@@ -195,7 +148,7 @@ class TestSparseLinearGather:
             pack_spikes(frame), layer.weight.data,
             bias=layer.bias.data if bias else None,
         )
-        assert_logits_match(out, dense_forward(layer, frame))
+        assert_logits_match(out, dense_forward(layer, frame), GATHER_CONTRACT)
 
     def test_per_event_values_path(self):
         rng = np.random.default_rng(7)
@@ -204,7 +157,7 @@ class TestSparseLinearGather:
         out = sparse_linear_gather(
             pack_spikes(frame), layer.weight.data, bias=layer.bias.data
         )
-        assert_logits_match(out, dense_forward(layer, frame))
+        assert_logits_match(out, dense_forward(layer, frame), GATHER_CONTRACT)
 
     def test_int8_matches_dequantized_dense(self):
         rng = np.random.default_rng(8)
@@ -248,7 +201,7 @@ class TestSparseConvGather:
             pack_spikes(frame), layer.weight.data,
             stride=geom["s"], padding=geom["p"], bias=layer.bias.data,
         )
-        assert_logits_match(out, dense_forward(layer, frame))
+        assert_logits_match(out, dense_forward(layer, frame), GATHER_CONTRACT)
 
     @pytest.mark.parametrize("geom", CONV_GEOMETRIES)
     def test_offset_loop_matches_fused(self, geom, monkeypatch):
@@ -270,8 +223,8 @@ class TestSparseConvGather:
         looped = sparse_conv2d_gather(
             sp, layer.weight.data, stride=geom["s"], padding=geom["p"]
         )
-        assert_logits_match(looped, fused)
-        assert_logits_match(fused, dense_forward(layer, frame))
+        assert_logits_match(looped, fused, GATHER_CONTRACT)
+        assert_logits_match(fused, dense_forward(layer, frame), GATHER_CONTRACT)
 
     def test_per_event_values_path(self):
         rng = np.random.default_rng(11)
@@ -282,7 +235,7 @@ class TestSparseConvGather:
             pack_spikes(frame), layer.weight.data, padding=1,
             bias=layer.bias.data,
         )
-        assert_logits_match(out, dense_forward(layer, frame))
+        assert_logits_match(out, dense_forward(layer, frame), GATHER_CONTRACT)
 
     def test_packed_weight_reuse(self):
         rng = np.random.default_rng(12)
@@ -293,7 +246,7 @@ class TestSparseConvGather:
             pack_spikes(frame, amplitude=1.0), stride=1, padding=1,
             packed=packed, out_dtype=layer.weight.data.dtype,
         )
-        assert_logits_match(out, dense_forward(layer, frame))
+        assert_logits_match(out, dense_forward(layer, frame), GATHER_CONTRACT)
 
     def test_int8_matches_dequantized_dense(self):
         rng = np.random.default_rng(13)
@@ -362,11 +315,11 @@ class TestDispatchEquivalence:
 
         routed = build_net(neuron_fn, mode, encoder=encoder_fn())
         dispatch = routed.enable_sparse_dispatch(
-            defaults=FORCE_SPARSE, count_ops=True
+            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
         )
         logits, spikes = run_recorded(routed, images)
 
-        assert_logits_match(logits, ref_logits)
+        assert_logits_match(logits, ref_logits, GATHER_CONTRACT)
         assert spikes == ref_spikes
         stats = dispatch.layer_stats()
         assert stats, "dispatcher saw no weight layers"
@@ -379,7 +332,9 @@ class TestDispatchEquivalence:
         dense = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
         ref_logits, _ = run_recorded(dense, images)
         routed = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
-        routed.enable_sparse_dispatch(defaults=FORCE_SPARSE, int8=True)
+        routed.enable_sparse_dispatch(
+            crossover=CrossoverTable(defaults=FORCE_SPARSE), int8=True
+        )
         logits, _ = run_recorded(routed, images)
         np.testing.assert_allclose(logits, ref_logits, atol=0.05, rtol=0.05)
 
@@ -393,10 +348,10 @@ class TestDispatchEquivalence:
         with dense.inject_faults(spec):
             ref_logits, ref_spikes = run_recorded(dense, images)
         routed = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
-        routed.enable_sparse_dispatch(defaults=FORCE_SPARSE)
+        routed.enable_sparse_dispatch(crossover=CrossoverTable(defaults=FORCE_SPARSE))
         with routed.inject_faults(spec):
             logits, spikes = run_recorded(routed, images)
-        assert_logits_match(logits, ref_logits)
+        assert_logits_match(logits, ref_logits, GATHER_CONTRACT)
         assert spikes == ref_spikes
 
 
@@ -404,7 +359,7 @@ class TestDispatchRouting:
     def test_threshold_picks_path_per_layer(self):
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
         dispatch = snn.enable_sparse_dispatch(
-            defaults={"conv": 1.1, "linear": -1.0}
+            crossover=CrossoverTable(defaults={"conv": 1.1, "linear": -1.0})
         )
         run_recorded(snn, images_batch())
         by_kind = {st.kind: st for st in dispatch.layer_stats()}
@@ -420,13 +375,17 @@ class TestDispatchRouting:
         plain = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
         ref, _ = run_recorded(plain, images)
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
-        snn.enable_sparse_dispatch(defaults=FORCE_DENSE, count_ops=True)
+        snn.enable_sparse_dispatch(
+            crossover=CrossoverTable(defaults=FORCE_DENSE), count_ops=True
+        )
         logits, _ = run_recorded(snn, images)
         np.testing.assert_array_equal(logits, ref)
 
     def test_training_and_grad_passes_bypass_dispatch(self):
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
-        dispatch = snn.enable_sparse_dispatch(defaults=FORCE_SPARSE)
+        dispatch = snn.enable_sparse_dispatch(
+            crossover=CrossoverTable(defaults=FORCE_SPARSE)
+        )
         images = images_batch()
         snn.train()
         snn(images)  # training mode: ineligible
@@ -442,7 +401,7 @@ class TestDispatchRouting:
         images = images_batch()
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
         ref, _ = run_recorded(snn, images)
-        snn.enable_sparse_dispatch(defaults=FORCE_SPARSE)
+        snn.enable_sparse_dispatch(crossover=CrossoverTable(defaults=FORCE_SPARSE))
         run_recorded(snn, images)
         snn.disable_sparse_dispatch()
         assert snn.sparse_dispatch is None
@@ -452,7 +411,7 @@ class TestDispatchRouting:
     def test_invalidate_cache_after_weight_mutation(self):
         rng = np.random.default_rng(16)
         layer = Linear(12, 4, bias=False, rng=rng)
-        dispatch = SparseDispatch(defaults=FORCE_SPARSE)
+        dispatch = SparseDispatch(crossover=CrossoverTable(defaults=FORCE_SPARSE))
         frame = spike_frame((2, 12), 0.25, seed=16)
         x = Tensor(frame)
         first = dispatch.maybe_run(layer, x)
@@ -460,7 +419,7 @@ class TestDispatchRouting:
         layer.weight.data *= 2.0
         dispatch.invalidate_cache()
         second = dispatch.maybe_run(layer, x)
-        assert_logits_match(second.data, dense_forward(layer, frame))
+        assert_logits_match(second.data, dense_forward(layer, frame), GATHER_CONTRACT)
 
     def test_layer_signatures(self):
         rng = np.random.default_rng(17)
@@ -496,30 +455,55 @@ class TestDispatchRouting:
 # Exact accumulate accounting
 # ======================================================================
 class TestExactAccumulates:
-    def test_matches_event_driven_reference(self):
-        """Dispatcher op accounting == the validated event-extraction
-        engine, layer by layer (stepwise: every layer runs per step)."""
-        images = images_batch()
+    def test_matches_brute_force_oracle(self):
+        """Dispatcher op accounting == the brute-force oracle, layer by
+        layer (stepwise: every layer runs per step)."""
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
-        snn.eval()
-        _, counts = EventDrivenNetwork(snn).run(images)
-        dispatch = snn.enable_sparse_dispatch(
-            defaults=FORCE_SPARSE, count_ops=True
-        )
-        with no_grad():
-            snn(images)
-        measured = [st.accumulates for st in dispatch.layer_stats()]
-        np.testing.assert_allclose(measured, counts.accumulates)
+        _, measured, expected = counted_forward(snn, images_batch(), FORCE_SPARSE)
+        assert measured == expected
+
+    @given(spec=random_nets())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_oracle_property(self, spec):
+        """Random small nets (conv/linear stems, pool, residual blocks),
+        IF/LIF, soft/hard reset, T in 1..5 and activity from all-zero
+        images to saturation: in both engines and both forced routings,
+        per-image events and accumulates equal the oracle exactly, and
+        the logits stay within the gather contract of the stepwise
+        dense engine."""
+        images = random_images(spec)
+        reference, _ = run_recorded(build_random_net(spec, "stepwise"), images)
+        for mode in SpikingNetwork.MODES:
+            for routing in (FORCE_SPARSE, FORCE_DENSE):
+                snn = build_random_net(spec, mode)
+                logits, measured, expected = counted_forward(snn, images, routing)
+                assert measured == expected, (mode, routing)
+                assert_logits_match(logits, reference, GATHER_CONTRACT)
+
+    @pytest.mark.parametrize("mode", ["fused", "stepwise"])
+    @pytest.mark.parametrize("zero_fraction", [1.0, 0.2], ids=["zero", "partly-zero"])
+    def test_input_layer_counts_every_element(self, mode, zero_fraction):
+        """The layer that receives the encoder's frames pays for every
+        input element at every step, zero pixels included: its fan-out
+        total x T per image, routing left to the pixels' density."""
+        images = images_batch()
+        images[np.random.default_rng(4).random(images.shape) < zero_fraction] = 0
+        snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
+        _, measured, expected = counted_forward(snn, images, FORCE_SPARSE)
+        assert measured == expected
+        first_conv = weight_layers(snn)[0]
+        fanout = brute_force_fanout(first_conv, images.shape[1:])
+        assert measured[0] == (fanout.size * T, fanout.sum() * T)
 
     def test_path_independent(self):
         """Counting is about what the hardware would pay, not which
         simulator path ran — dense-forced and sparse-forced agree."""
         images = images_batch()
         totals = []
-        for defaults in (FORCE_SPARSE, FORCE_DENSE):
+        for routing in (FORCE_SPARSE, FORCE_DENSE):
             snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
             dispatch = snn.enable_sparse_dispatch(
-                defaults=defaults, count_ops=True
+                crossover=CrossoverTable(defaults=routing), count_ops=True
             )
             run_recorded(snn, images)
             totals.append([st.accumulates for st in dispatch.layer_stats()])
@@ -528,24 +512,14 @@ class TestExactAccumulates:
     def test_linear_accumulates_by_hand(self):
         rng = np.random.default_rng(18)
         layer = Linear(10, 6, bias=False, rng=rng)
-        dispatch = SparseDispatch(defaults=FORCE_SPARSE, count_ops=True)
+        dispatch = SparseDispatch(
+            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
+        )
         frame = spike_frame((2, 10), 0.3, seed=18)  # 6 events
         dispatch.maybe_run(layer, Tensor(frame))
         (st,) = dispatch.layer_stats()
         assert st.events == int(np.count_nonzero(frame))
         assert st.accumulates == st.events * 6
-
-    def test_event_driven_sparse_execution_unchanged(self):
-        """EventDrivenNetwork(sparse=True) runs the gather kernels but
-        must report identical logits and event counts."""
-        images = images_batch()
-        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
-        snn.eval()
-        ref_logits, ref_counts = EventDrivenNetwork(snn).run(images)
-        logits, counts = EventDrivenNetwork(snn, sparse=True).run(images)
-        assert_logits_match(logits.data, ref_logits.data)
-        np.testing.assert_allclose(counts.accumulates, ref_counts.accumulates)
-        assert counts.total == ref_counts.total
 
 
 # ======================================================================
@@ -617,7 +591,8 @@ class TestCrossoverCalibration:
         snn.enable_sparse_dispatch(crossover=str(path))
         logits, _ = run_recorded(snn, images_batch())
         ref = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
-        assert_logits_match(logits, run_recorded(ref, images_batch())[0])
+        reference, _ = run_recorded(ref, images_batch())
+        assert_logits_match(logits, reference, GATHER_CONTRACT)
 
     def test_parse_signature_validation(self):
         fields = parse_signature("conv:cin=3,cout=8,k=3,s=1,p=1,h=8,w=8")
@@ -761,7 +736,7 @@ class TestDispatchObservability:
     def test_record_dispatch_profile_gauges(self):
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
         dispatch = snn.enable_sparse_dispatch(
-            defaults=FORCE_SPARSE, count_ops=True
+            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
         )
         run_recorded(snn, images_batch())
         registry = MetricsRegistry()
@@ -782,7 +757,9 @@ class TestDispatchObservability:
         from repro.obs.report import _dispatch_rows
 
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
-        snn.enable_sparse_dispatch(defaults=FORCE_SPARSE, count_ops=True)
+        snn.enable_sparse_dispatch(
+            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
+        )
         run_recorded(snn, images_batch())
         registry = MetricsRegistry()
         record_dispatch_profile(snn, registry=registry)
@@ -819,7 +796,9 @@ class TestDispatchObservability:
 
     def test_energy_profile_uses_measured_counts(self):
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
-        snn.enable_sparse_dispatch(defaults=FORCE_SPARSE, count_ops=True)
+        snn.enable_sparse_dispatch(
+            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
+        )
         snn.eval()
         images = images_batch()
         labels = np.zeros(len(images), dtype=int)
@@ -831,7 +810,8 @@ class TestDispatchObservability:
 
     def test_energy_profile_estimates_without_counting(self):
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
-        snn.enable_sparse_dispatch(defaults=FORCE_SPARSE)  # count_ops off
+        # count_ops off
+        snn.enable_sparse_dispatch(crossover=CrossoverTable(defaults=FORCE_SPARSE))
         snn.eval()
         images = images_batch()
         labels = np.zeros(len(images), dtype=int)
@@ -849,7 +829,9 @@ class TestDispatchObservability:
         totals = {}
         for mode in ("fused", "stepwise"):
             snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
-            snn.enable_sparse_dispatch(defaults=FORCE_SPARSE, count_ops=True)
+            snn.enable_sparse_dispatch(
+            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
+        )
             snn.eval()
             summary = record_energy_profile(
                 snn, [(images, labels)], (1, 4, 4), registry=MetricsRegistry()
