@@ -15,7 +15,8 @@ forward pass (eval mode, gradients disabled), and every
 inner module.  Spiking neurons *offer* their freshly produced spike
 tensors to the active dispatcher (array identity plus exact event count
 and uniform amplitude), so the dispatcher can decide and pack without
-re-scanning the dense frame.  Training and autograd-enabled passes
+re-scanning the dense frame; a sparse-routed frame without events skips
+the packing and the gather and outputs the bias.  Training and autograd-enabled passes
 never see a context and keep the dense autograd path bit-for-bit.
 
 The dispatcher is also the one exact-accumulate counter (Section VI of
@@ -39,6 +40,7 @@ import numpy as np
 
 from ..nn.conv import Conv2d
 from ..nn.linear import Linear
+from ..tensor import Tensor, conv2d_output_shape
 from ..tensor.sparse import (
     pack_conv_weight,
     pack_spikes,
@@ -400,8 +402,19 @@ class SparseDispatch:
             st.dense_runs += 1
             return None
         st.sparse_runs += 1
-        sp = pack_spikes(data, amplitude=amplitude)
         bias = layer.bias.data if layer.bias is not None else None
+        if nnz == 0:
+            # A silent frame reaches no synapse: the output is the bias.
+            shape = (data.shape[0], layer.weight.data.shape[0])
+            if kind == "conv":
+                shape += conv2d_output_shape(
+                    *data.shape[2:], layer.kernel_size, layer.stride, layer.padding
+                )
+            out = np.zeros(shape, dtype=layer.weight.data.dtype)
+            if bias is not None:
+                out += bias.reshape(-1, *(1,) * (out.ndim - 2))
+            return Tensor(out)
+        sp = pack_spikes(data, amplitude=amplitude)
         if kind == "linear":
             out = sparse_linear_gather(
                 sp,
@@ -421,8 +434,6 @@ class SparseDispatch:
                 qpacked=pl.qdata,
                 qscale=pl.qscale,
             )
-        from ..tensor import Tensor
-
         return Tensor(out)
 
     def _exact_accumulates(self, layer, kind, data, nnz, amplitude, counts, pl):

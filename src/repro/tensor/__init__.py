@@ -8,7 +8,8 @@ Public surface:
   differentiable free functions.
 - :mod:`ops` — relu / threshold_relu / clip / softmax family / dropout.
 - :mod:`conv_ops` — conv2d (channel-major window pack + GEMM, transposed-conv
-  input gradient), max/avg pooling.
+  input gradient; one block-Toeplitz GEMM on maps with ``H*W <= K*K``),
+  max/avg pooling.
 - :class:`no_grad` — disable graph recording.
 - :func:`check_gradients` — finite-difference validation helper.
 """

@@ -7,9 +7,14 @@ rows of outputs.  The same pack serves the forward GEMM and the weight
 gradient.  The input gradient is the transposed convolution of the
 output gradient -- dilated by the stride, zero-padded, packed the same
 way at stride 1 and multiplied by the flipped, channel-swapped filters
--- and is skipped when the input needs no gradient.  On a 1x1 map with
-"same" padding only the centre tap sees data, so the conv is a dense
-``(N, C_in) @ (C_in, C_out)`` product.
+-- and is skipped when the input needs no gradient.
+
+A map no larger than the kernel (``H * W <= K * K``: VGG's 2x2 and 1x1
+maps) skips the pack, whose windows there are mostly padding zeros.
+Its conv is one GEMM of the ``(N, H * W * C_in)`` input with a
+block-Toeplitz weight, built from a per-geometry table of which tap
+joins each input position to each output position; it does no more
+multiply-adds than the pack GEMM, for any stride and padding.
 
 Pooling is restricted to non-overlapping windows (``stride == kernel``),
 which covers the VGG (2x2/2 max pool) and ResNet-20 (8x8 global average)
@@ -22,6 +27,8 @@ gradient back.  All layouts are NCHW.
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -34,6 +41,10 @@ def conv2d_output_shape(
     height: int, width: int, kernel: int, stride: int, padding: int
 ) -> Tuple[int, int]:
     """Spatial output size of a conv/pool with square kernel."""
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
     out_h = (height + 2 * padding - kernel) // stride + 1
     out_w = (width + 2 * padding - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
@@ -65,6 +76,77 @@ def _pack(x: np.ndarray, kernel: int, stride: int) -> Tuple[np.ndarray, int, int
     return cols, out_h, out_w
 
 
+@lru_cache(maxsize=128)
+def _toeplitz_pairs(
+    height: int, width: int, kernel: int, stride: int, padding: int
+) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...]]:
+    """``(out_h, out_w, pairs)`` of a conv geometry.
+
+    ``pairs`` holds a ``(q, p, tap)`` triple for each output position
+    ``q`` that reads input position ``p`` through kernel tap ``tap``
+    (row-major flat indices); taps that read padding are left out.  A
+    pure function of the shape.
+    """
+    out_h, out_w = conv2d_output_shape(height, width, kernel, stride, padding)
+    pairs = tuple(
+        (oi * out_w + oj, i * width + j, di * kernel + dj)
+        for oi, oj, di, dj in itertools.product(
+            range(out_h), range(out_w), range(kernel), range(kernel)
+        )
+        for i, j in [(oi * stride - padding + di, oj * stride - padding + dj)]
+        if 0 <= i < height and 0 <= j < width
+    )
+    return out_h, out_w, pairs
+
+
+def _conv2d_small_map(
+    x: Tensor, weight: Tensor, bias: Tensor, stride: int, padding: int
+) -> Tensor:
+    """``conv2d`` as one GEMM with the block-Toeplitz weight.
+
+    Block ``(q, p)`` of the ``(oh*ow * C_out, H*W * C_in)`` weight is
+    ``W[:, :, tap]`` when output ``q`` reads input ``p`` through ``tap``
+    and zero otherwise, so the GEMM does ``H*W`` multiply-adds per output
+    where the window pack does ``K*K``: no more when ``H*W <= K*K``.
+    Rows and columns are position-major, so each block is a run of
+    contiguous rows; on a 1x1 map the weight is the centre tap itself.
+    """
+    n, c_in, h, w = x.data.shape
+    c_out, _, kernel, _ = weight.data.shape
+    out_h, out_w, pairs = _toeplitz_pairs(h, w, kernel, stride, padding)
+    need_dx = x.requires_grad
+    taps = weight.data.reshape(c_out, c_in, -1)
+    w_mat = np.zeros((out_h * out_w, c_out, h * w, c_in), dtype=weight.data.dtype)
+    for q, p, tap in pairs:
+        w_mat[q, :, p] = taps[:, :, tap]
+    w_mat = w_mat.reshape(out_h * out_w * c_out, -1)
+    # Position-major (N, H*W*C_in) rows, matching the weight's columns.
+    x_mat = x.data.transpose(0, 2, 3, 1).reshape(n, -1)
+    out = x_mat @ w_mat.T
+    if bias is not None:
+        out_rows = out.reshape(n, -1, c_out)
+        np.add(out_rows, bias.data, out=out_rows)
+    out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+
+    def bwd(g):
+        g_mat = g.transpose(0, 2, 3, 1).reshape(n, -1)
+        # A tap's gradient is the sum of its blocks of the weight's gradient.
+        blocks = (g_mat.T @ x_mat).reshape(out_h * out_w, c_out, h * w, c_in)
+        dw = np.zeros((kernel * kernel, c_out, c_in), dtype=blocks.dtype)
+        for q, p, tap in pairs:
+            dw[tap] += blocks[q, :, p]
+        dw = dw.transpose(1, 2, 0).reshape(weight.data.shape)
+        dx = None
+        if need_dx:
+            dx = (g_mat @ w_mat).reshape(n, h, w, c_in).transpose(0, 3, 1, 2)
+        if bias is None:
+            return (dx, dw)
+        return (dx, dw, g.sum(axis=(0, 2, 3)))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor.from_op(out, parents, bwd, "conv2d")
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -92,28 +174,12 @@ def conv2d(
     if kh != kw:
         raise ValueError("only square kernels are supported")
     kernel = kh
+    # Both paths reject a bad geometry here, before numpy sees it.
+    conv2d_output_shape(h, w, kernel, stride, padding)
+    if h * w <= kernel * kernel:
+        return _conv2d_small_map(x, weight, bias, stride, padding)
     parents = (x, weight) if bias is None else (x, weight, bias)
     need_dx = x.requires_grad
-
-    if h == w == 1 and kernel % 2 and padding == kernel // 2:
-        # 1x1 map with "same" padding: every other tap multiplies zeros.
-        x_mat = x.data.reshape(n, c_in)
-        w_centre = weight.data[:, :, padding, padding]
-        out = x_mat @ w_centre.T
-        if bias is not None:
-            np.add(out, bias.data, out=out)
-
-        def bwd_centre(g):
-            g_mat = g.reshape(n, c_out)
-            dw = np.zeros_like(weight.data)
-            dw[:, :, padding, padding] = g_mat.T @ x_mat
-            dx = (g_mat @ w_centre).reshape(n, c_in, 1, 1) if need_dx else None
-            if bias is None:
-                return (dx, dw)
-            return (dx, dw, g_mat.sum(axis=0))
-
-        out = out.reshape(n, c_out, 1, 1)
-        return Tensor.from_op(out, parents, bwd_centre, "conv2d")
 
     if padding:
         # Preallocate + slice-assign: cheaper than np.pad's general

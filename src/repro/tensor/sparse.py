@@ -38,6 +38,7 @@ record no autograd graph.  Training keeps the dense path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -230,54 +231,52 @@ def _sorted_events(sp: SparseSpikes, height: int, width: int):
 _FUSED_OFFSET_BUDGET = 16384
 
 
+@lru_cache(maxsize=128)
+def _placements(
+    h: int, w: int, k: int, stride: int, padding: int, oh: int, ow: int
+) -> np.ndarray:
+    """``(h*w, k*k)`` table: the output position each input position
+    reaches through each kernel offset, ``-1`` where it lands off the map.
+    A pure function of the geometry."""
+    y, x, ky, kx = np.meshgrid(
+        np.arange(h), np.arange(w), np.arange(k), np.arange(k), indexing="ij"
+    )
+    i, ri = np.divmod(y + padding - ky, stride)
+    j, rj = np.divmod(x + padding - kx, stride)
+    ok = (ri == 0) & (rj == 0) & (i >= 0) & (i < oh) & (j >= 0) & (j < ow)
+    place = np.where(ok, i * ow + j, -1).reshape(h * w, k * k)
+    place.setflags(write=False)
+    return place
+
+
 def _conv_events_fused(
     sp: SparseSpikes, woff, stride, padding, oh, ow, h, w, use_int, out_flat
 ) -> None:
     """All-offsets-at-once event accumulation (small event counts).
 
-    Builds the full ``(E, k*k)`` placement grid, keeps the valid
-    placements, sorts them by output row once, and segment-sums into
-    ``out_flat`` with a single ``reduceat``.
+    Looks every event's ``(event, offset)`` placements up in the
+    geometry's :func:`_placements` table, keeps the valid ones, sorts
+    them by output row once, and segment-sums into ``out_flat`` with a
+    single ``reduceat``.
     """
     k = woff.shape[0]
     c_in = woff.shape[2]
-    counts = np.diff(sp.indptr)
-    b = np.repeat(np.arange(sp.batch), counts)
-    c, rem = np.divmod(sp.indices, h * w)
-    y, x = np.divmod(rem, w)
-    off_y = np.repeat(np.arange(k), k)
-    off_x = np.tile(np.arange(k), k)
-    i_num = y[:, None] + (padding - off_y)[None, :]
-    j_num = x[:, None] + (padding - off_x)[None, :]
-    if stride == 1:
-        i, j = i_num, j_num
-        ok = (i_num >= 0) & (i_num < oh) & (j_num >= 0) & (j_num < ow)
-    else:
-        i, ri = np.divmod(i_num, stride)
-        j, rj = np.divmod(j_num, stride)
-        ok = (
-            (ri == 0) & (i >= 0) & (i < oh)
-            & (rj == 0) & (j >= 0) & (j < ow)
-        )
-    sel = np.flatnonzero(ok.ravel())
-    if not sel.size:
+    b = np.repeat(np.arange(sp.batch), np.diff(sp.indptr))
+    c, pos = np.divmod(sp.indices, h * w)
+    place = _placements(h, w, k, stride, padding, oh, ow)[pos]
+    event, offset = np.nonzero(place >= 0)
+    if not event.size:
         return
-    rows = ((b[:, None] * oh + i) * ow + j).ravel()[sel]
+    rows = b[event] * (oh * ow) + place[event, offset]
+    order = np.argsort(rows, kind="stable")
+    rows, event, offset = rows[order], event[order], offset[order]
     # Flat gather index into the (k*k*C_in, C_out) weight view: offset
     # slab first, then input channel.
-    gidx = (
-        np.arange(k * k)[None, :] * c_in + c[:, None]
-    ).ravel()[sel]
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    gathered = woff.reshape(k * k * c_in, -1)[gidx[order]]
+    gathered = woff.reshape(k * k * c_in, -1)[offset * c_in + c[event]]
     if use_int:
         gathered = gathered.astype(np.int32)
     elif sp.values is not None:
-        vals = np.broadcast_to(
-            sp.values[:, None], (sp.nnz, k * k)
-        ).ravel()[sel][order]
-        gathered = gathered * vals[:, None]
+        gathered = gathered * sp.values[event, None]
     brk = np.flatnonzero(rows[1:] != rows[:-1])
     starts = np.concatenate(([0], brk + 1))
     seg = np.add.reduceat(gathered, starts, axis=0)

@@ -408,6 +408,28 @@ class TestDispatchRouting:
         logits, _ = run_recorded(snn, images)
         np.testing.assert_array_equal(logits, ref)
 
+    @pytest.mark.parametrize("kind", ["conv", "linear"])
+    def test_silent_frame_outputs_bias_unpacked(self, kind, monkeypatch):
+        """A sparse-routed frame without events is neither packed nor
+        gathered: its output is the bias, bitwise the dense layer's."""
+        rng = np.random.default_rng(18)
+        if kind == "conv":
+            layer = Conv2d(3, 4, 3, stride=2, padding=1, bias=True, rng=rng)
+            frame = np.zeros((2, 3, 5, 5))
+        else:
+            layer = Linear(12, 4, bias=True, rng=rng)
+            frame = np.zeros((2, 12))
+        layer.bias.data += rng.normal(size=4)
+        dispatch = SparseDispatch(crossover=CrossoverTable(defaults=FORCE_SPARSE))
+
+        def no_pack(*args, **kwargs):
+            raise AssertionError("packed a silent frame")
+
+        monkeypatch.setattr("repro.snn.dispatch.pack_spikes", no_pack)
+        out = dispatch.maybe_run(layer, Tensor(frame))
+        np.testing.assert_array_equal(out.data, dense_forward(layer, frame))
+        assert dispatch.layer_stats()[0].sparse_runs == 1
+
     def test_invalidate_cache_after_weight_mutation(self):
         rng = np.random.default_rng(16)
         layer = Linear(12, 4, bias=False, rng=rng)

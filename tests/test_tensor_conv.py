@@ -59,12 +59,19 @@ def assert_rel_close(actual, expected, rtol=1e-12):
 
 
 # stride x padding x kernel x map, minus geometries with an empty output.
-# Maps of 1 include the 1x1-map centre-tap path; the strided ones include
-# input rows no window reaches.
+# Maps with H*W <= K*K take the block-Toeplitz GEMM (for K=3: 1, 2, the
+# boundary 3, and 1x4, 2x3, 4x1), the rest the window pack (for K=3: 2x5
+# and 3x4); the strided ones include input rows no window reaches.
 ADJOINT_GRID = [
     (s, p, k, m)
-    for s, p, k, m in itertools.product([1, 2, 3], [0, 1, 2], [1, 3, 5], [1, 2, 5, 7, 8])
+    for s, p, k, m in itertools.product([1, 2, 3], [0, 1, 2], [1, 3, 5], [1, 2, 3, 5, 7, 8])
     if m + 2 * p >= k
+] + [
+    pytest.param(s, p, k, (mh, mw), id=f"{s}-{p}-{k}-{mh}x{mw}")
+    for s, p, k, (mh, mw) in itertools.product(
+        [1, 2, 3], [0, 1, 2], [1, 3, 5], [(1, 4), (2, 3), (4, 1), (2, 5), (3, 4)]
+    )
+    if min(mh, mw) + 2 * p >= k
 ]
 
 
@@ -110,7 +117,8 @@ class TestConv2d:
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("stride,padding,kernel,size", ADJOINT_GRID)
     def test_exact_adjoint(self, rng, stride, padding, kernel, size, with_bias):
-        x = Tensor(rng.normal(size=(2, 3, size, size)), requires_grad=True)
+        height, width = (size, size) if isinstance(size, int) else size
+        x = Tensor(rng.normal(size=(2, 3, height, width)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, kernel, kernel)), requires_grad=True)
         b = Tensor(rng.normal(size=(4,)), requires_grad=True) if with_bias else None
         out = conv2d(x, w, b, stride=stride, padding=padding)
@@ -124,7 +132,7 @@ class TestConv2d:
         if with_bias:
             assert_rel_close(b.grad, db)
 
-    @pytest.mark.parametrize("size,padding", [(6, 1), (1, 1)])
+    @pytest.mark.parametrize("size,padding", [(6, 1), (1, 1), (2, 1)])
     def test_float32_preserved(self, rng, size, padding):
         with default_dtype(np.float32):
             x = Tensor(rng.normal(size=(2, 3, size, size)), requires_grad=True)
@@ -135,7 +143,7 @@ class TestConv2d:
         assert out.dtype == np.float32
         assert x.grad.dtype == w.grad.dtype == b.grad.dtype == np.float32
 
-    @pytest.mark.parametrize("size", [6, 1])
+    @pytest.mark.parametrize("size", [6, 1, 2])
     def test_input_without_grad_skips_dx(self, rng, size):
         data = rng.normal(size=(2, 3, size, size))
         w_data = rng.normal(size=(4, 3, 3, 3))
@@ -152,6 +160,42 @@ class TestConv2d:
             grads[x_grad] = (x.grad, w.grad)
         assert grads[False][0] is None
         np.testing.assert_array_equal(grads[False][1], grads[True][1])
+
+    def test_small_maps_skip_the_window_pack(self, rng, monkeypatch):
+        """Maps of 2x2 and 3x3 under a 3x3 kernel (H*W <= K*K) never pack
+        windows; a 4x4 map packs for the forward and for ``dx``."""
+        from repro.tensor import conv_ops
+
+        packed = []
+        real_pack = conv_ops._pack
+
+        def no_pack(*args):
+            raise AssertionError("_pack ran on a small map")
+
+        def spy_pack(*args):
+            packed.append(args[0].shape)
+            return real_pack(*args)
+
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        monkeypatch.setattr(conv_ops, "_pack", no_pack)
+        for size in (2, 3):
+            x = Tensor(rng.normal(size=(2, 3, size, size)), requires_grad=True)
+            conv2d(x, w, padding=1).sum().backward()
+        monkeypatch.setattr(conv_ops, "_pack", spy_pack)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        conv2d(x, w, padding=1).sum().backward()
+        assert len(packed) == 2
+
+    @pytest.mark.parametrize(
+        "size,stride,padding,match",
+        [(5, 0, 1, "stride"), (1, 1, 0, "empty output"), (5, 1, -1, "padding")],
+        ids=["zero-stride", "empty-output", "negative-padding"],
+    )
+    def test_bad_geometry_raises(self, rng, size, stride, padding, match):
+        x = Tensor(rng.normal(size=(1, 2, size, size)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        with pytest.raises(ValueError, match=match):
+            conv2d(x, w, stride=stride, padding=padding)
 
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.normal(size=(1, 3, 5, 5)))
