@@ -215,7 +215,7 @@ def run_pipeline(
             # membrane-potential histograms land in the metrics registry
             # (Fig. 4 quantities).
             with trace.span("snn_eval", phase="post_conversion") as eval_span:
-                with monitored(conversion.snn, prefix="snn"):
+                with monitored(conversion.snn):
                     conversion_accuracy = evaluate_snn(
                         conversion.snn, test_loader
                     )
@@ -316,10 +316,8 @@ def run_pipeline(
                 context.input_shape,
                 max_batches=config.scale.calibration_batches,
             )
-        if drift is not None:
-            if fine_tune:
-                drift.snapshot("post_finetune")
-            drift.close()
+        if drift is not None and fine_tune:
+            drift.snapshot("post_finetune")
         pipeline_span.set(
             dnn_accuracy=context.dnn_accuracy,
             conversion_accuracy=conversion_accuracy,

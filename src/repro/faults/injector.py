@@ -32,7 +32,7 @@ execution.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -89,12 +89,7 @@ class FaultInjector:
     so a fault-instrumented pass is bitwise-identical to a clean one.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        spec: FaultSpec,
-        telemetry: Optional[FaultTelemetry] = None,
-    ) -> None:
+    def __init__(self, model: Module, spec: FaultSpec) -> None:
         if not isinstance(model, Module):
             raise TypeError(f"expected a Module, got {type(model).__name__}")
         if not isinstance(model, SpikingNetwork) and not (
@@ -106,8 +101,7 @@ class FaultInjector:
             )
         self.model = model
         self.spec = spec
-        self.telemetry = telemetry
-        self._owns_telemetry = telemetry is None
+        self.telemetry = FaultTelemetry()
         self._active = False
         self._saved_params: List[Tuple[np.ndarray, np.ndarray]] = []
         self._faulted_neurons: List[SpikingNeuron] = []
@@ -119,8 +113,6 @@ class FaultInjector:
     def __enter__(self) -> "FaultInjector":
         if self._active:
             raise RuntimeError("fault injector is already active")
-        if self.telemetry is None:
-            self.telemetry = FaultTelemetry()
         self._active = True
         try:
             self._validate_layer_targets()
@@ -353,20 +345,14 @@ class FaultInjector:
             self.telemetry.record(
                 "session_end", spec=self.spec.as_dict(), summary=self.summary()
             )
-        if self._owns_telemetry and self.telemetry is not None:
-            self.telemetry.close()
         self._active = False
 
 
-def inject_faults(
-    model: Module,
-    spec: FaultSpec,
-    telemetry: Optional[FaultTelemetry] = None,
-) -> FaultInjector:
+def inject_faults(model: Module, spec: FaultSpec) -> FaultInjector:
     """Build a :class:`FaultInjector` context manager for ``model``.
 
-    ``telemetry`` defaults to a fresh :class:`FaultTelemetry` bound to
-    the active observed run (if any), closed when the context exits;
-    pass your own to aggregate several sessions into one sink.
+    The session's events land in its own :class:`FaultTelemetry`
+    (``session.telemetry``) and, inside an observed run, in the run's
+    ``faults.jsonl`` and metrics.
     """
-    return FaultInjector(model, spec, telemetry=telemetry)
+    return FaultInjector(model, spec)

@@ -10,23 +10,19 @@ Mirrors the conversion-drift channel (:mod:`repro.obs.drift`): one
 - one JSON line per fault event in the run directory's
   ``faults.jsonl``, alongside ``drift.jsonl``.
 
-Metrics follow the library-wide contract: the process-global registry
-is only written while observability is enabled; an explicitly supplied
-registry always records.  The in-memory ``records`` list is always
-populated (bounded), so tests and the sweep driver can inspect a
-session without configuring a run.
+Metrics and the JSONL file are written only while an observed run is
+active (through :mod:`repro.obs.metrics` and :func:`repro.obs.core.append`).
+The in-memory ``records`` list is always populated (bounded), so tests
+and the sweep driver can inspect a session without configuring a run.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from typing import IO, List, Optional
+from typing import List
 
+from ..obs import core
 from ..obs import metrics as obs_metrics
-from ..obs.core import _STATE, is_enabled
-from ..obs.metrics import MetricsRegistry
 
 FAULTS_FILENAME = "faults.jsonl"
 
@@ -34,43 +30,10 @@ _MAX_RECORDS = 65_536
 
 
 class FaultTelemetry:
-    """Sink for one fault-injection session's events.
+    """Sink for one fault-injection session's events."""
 
-    Parameters
-    ----------
-    registry:
-        Metrics registry to write into (default: the global one, which
-        only records while observability is enabled).
-    run_dir:
-        Directory for ``faults.jsonl`` (default: the active observed
-        run's directory, if any; ``None`` keeps records in memory only).
-    prefix:
-        Metric-name prefix (default ``faults``).
-    """
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        run_dir: Optional[str] = None,
-        prefix: str = "faults",
-    ) -> None:
-        self.prefix = prefix
-        self.registry = registry if registry is not None else obs_metrics.get_registry()
-        self._global_registry = registry is None
+    def __init__(self) -> None:
         self.records: List[dict] = []
-        if run_dir is None:
-            run_dir = _STATE.run_dir
-        self.run_dir = run_dir
-        self._fp: Optional[IO[str]] = None
-        if run_dir is not None:
-            os.makedirs(run_dir, exist_ok=True)
-            self._fp = open(
-                os.path.join(run_dir, FAULTS_FILENAME), "a", encoding="utf-8"
-            )
-
-    # ------------------------------------------------------------------
-    def _record_metrics(self) -> bool:
-        return not self._global_registry or is_enabled()
 
     def record(self, fault: str, **fields) -> dict:
         """Log one fault event (one JSONL line; counters updated by the
@@ -78,29 +41,14 @@ class FaultTelemetry:
         record = {"kind": "fault", "ts": time.time(), "fault": fault, **fields}
         if len(self.records) < _MAX_RECORDS:
             self.records.append(record)
-        if self._fp is not None:
-            self._fp.write(json.dumps(record) + "\n")
-            self._fp.flush()
+        core.append(FAULTS_FILENAME, record)
         return record
 
     def count(self, fault_type: str, amount: float, **labels) -> None:
         """Bump the per-fault-type counter (``faults.<fault_type>``)."""
-        if amount and self._record_metrics():
-            self.registry.inc(f"{self.prefix}.{fault_type}", amount, **labels)
+        if amount:
+            obs_metrics.inc(f"faults.{fault_type}", amount, **labels)
 
     def gauge(self, name: str, value: float, **labels) -> None:
         """Set a per-layer gauge (``faults.<name>{layer=i}``)."""
-        if self._record_metrics():
-            self.registry.set_gauge(f"{self.prefix}.{name}", value, **labels)
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        if self._fp is not None:
-            self._fp.close()
-            self._fp = None
-
-    def __enter__(self) -> "FaultTelemetry":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        obs_metrics.gauge(f"faults.{name}", value, **labels)

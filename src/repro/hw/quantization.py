@@ -35,9 +35,11 @@ def quantize_array(values: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError("need at least 2 bits (sign + one magnitude)")
     levels = 2 ** (bits - 1) - 1
     max_abs = np.abs(values).max()
-    if max_abs == 0:
-        return values.copy()
     delta = max_abs / levels
+    if delta == 0:
+        # All zero, or so subnormal that the step underflows: no grid
+        # finer than the float spacing exists, so the values stand.
+        return values.copy()
     snapped = np.clip(np.round(values / delta), -levels, levels) * delta
     return snapped.astype(values.dtype, copy=False)
 

@@ -2,14 +2,19 @@
 
 Disabled by default — until :func:`configure` (or ``with observe(...)``)
 starts a run, every instrument in the library short-circuits on a single
-boolean check.  One observed run writes three artefacts into its run
-directory:
+boolean check.  One observed run writes these artefacts into its run
+directory, every JSONL file through one lazy appender
+(:func:`repro.obs.core.append`):
 
 - ``events.jsonl``  — structured log records and captured CLI output;
 - ``trace.jsonl``   — closed tracing spans (a nested timeline);
 - ``metrics.json``  — counters / gauges / histograms snapshot;
 - ``drift.jsonl``   — per-layer conversion-drift series
   (:class:`DriftMonitor`), when a conversion was instrumented;
+- ``alerts.jsonl``  — training-health heartbeats and alerts
+  (:class:`HealthMonitor`);
+- ``faults.jsonl``  — fault-injection events
+  (:class:`repro.faults.FaultTelemetry`);
 - ``profile.jsonl`` / ``profile_summary.json`` — op-level performance
   profile (:class:`OpProfiler`), when ``configure(profile=True)``.
 
@@ -28,7 +33,7 @@ then ``python -m repro.obs.report results/run_1`` renders the run.
 
 import os
 
-from . import health, metrics, profile, trace
+from . import core, health, metrics, profile, trace
 from .core import (
     configure,
     flush_metrics,
@@ -38,13 +43,10 @@ from .core import (
     state,
 )
 from .drift import DriftMonitor
-from .health import HealthConfig, HealthMonitor
+from .health import HealthMonitor
 from .instruments import (
     StepMonitor,
-    measure_inference_memory,
-    measure_training_memory,
     monitored,
-    record_dispatch_profile,
     record_energy_profile,
     record_spike_profile,
 )
@@ -59,19 +61,17 @@ def quiesce_forked() -> None:
 
     A worker must never write through the parent's JSONL handles (their
     file offsets are shared after ``fork``), register runs, or reach the
-    parent's health monitor or profiler; the handles are forgotten, not
-    closed, since closing would flush through the shared offset.  Metrics
-    get a fresh registry, so no lock inherited mid-hold can deadlock the
-    worker.
+    parent's health monitor or profiler; every handle is forgotten, not
+    closed, since closing would flush through the shared offset
+    (:func:`repro.obs.core.forget_handles`).  Metrics get a fresh
+    registry, so no lock inherited mid-hold can deadlock the worker.
     """
     os.environ["REPRO_RUNS_DISABLE"] = "1"
-    current = state()
-    current.enabled = False
-    current._events_fp = None
-    current._trace_fp = None
+    state().enabled = False
+    core.forget_handles()
     reset_registry()
     trace.reset(counter=True)
-    health.quiesce_forked()
+    health.uninstall()
     profile.quiesce_forked()
 
 
@@ -116,7 +116,6 @@ def diff_run_dirs(baseline_dir, candidate_dir, **kwargs):
 __all__ = [
     "BaselineError",
     "DriftMonitor",
-    "HealthConfig",
     "HealthMonitor",
     "Logger",
     "MetricsRegistry",
@@ -133,14 +132,11 @@ __all__ = [
     "health",
     "is_enabled",
     "load_run",
-    "measure_inference_memory",
-    "measure_training_memory",
     "metrics",
     "monitored",
     "observe",
     "profile",
     "quiesce_forked",
-    "record_dispatch_profile",
     "record_energy_profile",
     "record_spike_profile",
     "render_report",

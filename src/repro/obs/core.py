@@ -9,16 +9,26 @@ essentially nothing when observability is off.
 
 Sinks
 -----
-With a ``run_dir`` configured, events stream to JSONL files as they
-happen (one JSON object per line, crash-safe because each line is
-flushed):
+With a ``run_dir`` configured, every JSONL artefact of the run goes
+through :func:`append`: the file ``<run_dir>/<name>`` is opened lazily
+in append mode on its first record and each line is flushed (crash-safe;
+a file nobody writes to is never created).  The appenders are
 
 - ``events.jsonl`` — structured log records (:mod:`repro.obs.logging`);
 - ``trace.jsonl``  — completed spans (:mod:`repro.obs.trace`);
-- ``metrics.json`` — the metrics registry snapshot, written by
-  :func:`shutdown` / :func:`flush_metrics`.
+- ``drift.jsonl``, ``alerts.jsonl``, ``faults.jsonl`` — the monitors'
+  records (:mod:`repro.obs.drift`, :mod:`repro.obs.health`,
+  :mod:`repro.faults.telemetry`);
+- ``profile.jsonl`` — op events (:mod:`repro.obs.profile`), written
+  buffered through :func:`append_to` and flushed when its profiler
+  closes it (:func:`close`).
 
-Without a ``run_dir`` the same records accumulate in memory
+This module owns every handle: :func:`shutdown` closes them all and
+:func:`forget_handles` drops them in a forked worker.  ``metrics.json``
+is the metrics registry snapshot, written by :func:`shutdown` /
+:func:`flush_metrics`.
+
+Without a ``run_dir`` the events and spans accumulate in memory
 (``state.events`` / ``state.spans``), which is what the tests use.
 """
 
@@ -27,9 +37,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import IO, Iterable, List, Optional, Tuple
+from typing import IO, Dict, Iterable, List, Optional, Tuple
 
 _RUN_COUNTER = 0
+
+# Handles dropped by forget_handles(): kept referenced so a forked child
+# never finalises (and so flushes through) its parent's file offsets.
+_FORGOTTEN: List[IO[str]] = []
 
 
 class ObsState:
@@ -45,8 +59,8 @@ class ObsState:
         self.spans: List[dict] = []
         # Keep the in-memory mirrors bounded for long runs.
         self.max_buffered: int = 100_000
-        self._events_fp: Optional[IO[str]] = None
-        self._trace_fp: Optional[IO[str]] = None
+        # Open JSONL appenders, keyed by path (see append_to).
+        self.handles: Dict[str, IO[str]] = {}
 
 
 _STATE = ObsState()
@@ -106,12 +120,6 @@ def configure(
     _STATE.spans = []
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
-        _STATE._events_fp = open(
-            os.path.join(run_dir, "events.jsonl"), "a", encoding="utf-8"
-        )
-        _STATE._trace_fp = open(
-            os.path.join(run_dir, "trace.jsonl"), "a", encoding="utf-8"
-        )
     _STATE.enabled = True
     emit_event(
         {"kind": "run_start", "ts": time.time(), "run_id": _STATE.run_id}
@@ -123,7 +131,7 @@ def configure(
         from . import health, registry
 
         registry.register_run_start(_STATE.run_id, run_dir, _STATE.context)
-        health.install(health.HealthMonitor(run_dir=run_dir))
+        health.install(health.HealthMonitor())
     if profile:
         from . import profile as profile_mod
 
@@ -155,11 +163,9 @@ def shutdown(status: str = "completed") -> None:
             }
         )
         flush_metrics()
-    for name in ("_events_fp", "_trace_fp"):
-        fp = getattr(_STATE, name)
-        if fp is not None:
-            fp.close()
-            setattr(_STATE, name, None)
+    for fp in _STATE.handles.values():
+        fp.close()
+    _STATE.handles = {}
     # The in-memory mirrors survive shutdown so a finished run stays
     # inspectable; the next configure() starts them fresh.
     _STATE.enabled = False
@@ -203,16 +209,50 @@ class observe:
         shutdown(status="error" if exc_type is not None else "completed")
 
 
-def _write_line(fp: Optional[IO[str]], record: dict) -> None:
+def append(name: str, record: dict) -> None:
+    """Append ``record`` as one flushed line to ``<run_dir>/<name>``.
+
+    A no-op unless an observed run with a run directory is active, so
+    callers need no check of their own.
+    """
+    if _STATE.enabled and _STATE.run_dir is not None:
+        append_to(os.path.join(_STATE.run_dir, name), record).flush()
+
+
+def append_to(path: str, record: dict) -> IO[str]:
+    """Append ``record`` as one buffered line to the JSONL file at
+    ``path`` and return its handle (opened lazily in append mode, held
+    until :func:`close` or :func:`shutdown`)."""
+    fp = _STATE.handles.get(path)
+    if fp is None:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fp = _STATE.handles[path] = open(path, "a", encoding="utf-8")
+    fp.write(json.dumps(record, default=_json_default) + "\n")
+    return fp
+
+
+def close(path: str) -> None:
+    """Flush and close the appender for ``path``, if one is open."""
+    fp = _STATE.handles.pop(path, None)
     if fp is not None:
-        fp.write(json.dumps(record, default=_json_default) + "\n")
-        fp.flush()
+        fp.close()
+
+
+def forget_handles() -> None:
+    """Drop every appender without flushing or closing it.
+
+    A forked worker shares its parent's file offsets: it must never
+    write through them, and closing would flush the parent's buffered
+    lines a second time.
+    """
+    _FORGOTTEN.extend(_STATE.handles.values())
+    _STATE.handles = {}
 
 
 def parse_jsonl(lines: Iterable[str]) -> Tuple[List[dict], int]:
     """Parse JSONL ``lines`` into ``(records, skipped)``.
 
-    The reading twin of :func:`_write_line`.  Blank lines are ignored;
+    The reading twin of :func:`append_to`.  Blank lines are ignored;
     a line that is not a JSON object (a torn tail from a killed writer,
     a corrupt frame) is counted in ``skipped`` instead of discarding the
     good lines around it.
@@ -256,7 +296,7 @@ def emit_event(record: dict) -> None:
     if _STATE.context:
         record = {**_STATE.context, **record}
     _buffer(_STATE.events, record)
-    _write_line(_STATE._events_fp, record)
+    append("events.jsonl", record)
 
 
 def emit_span(record: dict) -> None:
@@ -266,4 +306,4 @@ def emit_span(record: dict) -> None:
     if _STATE.context:
         record = {**_STATE.context, **record}
     _buffer(_STATE.spans, record)
-    _write_line(_STATE._trace_fp, record)
+    append("trace.jsonl", record)

@@ -11,7 +11,9 @@ DNN on a pinned evaluation batch and records, per layer,
 - the *measured* mean output gap on real data,
 
 as gauges in the metrics registry (``conversion.drift.*{layer=i}``) and
-as one JSONL record per layer in the run directory's ``drift.jsonl``.
+as one JSONL record per layer in the run directory's ``drift.jsonl`` —
+both only while an observed run is active; the in-memory
+``snapshots`` list is always kept.
 Snapshots are labelled with a phase (``post_conversion``,
 ``post_calibration``, ``epoch``...) and a monotonically increasing
 snapshot index, so calibration and SGL fine-tuning leave a per-layer
@@ -21,17 +23,13 @@ drift trajectory that ``repro.obs.report`` renders as the
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from typing import IO, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from . import core, trace
 from . import metrics as obs_metrics
-from . import trace
-from .core import _STATE, is_enabled
-from .metrics import MetricsRegistry
 
 DRIFT_FILENAME = "drift.jsonl"
 
@@ -46,16 +44,8 @@ class DriftMonitor:
     model:
         The source DNN the SNN was converted from.
     batches:
-        Evaluation batches ``(images, labels)``; the first
-        ``max_batches`` are concatenated once and pinned, so every
-        snapshot diagnoses against the same data.
-    registry:
-        Metrics registry to gauge into (default: the global one).
-    run_dir:
-        Directory for ``drift.jsonl`` (default: the active observed
-        run's directory, if any; ``None`` keeps records in memory only).
-    prefix:
-        Metric-name prefix (default ``conversion.drift``).
+        Evaluation batches ``(images, labels)``; the first one is pinned,
+        so every snapshot diagnoses against the same data.
     """
 
     def __init__(
@@ -63,36 +53,16 @@ class DriftMonitor:
         conversion,
         model,
         batches: Iterable[Tuple[np.ndarray, np.ndarray]],
-        max_batches: int = 1,
-        registry: Optional[MetricsRegistry] = None,
-        run_dir: Optional[str] = None,
-        prefix: str = "conversion.drift",
     ) -> None:
         self.conversion = conversion
         self.model = model
-        self.prefix = prefix
-        self.registry = registry if registry is not None else obs_metrics.get_registry()
-        self._global_registry = registry is None
         self.snapshots: List[dict] = []
         self._snapshot_index = 0
-        images = []
-        for index, (batch, _labels) in enumerate(batches):
-            if index >= max_batches:
-                break
-            images.append(np.asarray(batch))
-        if not images:
+        first = next(iter(batches), None)
+        if first is None:
             raise ValueError("no evaluation batches provided")
-        self._images = np.concatenate(images, axis=0)
+        self._images = np.array(first[0])
         self._labels = np.zeros(len(self._images), dtype=int)
-        if run_dir is None:
-            run_dir = _STATE.run_dir
-        self.run_dir = run_dir
-        self._fp: Optional[IO[str]] = None
-        if run_dir is not None:
-            os.makedirs(run_dir, exist_ok=True)
-            self._fp = open(
-                os.path.join(run_dir, DRIFT_FILENAME), "a", encoding="utf-8"
-            )
 
     # ------------------------------------------------------------------
     def snapshot(self, phase: str, **fields) -> List:
@@ -104,7 +74,7 @@ class DriftMonitor:
         """
         from ..conversion.diagnostics import diagnose_conversion
 
-        with trace.span(f"{self.prefix}.snapshot", phase=phase):
+        with trace.span("conversion.drift.snapshot", phase=phase):
             reports = diagnose_conversion(
                 self.conversion,
                 self.model,
@@ -114,7 +84,6 @@ class DriftMonitor:
         index = self._snapshot_index
         self._snapshot_index += 1
         now = time.time()
-        write_metrics = self._record_metrics()
         for report in reports:
             record = {
                 "kind": "drift",
@@ -125,30 +94,13 @@ class DriftMonitor:
                 **report.as_dict(),
             }
             self.snapshots.append(record)
-            if self._fp is not None:
-                self._fp.write(json.dumps(record) + "\n")
-            if write_metrics:
-                layer = report.layer
-                self.registry.set_gauge(
-                    f"{self.prefix}.predicted_gap", report.predicted_gap, layer=layer
+            core.append(DRIFT_FILENAME, record)
+            for name in ("predicted_gap", "measured_gap", "k_mu", "h_t_mu"):
+                obs_metrics.gauge(
+                    f"conversion.drift.{name}", getattr(report, name),
+                    layer=report.layer,
                 )
-                self.registry.set_gauge(
-                    f"{self.prefix}.measured_gap", report.measured_gap, layer=layer
-                )
-                self.registry.set_gauge(
-                    f"{self.prefix}.k_mu", report.k_mu, layer=layer
-                )
-                self.registry.set_gauge(
-                    f"{self.prefix}.h_t_mu", report.h_t_mu, layer=layer
-                )
-        if self._fp is not None:
-            self._fp.flush()
         return reports
-
-    def _record_metrics(self) -> bool:
-        # An explicit registry always records; the global one only while
-        # observability is enabled (same contract as the instruments).
-        return not self._global_registry or is_enabled()
 
     def worst(self, phase: Optional[str] = None) -> Optional[dict]:
         """Latest-snapshot record with the largest ``|measured_gap|``.
@@ -164,14 +116,3 @@ class DriftMonitor:
         latest = max(r["snapshot"] for r in records)
         records = [r for r in records if r["snapshot"] == latest]
         return max(records, key=lambda r: abs(r["measured_gap"]))
-
-    def close(self) -> None:
-        if self._fp is not None:
-            self._fp.close()
-            self._fp = None
-
-    def __enter__(self) -> "DriftMonitor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -12,8 +12,7 @@ fed by the trainers (:meth:`observe_epoch`) and emits:
   (``kind: "alert"``), plus a ``kind: "health"`` heartbeat per epoch
   carrying loss, accuracy and per-layer spike rates;
 - ``health.*`` gauges and an ``health.alerts`` counter in the metrics
-  registry (global registry only while observability is enabled, an
-  explicit registry always — the library-wide contract).
+  registry (only while observability is enabled, like every writer).
 
 An observed run installs a default monitor automatically
 (:func:`repro.obs.configure`); the trainers talk to it through the
@@ -26,85 +25,47 @@ clears), so a layer silent for fifty epochs yields one alert, not fifty.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from dataclasses import dataclass
-from typing import IO, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from . import core
 from . import metrics as obs_metrics
-from .core import _STATE, is_enabled
-from .metrics import MetricsRegistry
 
 ALERTS_FILENAME = "alerts.jsonl"
 
 _MAX_RECORDS = 65_536
 
-
-@dataclass
-class HealthConfig:
-    """Thresholds for the streaming health rules.
-
-    - ``collapse_rate`` / ``collapse_epochs``: a layer whose spike rate
-      stays below ``collapse_rate`` for ``collapse_epochs`` consecutive
-      epochs has collapsed — but only at ultra-low latency
-      (``timesteps <= collapse_max_timesteps``), where silence is the
-      known conversion pathology rather than sparsity working;
-    - ``saturation_fraction``: alert when at least this fraction of a
-      layer's thresholds sit at the clamp floor or of its leaks at the
-      [0, 1] bounds;
-    - ``grad_norm_limit`` / ``grad_growth_factor``: absolute explosion
-      bound and epoch-over-epoch growth bound on the gradient norm
-      (caught *before* the NonFiniteGuard sees NaN/Inf);
-    - ``plateau_epochs`` / ``plateau_rtol``: the loss has plateaued when
-      its range over the last ``plateau_epochs`` epochs is below
-      ``plateau_rtol`` relative to its magnitude.
-    """
-
-    collapse_rate: float = 1e-3
-    collapse_epochs: int = 2
-    collapse_max_timesteps: int = 3
-    saturation_fraction: float = 0.5
-    grad_norm_limit: float = 1e3
-    grad_growth_factor: float = 100.0
-    plateau_epochs: int = 4
-    plateau_rtol: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.collapse_epochs < 1 or self.plateau_epochs < 2:
-            raise ValueError("rule windows must cover at least one step")
-        if not 0.0 < self.saturation_fraction <= 1.0:
-            raise ValueError("saturation_fraction must lie in (0, 1]")
+# Rule thresholds.  A layer whose spike rate stays below COLLAPSE_RATE
+# for COLLAPSE_EPOCHS consecutive epochs has collapsed, but only at
+# ultra-low latency (T <= COLLAPSE_MAX_TIMESTEPS), where silence is the
+# known conversion pathology rather than sparsity working.
+COLLAPSE_RATE = 1e-3
+COLLAPSE_EPOCHS = 2
+COLLAPSE_MAX_TIMESTEPS = 3
+# Alert when at least this fraction of a layer's thresholds sit at the
+# clamp floor, or of its leaks at the [0, 1] bounds.
+SATURATION_FRACTION = 0.5
+# Absolute bound and epoch-over-epoch growth bound on the gradient norm
+# (caught before the NonFiniteGuard sees NaN/Inf).
+GRAD_NORM_LIMIT = 1e3
+GRAD_GROWTH_FACTOR = 100.0
+# The loss has plateaued when its range over the last PLATEAU_EPOCHS
+# epochs is below PLATEAU_RTOL relative to its magnitude.
+PLATEAU_EPOCHS = 4
+PLATEAU_RTOL = 1e-3
 
 
 class HealthMonitor:
     """Evaluates the health rules over one training run's epoch stream.
 
-    Parameters follow the telemetry convention (:class:`DriftMonitor`,
-    :class:`FaultTelemetry`): ``registry`` defaults to the global one
-    (which only records while observability is enabled), ``run_dir``
-    defaults to the active observed run's directory.  ``alerts.jsonl``
-    is opened lazily on the first record, so a healthy run leaves no
-    empty file behind.
+    Records land in the active observed run's ``alerts.jsonl`` (opened
+    on the first record, so a run without records leaves no file) and
+    always in the bounded in-memory ``records`` / ``alerts`` lists.
     """
 
-    def __init__(
-        self,
-        config: Optional[HealthConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-        run_dir: Optional[str] = None,
-        prefix: str = "health",
-    ) -> None:
-        self.config = config if config is not None else HealthConfig()
-        self.prefix = prefix
-        self.registry = registry if registry is not None else obs_metrics.get_registry()
-        self._global_registry = registry is None
-        if run_dir is None:
-            run_dir = _STATE.run_dir
-        self.run_dir = run_dir
-        self._fp: Optional[IO[str]] = None
+    def __init__(self) -> None:
         self.alerts: List[dict] = []
         self.records: List[dict] = []
         # Rule state, keyed per (kind, layer) where relevant.
@@ -118,20 +79,10 @@ class HealthMonitor:
         self._exec_active: Dict[str, bool] = {}
 
     # ------------------------------------------------------------------
-    def _record_metrics(self) -> bool:
-        return not self._global_registry or is_enabled()
-
     def _write(self, record: dict) -> None:
         if len(self.records) < _MAX_RECORDS:
             self.records.append(record)
-        if self._fp is None and self.run_dir is not None:
-            os.makedirs(self.run_dir, exist_ok=True)
-            self._fp = open(
-                os.path.join(self.run_dir, ALERTS_FILENAME), "a", encoding="utf-8"
-            )
-        if self._fp is not None:
-            self._fp.write(json.dumps(record, default=repr) + "\n")
-            self._fp.flush()
+        core.append(ALERTS_FILENAME, record)
 
     def alert(
         self, rule: str, message: str, severity: str = "warning", **fields
@@ -148,8 +99,7 @@ class HealthMonitor:
         if len(self.alerts) < _MAX_RECORDS:
             self.alerts.append(record)
         self._write(record)
-        if self._record_metrics():
-            self.registry.inc(f"{self.prefix}.alerts", 1.0, rule=rule)
+        obs_metrics.inc("health.alerts", 1.0, rule=rule)
         return record
 
     def observe_exec(
@@ -226,18 +176,13 @@ class HealthMonitor:
             heartbeat["timesteps"] = int(timesteps)
         self._write(heartbeat)
 
-        if self._record_metrics():
-            if loss is not None:
-                self.registry.set_gauge(f"{self.prefix}.loss", float(loss), stream=kind)
-            if grad_norm is not None:
-                self.registry.set_gauge(
-                    f"{self.prefix}.grad_norm", float(grad_norm), stream=kind
-                )
-            if layer_rates is not None:
-                for index, rate in enumerate(layer_rates):
-                    self.registry.set_gauge(
-                        f"{self.prefix}.spike_rate", float(rate), layer=index
-                    )
+        if loss is not None:
+            obs_metrics.gauge("health.loss", float(loss), stream=kind)
+        if grad_norm is not None:
+            obs_metrics.gauge("health.grad_norm", float(grad_norm), stream=kind)
+        if layer_rates is not None:
+            for index, rate in enumerate(layer_rates):
+                obs_metrics.gauge("health.spike_rate", float(rate), layer=index)
         return new_alerts
 
     # -- individual rules ----------------------------------------------
@@ -246,17 +191,16 @@ class HealthMonitor:
     ) -> Optional[dict]:
         if grad_norm is None:
             return None
-        cfg = self.config
         history = self._grad_norms.setdefault(kind, [])
         previous = history[-1] if history else None
         history.append(float(grad_norm))
         exploded = (
             not np.isfinite(grad_norm)
-            or grad_norm > cfg.grad_norm_limit
+            or grad_norm > GRAD_NORM_LIMIT
             or (
                 previous is not None
                 and previous > 0
-                and grad_norm > cfg.grad_growth_factor * previous
+                and grad_norm > GRAD_GROWTH_FACTOR * previous
             )
         )
         if not exploded:
@@ -268,7 +212,7 @@ class HealthMonitor:
         return self.alert(
             "grad_explosion",
             f"gradient norm {grad_norm:.3g} exploded at epoch {epoch} "
-            f"(limit {cfg.grad_norm_limit:.3g})",
+            f"(limit {GRAD_NORM_LIMIT:.3g})",
             severity="critical",
             stream=kind,
             epoch=epoch,
@@ -278,14 +222,13 @@ class HealthMonitor:
     def _check_plateau(self, kind: str, epoch: int, loss) -> Optional[dict]:
         if loss is None or not np.isfinite(loss):
             return None
-        cfg = self.config
         history = self._losses.setdefault(kind, [])
         history.append(float(loss))
-        if len(history) < cfg.plateau_epochs:
+        if len(history) < PLATEAU_EPOCHS:
             return None
-        window = history[-cfg.plateau_epochs:]
+        window = history[-PLATEAU_EPOCHS:]
         scale = max(abs(float(np.mean(window))), 1e-12)
-        plateaued = (max(window) - min(window)) <= cfg.plateau_rtol * scale
+        plateaued = (max(window) - min(window)) <= PLATEAU_RTOL * scale
         if not plateaued:
             self._plateau_active[kind] = False
             return None
@@ -295,11 +238,11 @@ class HealthMonitor:
         return self.alert(
             "loss_plateau",
             f"loss flat at {window[-1]:.4g} over the last "
-            f"{cfg.plateau_epochs} epochs (epoch {epoch})",
+            f"{PLATEAU_EPOCHS} epochs (epoch {epoch})",
             stream=kind,
             epoch=epoch,
             loss=window[-1],
-            window=cfg.plateau_epochs,
+            window=PLATEAU_EPOCHS,
         )
 
     def _check_collapse(
@@ -308,27 +251,26 @@ class HealthMonitor:
         timesteps: Optional[int],
         layer_rates: Optional[Sequence[float]],
     ) -> List[dict]:
-        cfg = self.config
         if layer_rates is None:
             return []
-        if timesteps is None or timesteps > cfg.collapse_max_timesteps:
+        if timesteps is None or timesteps > COLLAPSE_MAX_TIMESTEPS:
             return []
         alerts = []
         for layer, rate in enumerate(layer_rates):
-            if rate < cfg.collapse_rate:
+            if rate < COLLAPSE_RATE:
                 self._silent_epochs[layer] = self._silent_epochs.get(layer, 0) + 1
             else:
                 self._silent_epochs[layer] = 0
                 self._collapsed[layer] = False
             if (
-                self._silent_epochs[layer] >= cfg.collapse_epochs
+                self._silent_epochs[layer] >= COLLAPSE_EPOCHS
                 and not self._collapsed.get(layer)
             ):
                 self._collapsed[layer] = True
                 alerts.append(self.alert(
                     "spike_collapse",
                     f"layer {layer} silent (rate {rate:.2g} < "
-                    f"{cfg.collapse_rate:.2g}) for "
+                    f"{COLLAPSE_RATE:.2g}) for "
                     f"{self._silent_epochs[layer]} consecutive epochs "
                     f"at T={timesteps}",
                     severity="critical",
@@ -340,7 +282,6 @@ class HealthMonitor:
         return alerts
 
     def _check_saturation(self, kind: str, epoch: int, model) -> List[dict]:
-        cfg = self.config
         if model is None or not hasattr(model, "spiking_neurons"):
             return []
         from ..train.trainer import MIN_THRESHOLD
@@ -355,7 +296,7 @@ class HealthMonitor:
             leak_frac = float(np.mean((leaks <= 1e-6) | (leaks >= 1.0 - 1e-6)))
             for what, frac in (("threshold", thr_frac), ("leak", leak_frac)):
                 key = f"{kind}:{layer}:{what}"
-                if frac < cfg.saturation_fraction:
+                if frac < SATURATION_FRACTION:
                     self._saturated[key] = False
                     continue
                 if self._saturated.get(key):
@@ -372,18 +313,6 @@ class HealthMonitor:
                 ))
         return alerts
 
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        if self._fp is not None:
-            self._fp.close()
-            self._fp = None
-
-    def __enter__(self) -> "HealthMonitor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 # ----------------------------------------------------------------------
 # Module-level hook the trainers talk to
@@ -399,10 +328,8 @@ def install(monitor: HealthMonitor) -> HealthMonitor:
 
 
 def uninstall() -> None:
-    """Remove (and close) the active monitor."""
+    """Remove the active monitor."""
     global _ACTIVE
-    if _ACTIVE is not None:
-        _ACTIVE.close()
     _ACTIVE = None
 
 
@@ -417,18 +344,6 @@ def observe_epoch(kind: str, epoch: int, loss: float, **kwargs) -> List[dict]:
     if _ACTIVE is None:
         return []
     return _ACTIVE.observe_epoch(kind, epoch, loss, **kwargs)
-
-
-def quiesce_forked() -> None:
-    """Drop a monitor inherited across ``fork`` without closing it.
-
-    An executor worker inherits the parent's monitor — including its
-    open ``alerts.jsonl`` handle, whose file offset is shared with the
-    parent.  The child must simply forget the monitor; closing it would
-    flush through the shared offset.
-    """
-    global _ACTIVE
-    _ACTIVE = None
 
 
 def gradient_sq_norm(model) -> float:

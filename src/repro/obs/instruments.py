@@ -1,4 +1,4 @@
-"""SNN-specific instruments and profiling-backed measurement helpers.
+"""SNN-specific instruments.
 
 Spiking instrumentation builds on the network's existing recording
 surface (``set_recording`` / ``reset_spike_stats`` on
@@ -6,26 +6,20 @@ surface (``set_recording`` / ``reset_spike_stats`` on
 attaches to the network's per-timestep hook and, at every step, turns
 the neurons' running spike counters into per-layer spike-*rate*
 histogram samples and membrane-potential statistics in the global
-metrics registry.
-
-The memory helpers fold :mod:`repro.profiling` into the observability
-layer as a backend: :func:`measure_training_memory` /
-:func:`measure_inference_memory` delegate to ``profiling.memory`` and
-gauge the report fields.
+metrics registry.  Like every writer of :mod:`repro.obs.metrics`, the
+instruments record only while observability is enabled.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..profiling.memory import MemoryReport, inference_memory, training_memory
 from . import metrics as obs_metrics
 from . import trace
 from .core import is_enabled
-from .metrics import MetricsRegistry
 
 
 class StepMonitor:
@@ -36,16 +30,7 @@ class StepMonitor:
     Neuron ``recording`` must be on for spike counters to advance.
     """
 
-    def __init__(
-        self,
-        snn,
-        prefix: str = "snn",
-        registry: Optional[MetricsRegistry] = None,
-        membranes: bool = True,
-    ) -> None:
-        self.prefix = prefix
-        self.registry = registry if registry is not None else obs_metrics.get_registry()
-        self.membranes = membranes
+    def __init__(self, snn) -> None:
         # The module-tree walk is too slow for a per-step callback;
         # freeze the neuron list at attach time.
         self._neurons = snn.spiking_neurons()
@@ -59,42 +44,26 @@ class StepMonitor:
             units = None
             if membrane is not None:
                 units = float(np.prod(membrane.data.shape))
-                if self.membranes:
-                    self.registry.observe(
-                        f"{self.prefix}.membrane_mean",
-                        float(membrane.data.mean()),
-                        layer=index,
-                    )
+                obs_metrics.observe(
+                    "snn.membrane_mean", float(membrane.data.mean()), layer=index
+                )
             delta = neuron.spike_count - self._last_counts[index]
             self._last_counts[index] = neuron.spike_count
             if units:
-                self.registry.observe(
-                    f"{self.prefix}.spike_rate",
-                    delta / units,
-                    layer=index,
-                )
-            self.registry.inc(
-                f"{self.prefix}.spikes", delta, layer=index
-            )
+                obs_metrics.observe("snn.spike_rate", delta / units, layer=index)
+            obs_metrics.inc("snn.spikes", delta, layer=index)
 
     def summary(self) -> dict:
         """Per-layer totals accumulated so far (counter values)."""
-        totals = {}
-        for index in range(len(self._neurons)):
-            counter = self.registry.counter(
-                f"{self.prefix}.spikes", layer=index
-            )
-            totals[index] = counter.value
-        return totals
+        registry = obs_metrics.get_registry()
+        return {
+            index: registry.counter("snn.spikes", layer=index).value
+            for index in range(len(self._neurons))
+        }
 
 
 @contextmanager
-def monitored(
-    snn,
-    prefix: str = "snn",
-    registry: Optional[MetricsRegistry] = None,
-    membranes: bool = True,
-):
+def monitored(snn):
     """Monitor ``snn`` for the duration of the block.
 
     Enables spike recording, attaches a :class:`StepMonitor` to the
@@ -102,13 +71,13 @@ def monitored(
     state afterwards.  When observability is disabled the block runs
     completely uninstrumented (yields ``None``).
     """
-    if not is_enabled() and registry is None:
+    if not is_enabled():
         yield None
         return
     previous_recording = [n.recording for n in snn.spiking_neurons()]
     snn.reset_spike_stats()
     snn.set_recording(True)
-    monitor = StepMonitor(snn, prefix=prefix, registry=registry, membranes=membranes)
+    monitor = StepMonitor(snn)
     snn.attach_monitor(monitor)
     try:
         yield monitor
@@ -118,24 +87,19 @@ def monitored(
             neuron.recording = was_recording
 
 
-def record_spike_profile(
-    snn,
-    prefix: str = "snn",
-    registry: Optional[MetricsRegistry] = None,
-) -> List[float]:
+def record_spike_profile(snn) -> List[float]:
     """Summarise the network's accumulated spike statistics into gauges.
 
     Reads the counters populated by a recorded run (``set_recording``)
     and gauges one average per-neuron-per-step firing rate per layer.
     Returns the per-layer rates.
     """
-    registry = registry if registry is not None else obs_metrics.get_registry()
     rates: List[float] = []
     for index, neuron in enumerate(snn.spiking_neurons()):
         denom = neuron.neuron_count * neuron.step_count
         rate = neuron.spike_count / denom if denom else 0.0
         rates.append(rate)
-        registry.set_gauge(f"{prefix}.layer_spike_rate", rate, layer=index)
+        obs_metrics.gauge("snn.layer_spike_rate", rate, layer=index)
     return rates
 
 
@@ -144,8 +108,6 @@ def record_energy_profile(
     batches,
     input_shape,
     max_batches: Optional[int] = None,
-    prefix: str = "energy",
-    registry: Optional[MetricsRegistry] = None,
 ) -> dict:
     """Run :mod:`repro.energy` accounting and publish ``energy.*`` gauges.
 
@@ -175,8 +137,6 @@ def record_energy_profile(
         snn_total_flops,
     )
 
-    registry = registry if registry is not None else obs_metrics.get_registry()
-    record = is_enabled() or registry is not obs_metrics.get_registry()
     with trace.span("energy_profile", timesteps=snn.timesteps) as sp:
         dispatch = getattr(snn, "sparse_dispatch", None)
         if dispatch is not None and dispatch.count_ops:
@@ -207,20 +167,17 @@ def record_energy_profile(
             "measured_counts": measured is not None,
         }
         sp.set(**summary)
-    if record:
-        for layer, stats in enumerate(activity.layers):
-            registry.set_gauge(
-                f"{prefix}.spikes_per_neuron", stats.spikes_per_neuron, layer=layer
-            )
-        for layer, rec in enumerate(records):
-            registry.set_gauge(f"{prefix}.snn_ops", rec.snn_ops, layer=layer)
-            registry.set_gauge(f"{prefix}.dnn_macs", rec.macs, layer=layer)
-        for key in ("snn_total_flops", "dnn_total_flops", "snn_joules",
-                    "dnn_joules", "improvement", "avg_spikes_per_neuron"):
-            registry.set_gauge(f"{prefix}.{key}", summary[key])
-        registry.set_gauge(
-            f"{prefix}.measured_counts", float(summary["measured_counts"])
+    for layer, stats in enumerate(activity.layers):
+        obs_metrics.gauge(
+            "energy.spikes_per_neuron", stats.spikes_per_neuron, layer=layer
         )
+    for layer, rec in enumerate(records):
+        obs_metrics.gauge("energy.snn_ops", rec.snn_ops, layer=layer)
+        obs_metrics.gauge("energy.dnn_macs", rec.macs, layer=layer)
+    for key in ("snn_total_flops", "dnn_total_flops", "snn_joules",
+                "dnn_joules", "improvement", "avg_spikes_per_neuron"):
+        obs_metrics.gauge(f"energy.{key}", summary[key])
+    obs_metrics.gauge("energy.measured_counts", float(summary["measured_counts"]))
     return summary
 
 
@@ -243,81 +200,3 @@ def _measured_snn_ops(dispatch, records, images, timesteps):
     if any(st.batch_sum <= 0 for st in stats):
         return None
     return [st.per_image(st.accumulates, timesteps) for st in stats]
-
-
-def record_dispatch_profile(
-    snn,
-    prefix: str = "dispatch",
-    registry: Optional[MetricsRegistry] = None,
-) -> List[dict]:
-    """Publish the sparse dispatcher's per-layer telemetry as gauges.
-
-    For each weight layer (labelled ``layer=<index>`` in execution
-    order): ``dispatch.density`` (mean input spike density),
-    ``dispatch.threshold`` (its crossover), ``dispatch.sparse_fraction``
-    (share of forwards routed sparse), ``dispatch.sparse_runs`` /
-    ``dispatch.dense_runs``, and ``dispatch.accumulates`` (exact
-    synaptic ops).  Returns the stats as dicts (execution order); empty
-    when the network has no dispatcher or it has not run yet.
-    """
-    registry = registry if registry is not None else obs_metrics.get_registry()
-    dispatch = getattr(snn, "sparse_dispatch", None)
-    if dispatch is None:
-        return []
-    rows = []
-    for layer, st in enumerate(dispatch.layer_stats()):
-        registry.set_gauge(f"{prefix}.density", st.mean_density, layer=layer)
-        registry.set_gauge(f"{prefix}.threshold", st.threshold, layer=layer)
-        registry.set_gauge(
-            f"{prefix}.sparse_fraction", st.sparse_fraction, layer=layer
-        )
-        registry.set_gauge(f"{prefix}.sparse_runs", st.sparse_runs, layer=layer)
-        registry.set_gauge(f"{prefix}.dense_runs", st.dense_runs, layer=layer)
-        registry.set_gauge(f"{prefix}.accumulates", st.accumulates, layer=layer)
-        rows.append(dict(st.as_dict(), layer=layer))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# profiling/ as measurement backends
-# ----------------------------------------------------------------------
-def measure_training_memory(
-    model,
-    forward_backward: Callable[[], None],
-    optimizer_state_copies: int = 1,
-    name: str = "training_memory",
-    registry: Optional[MetricsRegistry] = None,
-) -> MemoryReport:
-    """:func:`repro.profiling.training_memory` + gauges of the report."""
-    with trace.span(f"memory:{name}"):
-        report = training_memory(
-            model, forward_backward, optimizer_state_copies=optimizer_state_copies
-        )
-    _gauge_memory_report(report, name, registry)
-    return report
-
-
-def measure_inference_memory(
-    model,
-    input_shape,
-    batch_size: int = 1,
-    name: str = "inference_memory",
-    registry: Optional[MetricsRegistry] = None,
-) -> MemoryReport:
-    """:func:`repro.profiling.inference_memory` + gauges of the report."""
-    with trace.span(f"memory:{name}"):
-        report = inference_memory(model, input_shape, batch_size=batch_size)
-    _gauge_memory_report(report, name, registry)
-    return report
-
-
-def _gauge_memory_report(
-    report: MemoryReport, name: str, registry: Optional[MetricsRegistry]
-) -> None:
-    if registry is None:
-        if not is_enabled():
-            return
-        registry = obs_metrics.get_registry()
-    registry.set_gauge(f"{name}.parameters_bytes", report.parameters)
-    registry.set_gauge(f"{name}.activations_bytes", report.activations)
-    registry.set_gauge(f"{name}.total_bytes", report.total)

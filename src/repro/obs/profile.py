@@ -46,10 +46,10 @@ import argparse
 import json
 import os
 import time
-from typing import IO, List, Optional
+from typing import List, Optional
 
 from ..tensor.tensor import add_op_observer, remove_op_observer
-from . import report, trace
+from . import core, report, trace
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
 PROFILE_SCHEMA_VERSION = 1
@@ -116,10 +116,11 @@ class OpProfiler:
     Parameters
     ----------
     path:
-        Optional JSONL file the events stream to (buffered; flushed on
-        exit).  Events are always also kept in ``self.records`` up to
-        ``max_records`` — overflow is counted in ``self.dropped`` and
-        reported in the aggregate, never silently truncated.
+        Optional JSONL file the events stream to (buffered through
+        :func:`repro.obs.core.append_to`; flushed on exit).  Events are
+        always also kept in ``self.records`` up to ``max_records`` —
+        overflow is counted in ``self.dropped`` and reported in the
+        aggregate, never silently truncated.
     """
 
     def __init__(self, path: Optional[str] = None, max_records: int = 1_000_000) -> None:
@@ -128,7 +129,6 @@ class OpProfiler:
         self.records: List[dict] = []
         self.dropped = 0
         self._regions: List[str] = []
-        self._fp: Optional[IO[str]] = None
         self._seq = 0
         self._t0 = 0.0
         self._last = 0.0
@@ -138,9 +138,6 @@ class OpProfiler:
         global _ACTIVE
         if _ACTIVE is not None:
             raise RuntimeError("an OpProfiler is already active")
-        if self.path is not None:
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            self._fp = open(self.path, "a", encoding="utf-8")
         add_op_observer(self._on_op)
         from ..snn import network as _snn_network
 
@@ -157,10 +154,8 @@ class OpProfiler:
         remove_op_observer(self._on_op)
         _ACTIVE = None
         self._regions.clear()
-        if self._fp is not None:
-            self._fp.flush()
-            self._fp.close()
-            self._fp = None
+        if self.path is not None:
+            core.close(self.path)
         return False
 
     def region(self, label: str) -> _Region:
@@ -192,8 +187,8 @@ class OpProfiler:
             self.dropped += 1
             return
         self.records.append(record)
-        if self._fp is not None:
-            self._fp.write(json.dumps(record) + "\n")
+        if self.path is not None:
+            core.append_to(self.path, record)
 
     # -- results -------------------------------------------------------
     def aggregate(self, top_k: int = 10) -> dict:
@@ -331,18 +326,12 @@ def start_session(run_dir: str) -> OpProfiler:
     return profiler
 
 
-def session_active() -> bool:
-    """Is a run-scoped profiler session currently recording?"""
-    return _SESSION is not None
-
-
 def quiesce_forked() -> None:
     """Detach profiler state inherited across ``fork``.
 
     A worker forked from a profiled run inherits the parent's op
-    observer and its open ``profile.jsonl`` handle (shared file
-    offset); the child must unhook the observer and forget the handle
-    *without* closing or flushing it.
+    observer; the child must unhook it (the ``profile.jsonl`` handle
+    is forgotten with the others by :func:`repro.obs.core.forget_handles`).
     """
     global _ACTIVE, _SESSION, _SESSION_DIR
     profiler = _ACTIVE
@@ -357,7 +346,6 @@ def quiesce_forked() -> None:
             _snn_network.set_layer_probe(None)
         except Exception:
             pass
-        profiler._fp = None
     _ACTIVE = None
     _SESSION = None
     _SESSION_DIR = None

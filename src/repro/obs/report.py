@@ -297,54 +297,6 @@ def _render_drift(data: RunData, lines: List[str]) -> None:
         lines.append("")
 
 
-def _dispatch_rows(gauges: Dict[str, dict]) -> List[dict]:
-    """Collect ``dispatch.*{layer=N}`` gauges into per-layer rows."""
-    rows: Dict[int, dict] = {}
-    for name, payload in gauges.items():
-        if not name.startswith("dispatch.") or "{layer=" not in name:
-            continue
-        field, label = name.split("{layer=", 1)
-        try:
-            layer = int(label.rstrip("}"))
-        except ValueError:
-            continue
-        rows.setdefault(layer, {})[field[len("dispatch."):]] = payload.get("value")
-    return [dict(row, layer=layer) for layer, row in sorted(rows.items())]
-
-
-def _render_dispatch(data: RunData, lines: List[str]) -> None:
-    """The "Sparse dispatch" section: per-layer density vs crossover
-    threshold, the chosen path mix, and exact accumulate counts."""
-    rows = _dispatch_rows(data.metrics.get("gauges", {}))
-    if not rows:
-        return
-    sparse_total = sum(r.get("sparse_runs") or 0 for r in rows)
-    dense_total = sum(r.get("dense_runs") or 0 for r in rows)
-    lines.append(
-        f"## Sparse dispatch ({sparse_total:g} sparse / "
-        f"{dense_total:g} dense layer-forwards)"
-    )
-    lines.append("")
-    table = []
-    for row in rows:
-        frac = row.get("sparse_fraction") or 0.0
-        path = "sparse" if frac >= 1.0 else "dense" if frac <= 0.0 else "mixed"
-        table.append([
-            row["layer"], _fmt(row.get("density")),
-            _fmt(row.get("threshold")), path,
-            f"{row.get('sparse_runs') or 0:g}",
-            f"{row.get('dense_runs') or 0:g}",
-            f"{row.get('accumulates') or 0:g}",
-        ])
-    lines.append(md_table(
-        ["layer", "density", "threshold", "path", "sparse", "dense",
-         "accumulates"],
-        table,
-        "rrrlrrr",
-    ))
-    lines.append("")
-
-
 def _render_exec(data: RunData, lines: List[str]) -> None:
     """The "Executor" section: map count and serial downgrades from the
     ``exec.*`` metric family (an observed run maps serially)."""
@@ -523,8 +475,6 @@ def render_report(data: RunData) -> str:
 
     if data.drift:
         _render_drift(data, lines)
-
-    _render_dispatch(data, lines)
 
     _render_exec(data, lines)
 

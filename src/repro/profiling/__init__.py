@@ -1,10 +1,4 @@
-"""Simulation-time and memory profiling (paper Section V / Fig. 3).
-
-The memory meters also serve as measurement backends of the
-observability layer: ``repro.obs.measure_training_memory`` /
-``measure_inference_memory`` wrap them, recording their results as
-metrics and spans.
-"""
+"""Simulation-time and memory profiling (paper Section V / Fig. 3)."""
 
 from .memory import (
     GraphMemoryMeter,

@@ -213,14 +213,12 @@ class LayerDispatchStats:
 
 
 class _PackedLayer:
-    """Cached kernel-ready weights for one layer (float and/or int8)."""
+    """Cached kernel-ready weights for one layer."""
 
-    __slots__ = ("packed", "qdata", "qscale", "fanout", "fanout_sum")
+    __slots__ = ("packed", "fanout", "fanout_sum")
 
     def __init__(self) -> None:
         self.packed = None
-        self.qdata = None
-        self.qscale = None
         self.fanout: Dict[tuple, np.ndarray] = {}
         self.fanout_sum: Dict[tuple, float] = {}
 
@@ -233,9 +231,6 @@ class SparseDispatch:
     crossover:
         ``None`` (defaults only), a path to a crossover artefact, or a
         :class:`CrossoverTable`.
-    int8:
-        Quantize weights to int8 per layer (symmetric, scale outside the
-        crossbar) and accumulate sparse gathers in int32.
     count_ops:
         Keep exact accumulate counts on *every* forward — also on dense
         runs, where the event-driven op count is what the hardware would
@@ -246,18 +241,12 @@ class SparseDispatch:
         :func:`repro.hw.map_network`).
     """
 
-    def __init__(
-        self,
-        crossover=None,
-        int8: bool = False,
-        count_ops: bool = False,
-    ) -> None:
+    def __init__(self, crossover=None, count_ops: bool = False) -> None:
         if crossover is None:
             crossover = CrossoverTable()
         elif not isinstance(crossover, CrossoverTable):
             crossover = CrossoverTable.load(crossover)
         self.table = crossover
-        self.int8 = bool(int8)
         self.count_ops = bool(count_ops)
         self.stats: Dict[int, LayerDispatchStats] = {}
         self._order: List[int] = []
@@ -311,18 +300,8 @@ class SparseDispatch:
         pl = self._packed.get(key)
         if pl is None:
             pl = _PackedLayer()
-            weight = layer.weight.data
-            if self.int8:
-                from ..hw.quantization import quantize_int8
-
-                qw = quantize_int8(weight)
-                if isinstance(layer, Conv2d):
-                    pl.qdata = pack_conv_weight(qw.q)
-                else:
-                    pl.qdata = np.ascontiguousarray(qw.q)
-                pl.qscale = qw.scale
             if isinstance(layer, Conv2d):
-                pl.packed = pack_conv_weight(weight)
+                pl.packed = pack_conv_weight(layer.weight.data)
             self._packed[key] = pl
         return pl
 
@@ -420,8 +399,6 @@ class SparseDispatch:
                 sp,
                 weight=layer.weight.data,
                 bias=bias,
-                qweight=pl.qdata,
-                qscale=pl.qscale,
             )
         else:
             out = sparse_conv2d_gather(
@@ -431,8 +408,6 @@ class SparseDispatch:
                 padding=layer.padding,
                 bias=bias,
                 packed=pl.packed,
-                qpacked=pl.qdata,
-                qscale=pl.qscale,
             )
         return Tensor(out)
 

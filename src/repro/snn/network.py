@@ -457,7 +457,7 @@ class SpikingNetwork(SpikingModule):
     def detach_monitor(self) -> None:
         self._step_monitor = None
 
-    def inject_faults(self, spec, telemetry=None):
+    def inject_faults(self, spec):
         """Context manager realising a :class:`repro.faults.FaultSpec`
         on this network (see :func:`repro.faults.inject_faults`).
 
@@ -467,7 +467,7 @@ class SpikingNetwork(SpikingModule):
         """
         from ..faults import inject_faults as _inject
 
-        return _inject(self, spec, telemetry=telemetry)
+        return _inject(self, spec)
 
     # ------------------------------------------------------------------
     # Execution-mode plumbing
@@ -495,32 +495,21 @@ class SpikingNetwork(SpikingModule):
     # Sparse dispatch plumbing
     # ------------------------------------------------------------------
     def enable_sparse_dispatch(
-        self,
-        crossover=None,
-        int8: bool = False,
-        count_ops: bool = False,
+        self, crossover=None, count_ops: bool = False
     ) -> SparseDispatch:
         """Route weight layers through the activity-adaptive dispatcher.
 
         ``crossover`` is ``None`` (conservative per-kind defaults), a
         path to a ``python -m repro.snn.crossover`` artefact, or a
-        :class:`~repro.snn.dispatch.CrossoverTable`.  ``int8=True``
-        additionally packs each layer's weights to int8 so sparse
-        gathers accumulate in integer form (quantize the network with
-        ``repro.hw.quantize_weights(snn, 8)`` first if the dense
-        fallback path should see the same weight grid).  ``count_ops=
-        True`` keeps exact per-layer accumulate counts on every forward
-        (what ``record_energy_profile`` consumes for measured energy) at
-        a small per-layer bookkeeping cost; the default tracks densities
-        and routing only.  Only no-grad eval passes are affected;
+        :class:`~repro.snn.dispatch.CrossoverTable`.  ``count_ops=True``
+        keeps exact per-layer accumulate counts on every forward (what
+        ``record_energy_profile`` consumes for measured energy) at a small
+        per-layer bookkeeping cost; the default tracks densities and
+        routing only.  Only no-grad eval passes are affected;
         training keeps the dense autograd path.  Returns the installed
         :class:`SparseDispatch`.
         """
-        self._dispatch = SparseDispatch(
-            crossover=crossover,
-            int8=int8,
-            count_ops=count_ops,
-        )
+        self._dispatch = SparseDispatch(crossover=crossover, count_ops=count_ops)
         return self._dispatch
 
     def disable_sparse_dispatch(self) -> None:

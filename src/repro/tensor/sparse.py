@@ -26,10 +26,6 @@ Design notes (measured on the reference host):
   this by accumulating unscaled and applying the amplitude once at the
   end.  Non-uniform values (e.g. after average pooling) take a per-event
   scaling path.
-- int8 weights (``qweight``/``qpacked`` + ``qscale``) accumulate in
-  int32 and dequantize once — the integer-friendly form a neuromorphic
-  core would use.  The int path requires uniform amplitudes; per-event
-  values fall back to the float weights.
 
 These kernels are inference-only: they return plain ndarrays and
 record no autograd graph.  Training keeps the dense path.
@@ -158,21 +154,17 @@ def sparse_linear_gather(
     sp: SparseSpikes,
     weight: Optional[np.ndarray] = None,
     bias: Optional[np.ndarray] = None,
-    qweight: Optional[np.ndarray] = None,
-    qscale: Optional[float] = None,
     out_dtype=None,
 ) -> np.ndarray:
     """Event-driven affine map ``y = S W^T + b`` over packed spikes.
 
-    ``weight`` is the dense ``(out, in)`` matrix; passing ``qweight``
-    (int8, same shape) with its dequantization ``qscale`` switches the
-    accumulation to int32.  Matches ``x @ W.T + b`` on the dense frame
-    to float tolerance (exactly, when per-sample summation order
-    coincides).
+    ``weight`` is the dense ``(out, in)`` matrix.  Matches
+    ``x @ W.T + b`` on the dense frame to float tolerance (exactly, when
+    per-sample summation order coincides).
     """
-    if weight is None and qweight is None:
-        raise ValueError("need weight or qweight")
-    out_features = (weight if weight is not None else qweight).shape[0]
+    if weight is None:
+        raise ValueError("need weight")
+    out_features = weight.shape[0]
     dtype = _resolve_dtype(weight, out_dtype)
     n = sp.batch
     out = np.zeros((n, out_features), dtype=dtype)
@@ -181,22 +173,11 @@ def sparse_linear_gather(
         counts = np.diff(sp.indptr)
         nonempty = np.flatnonzero(counts)
         starts = sp.indptr[nonempty]
-        use_int = qweight is not None and sp.values is None
-        if use_int:
-            gathered = qweight.take(cols, axis=1).astype(np.int32)
-        else:
-            if weight is None:
-                raise ValueError("per-event values need the float weight")
-            gathered = weight.take(cols, axis=1)
-            if sp.values is not None:
-                gathered = gathered * sp.values[None, :]
+        gathered = weight.take(cols, axis=1)
+        if sp.values is not None:
+            gathered = gathered * sp.values[None, :]
         seg = np.add.reduceat(gathered, starts, axis=1)
-        if use_int:
-            amp = 1.0 if sp.amplitude is None else sp.amplitude
-            out[nonempty] = (seg.T * (float(qscale) * amp)).astype(
-                dtype, copy=False
-            )
-        elif sp.values is None and sp.amplitude not in (None, 1.0):
+        if sp.values is None and sp.amplitude not in (None, 1.0):
             out[nonempty] = (seg.T * dtype.type(sp.amplitude)).astype(
                 dtype, copy=False
             )
@@ -250,7 +231,7 @@ def _placements(
 
 
 def _conv_events_fused(
-    sp: SparseSpikes, woff, stride, padding, oh, ow, h, w, use_int, out_flat
+    sp: SparseSpikes, woff, stride, padding, oh, ow, h, w, out_flat
 ) -> None:
     """All-offsets-at-once event accumulation (small event counts).
 
@@ -273,9 +254,7 @@ def _conv_events_fused(
     # Flat gather index into the (k*k*C_in, C_out) weight view: offset
     # slab first, then input channel.
     gathered = woff.reshape(k * k * c_in, -1)[offset * c_in + c[event]]
-    if use_int:
-        gathered = gathered.astype(np.int32)
-    elif sp.values is not None:
+    if sp.values is not None:
         gathered = gathered * sp.values[event, None]
     brk = np.flatnonzero(rows[1:] != rows[:-1])
     starts = np.concatenate(([0], brk + 1))
@@ -290,44 +269,33 @@ def sparse_conv2d_gather(
     padding: int = 0,
     bias: Optional[np.ndarray] = None,
     packed: Optional[np.ndarray] = None,
-    qpacked: Optional[np.ndarray] = None,
-    qscale: Optional[float] = None,
     out_dtype=None,
 ) -> np.ndarray:
     """Event-driven 2-D convolution over packed spikes.
 
     ``weight`` is the dense ``(C_out, C_in, k, k)`` kernel; ``packed``
     optionally supplies the :func:`pack_conv_weight` layout to skip the
-    per-call repack (the dispatcher caches it).  ``qpacked`` (int8 in
-    packed layout) with ``qscale`` runs int32 accumulation.  Matches the
-    dense ``conv2d`` to float tolerance.
+    per-call repack (the dispatcher caches it).  Matches the dense
+    ``conv2d`` to float tolerance.
     """
-    if weight is None and packed is None and qpacked is None:
-        raise ValueError("need weight, packed or qpacked")
-    use_int = qpacked is not None and sp.values is None
-    if use_int:
-        woff = qpacked
-    elif packed is not None:
+    if packed is not None:
         woff = packed
     elif weight is not None:
         woff = pack_conv_weight(weight)
     else:
-        raise ValueError("per-event values need the float weights")
+        raise ValueError("need weight or packed")
     k = woff.shape[0]
     c_out = woff.shape[3]
     dtype = _resolve_dtype(weight if weight is not None else packed, out_dtype)
     n, _, h, w = sp.shape
     oh = (h + 2 * padding - k) // stride + 1
     ow = (w + 2 * padding - k) // stride + 1
-    acc_dtype = np.int32 if use_int else dtype
-    out_flat = np.zeros((n * oh * ow, c_out), dtype=acc_dtype)
+    out_flat = np.zeros((n * oh * ow, c_out), dtype=dtype)
     if sp.nnz and sp.nnz * k * k <= _FUSED_OFFSET_BUDGET:
         # Few events: the per-offset loop's k^2 rounds of small-array
         # ops cost more than the work itself.  Expand all offsets at
         # once and pay one sort + one segment sum instead.
-        _conv_events_fused(
-            sp, woff, stride, padding, oh, ow, h, w, use_int, out_flat
-        )
+        _conv_events_fused(sp, woff, stride, padding, oh, ow, h, w, out_flat)
     elif sp.nnz:
         b, c, y, x, vals = _sorted_events(sp, h, w)
         for ky in range(k):
@@ -351,9 +319,7 @@ def sparse_conv2d_gather(
                     continue
                 rows = (b[sel] * oh + i[sel]) * ow + j[sel]
                 gathered = woff[ky, kx][c[sel]]
-                if use_int:
-                    gathered = gathered.astype(np.int32)
-                elif vals is not None:
+                if vals is not None:
                     gathered = gathered * vals[sel, None]
                 # Rows are sorted within an offset: one boundary scan
                 # gives the segments, and each output row appears once.
@@ -361,10 +327,7 @@ def sparse_conv2d_gather(
                 starts = np.concatenate(([0], brk + 1))
                 seg = np.add.reduceat(gathered, starts, axis=0)
                 out_flat[rows[starts]] += seg
-    if use_int:
-        amp = 1.0 if sp.amplitude is None else sp.amplitude
-        out_flat = (out_flat * (float(qscale) * amp)).astype(dtype, copy=False)
-    elif sp.values is None and sp.amplitude not in (None, 1.0):
+    if sp.values is None and sp.amplitude not in (None, 1.0):
         out_flat = out_flat * dtype.type(sp.amplitude)
     out = np.ascontiguousarray(
         out_flat.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)

@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
 from repro.faults import (
     FAULTS_FILENAME,
     FaultSpec,
-    FaultTelemetry,
     NeuronFaults,
     TransmissionFaults,
     WeightFaults,
@@ -254,23 +254,21 @@ class TestInjector:
 class TestTelemetry:
     def test_records_and_jsonl(self, snn_setup, tmp_path):
         _, snn, images = snn_setup
-        telemetry = FaultTelemetry(run_dir=str(tmp_path))
-        with inject_faults(snn, FaultSpec.pruning(0.2, seed=1), telemetry):
-            _forward(snn, images, "fused")
-        telemetry.close()
+        with obs.observe(str(tmp_path)):
+            with inject_faults(snn, FaultSpec.pruning(0.2, seed=1)) as session:
+                _forward(snn, images, "fused")
+        telemetry = session.telemetry
         kinds = {r["fault"] for r in telemetry.records}
         assert "weight" in kinds and "session_end" in kinds
         path = tmp_path / FAULTS_FILENAME
         assert path.exists() and path.stat().st_size > 0
 
     def test_explicit_registry_records_without_obs(self, snn_setup):
-        from repro.obs.metrics import MetricsRegistry
-
         _, snn, images = snn_setup
-        registry = MetricsRegistry()
-        telemetry = FaultTelemetry(registry=registry)
-        with inject_faults(snn, FaultSpec.pruning(0.2, seed=1), telemetry):
-            _forward(snn, images, "fused")
+        with obs.observe():
+            with inject_faults(snn, FaultSpec.pruning(0.2, seed=1)):
+                _forward(snn, images, "fused")
+        registry = obs.get_registry()
         counters = registry.snapshot()["counters"]
         assert any(k.startswith("faults.weights_pruned") for k in counters)
 

@@ -17,11 +17,10 @@ from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.conversion.diagnostics import _snn_average_outputs
 from repro.data import DataLoader
 from repro.experiments.fig1 import _collect_snn_average_currents
-from repro.faults import FaultSpec, FaultTelemetry, TransmissionFaults, inject_faults
+from repro.faults import FaultSpec, TransmissionFaults, inject_faults
 from repro.models import vgg11
 from repro.nn import Conv2d, Flatten, Linear, tap
-from repro.obs import DriftMonitor, monitored
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import DriftMonitor, get_registry, monitored, observe
 from repro.snn import (
     IFNeuron,
     PoissonEncoder,
@@ -262,14 +261,13 @@ def _regularizer_probe(snn, images):
 def _transmission_probe(**rates):
     def probe(snn, images):
         snn.eval()
-        telemetry = FaultTelemetry(registry=MetricsRegistry())
         spec = FaultSpec(transmission=TransmissionFaults(**rates), seed=4)
-        with inject_faults(snn, spec, telemetry=telemetry), no_grad():
+        with inject_faults(snn, spec) as session, no_grad():
             logits = snn(images).data
         stats = [
             {k: record[k] for k in ("layer", "steps", "spikes_dropped",
                                     "frames_dropped")}
-            for record in telemetry.records
+            for record in session.telemetry.records
             if record["fault"] == "transmission"
         ]
         assert sum(s["spikes_dropped"] for s in stats) > 0
@@ -442,14 +440,13 @@ class TestObsCompatibility:
         for mode in SpikingNetwork.MODES:
             snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
             snn.eval()
-            registry = MetricsRegistry()
-            with monitored(snn, registry=registry) as monitor:
+            with observe(), monitored(snn) as monitor:
                 assert snn.resolved_mode() == "stepwise"
                 with no_grad():
                     snn(images)
                 steps[mode] = monitor.steps_seen
             assert snn.resolved_mode() == mode
-            snapshots[mode] = registry.snapshot()
+            snapshots[mode] = get_registry().snapshot()
         assert steps["fused"] == steps["stepwise"] == T
         assert snapshots["fused"] == snapshots["stepwise"]
         # The series is non-trivial: per-layer spike-rate and membrane
@@ -464,8 +461,7 @@ class TestObsCompatibility:
         records = {}
         for mode in SpikingNetwork.MODES:
             monitor = DriftMonitor(
-                conversion, model, [(images, np.zeros(len(images)))],
-                registry=MetricsRegistry(), run_dir=None,
+                conversion, model, [(images, np.zeros(len(images)))]
             )
             with conversion.snn.using_mode(mode):
                 monitor.snapshot(phase=mode)

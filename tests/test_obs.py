@@ -278,20 +278,13 @@ class TestInstruments:
 
     def test_record_spike_profile(self):
         snn = tiny_snn()
-        registry = MetricsRegistry()
         snn.set_recording(True)
         snn(np.random.default_rng(0).random((4, 4)))
-        rates = obs.record_spike_profile(snn, registry=registry)
+        with obs.observe():
+            rates = obs.record_spike_profile(snn)
+        registry = obs.get_registry()
         assert len(rates) == 1
         assert registry.gauge("snn.layer_spike_rate", layer=0).value == rates[0]
-
-    def test_measure_inference_memory_gauges(self):
-        snn = tiny_snn()
-        with obs.observe():
-            report = obs.measure_inference_memory(snn, (4,), batch_size=2)
-        assert report.total > 0
-        gauge = obs.get_registry().gauge("inference_memory.total_bytes")
-        assert gauge.value == report.total
 
 
 class TestReport:
@@ -465,12 +458,11 @@ def drift_setup():
 class TestDriftMonitor:
     def test_jsonl_series_across_phases(self, tmp_path, drift_setup):
         model, conversion, loader = drift_setup
-        registry = MetricsRegistry()
-        with obs.DriftMonitor(
-            conversion, model, loader, registry=registry, run_dir=str(tmp_path)
-        ) as monitor:
+        with obs.observe(str(tmp_path)):
+            monitor = obs.DriftMonitor(conversion, model, loader)
             reports = monitor.snapshot("post_conversion")
             monitor.snapshot("epoch", epoch=1)
+        registry = obs.get_registry()
         layers = len(conversion.specs)
         assert len(reports) == layers
         records = [
@@ -491,9 +483,7 @@ class TestDriftMonitor:
 
     def test_worst_layer_callout(self, drift_setup):
         model, conversion, loader = drift_setup
-        monitor = obs.DriftMonitor(
-            conversion, model, loader, registry=MetricsRegistry()
-        )
+        monitor = obs.DriftMonitor(conversion, model, loader)
         assert monitor.worst() is None
         monitor.snapshot("post_conversion")
         worst = monitor.worst()
@@ -508,7 +498,6 @@ class TestDriftMonitor:
         with obs.observe(str(tmp_path)):
             monitor = obs.DriftMonitor(conversion, model, loader)
             monitor.snapshot("post_conversion")
-            monitor.close()
         run = load_run(str(tmp_path))
         assert len(run.drift) == len(conversion.specs)
         report = render_report(run)
@@ -522,15 +511,12 @@ class TestDriftMonitor:
             ).value is not None
         )
 
-    def test_global_registry_untouched_when_disabled(self, tmp_path, drift_setup):
+    def test_global_registry_untouched_when_disabled(self, drift_setup):
         model, conversion, loader = drift_setup
-        monitor = obs.DriftMonitor(
-            conversion, model, loader, run_dir=str(tmp_path)
-        )
+        monitor = obs.DriftMonitor(conversion, model, loader)
         monitor.snapshot("post_conversion")
-        monitor.close()
-        # JSONL still written (explicit run_dir)...
-        assert (tmp_path / "drift.jsonl").exists()
+        # The in-memory series is still kept...
+        assert len(monitor.snapshots) == len(conversion.specs)
         # ...but the disabled global registry stayed empty.
         assert len(obs.get_registry()) == 0
 
@@ -538,6 +524,104 @@ class TestDriftMonitor:
         model, conversion, _loader = drift_setup
         with pytest.raises(ValueError):
             obs.DriftMonitor(conversion, model, [])
+
+
+def _drive_spike_profile(snn, images, _drift_setup):
+    snn.set_recording(True)
+    snn(images)
+    obs.record_spike_profile(snn)
+
+
+def _drive_energy_profile(snn, images, _drift_setup):
+    labels = np.zeros(len(images), dtype=int)
+    obs.record_energy_profile(snn, [(images, labels)], input_shape=(4,))
+
+
+def _drive_monitored(snn, images, _drift_setup):
+    with obs.monitored(snn):
+        snn(images)
+
+
+def _drive_drift_snapshot(_snn, _images, drift_setup):
+    model, conversion, loader = drift_setup
+    obs.DriftMonitor(conversion, model, loader).snapshot("post_conversion")
+
+
+def _drive_health_epoch(snn, _images, _drift_setup):
+    obs.HealthMonitor().observe_epoch(
+        "snn", 1, loss=1.0, grad_norm=1e9, model=snn, timesteps=2,
+        layer_rates=[0.0],
+    )
+
+
+def _drive_fault_session(snn, images, _drift_setup):
+    from repro.faults import FaultSpec, inject_faults
+
+    with inject_faults(snn, FaultSpec.pruning(0.5, seed=1)):
+        snn(images)
+
+
+class TestDisabledPath:
+    @pytest.mark.parametrize("drive", [
+        _drive_spike_profile, _drive_energy_profile, _drive_monitored,
+        _drive_drift_snapshot, _drive_health_epoch, _drive_fault_session,
+    ], ids=lambda drive: drive.__name__[len("_drive_"):])
+    def test_instrument_leaves_no_trace(
+        self, drive, drift_setup, tmp_path, monkeypatch
+    ):
+        """With observability off, no instrument writes the global
+        registry or creates a file."""
+        monkeypatch.chdir(tmp_path)
+        drive(tiny_snn(), np.random.default_rng(0).random((4, 4)), drift_setup)
+        assert len(obs.get_registry()) == 0
+        assert os.listdir(tmp_path) == []
+
+
+def _artefact_sizes(run_dir):
+    return {name: os.path.getsize(run_dir / name) for name in os.listdir(run_dir)}
+
+
+class TestForkSafety:
+    def test_forked_child_cannot_grow_parent_artefacts(self, tmp_path, drift_setup):
+        """A child forked mid-run calls quiesce_forked(); whatever it then
+        records through the drift, fault and health writers (or a span)
+        must not reach the parent's run directory."""
+        from repro.faults import FaultSpec, inject_faults
+        from repro.obs import health as obs_health
+
+        model, conversion, loader = drift_setup
+        snn = tiny_snn()
+        images = np.random.default_rng(0).random((4, 4))
+        run_dir = tmp_path / "run"
+        with obs.observe(str(run_dir)):
+            drift = obs.DriftMonitor(conversion, model, loader)
+            drift.snapshot("parent")
+            monitor = obs_health.active()
+            monitor.observe_epoch("snn", 1, loss=1.0, grad_norm=1e9)
+            with inject_faults(snn, FaultSpec.pruning(0.5, seed=1)) as session:
+                snn(images)
+                session.telemetry.record("parent")
+                with trace.span("parent"):
+                    pass
+                before = _artefact_sizes(run_dir)
+                assert {"drift.jsonl", "alerts.jsonl", "faults.jsonl",
+                        "trace.jsonl", "events.jsonl"} <= set(before)
+                pid = os.fork()
+                if pid == 0:  # the child never returns into pytest
+                    code = 1
+                    try:
+                        obs.quiesce_forked()
+                        drift.snapshot("child")
+                        session.telemetry.record("child")
+                        monitor.observe_epoch("snn", 2, loss=1.0, grad_norm=1e12)
+                        with trace.span("child"):
+                            pass
+                        code = 0
+                    finally:
+                        os._exit(code)
+                _, status = os.waitpid(pid, 0)
+                assert os.waitstatus_to_exitcode(status) == 0
+                assert _artefact_sizes(run_dir) == before
 
 
 class TestZeroOverheadWhenDisabled:

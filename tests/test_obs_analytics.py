@@ -14,9 +14,8 @@ from repro.obs import trace
 from repro.obs.__main__ import main as obs_main
 from repro.obs.diff import diff_run_dirs, metric_direction
 from repro.obs.diff import main as diff_main
-from repro.obs.health import HealthConfig, HealthMonitor
+from repro.obs.health import HealthMonitor
 from repro.obs.instruments import record_energy_profile
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.registry import (
     BaselineError,
     RunRegistry,
@@ -110,17 +109,20 @@ class TestRegistry:
             run_id = obs.state().run_id
             mid = RunRegistry().get(run_id)
             assert mid is not None and mid["status"] == "running"
+            # Artefacts open on their first record: one span makes
+            # trace.jsonl.
+            with trace.span("lifecycle"):
+                pass
         entry = RunRegistry().get(run_id)
         assert entry["status"] == "completed"
         assert entry["tags"] == {"arch": "vgg11", "timesteps": 2, "seed": 0}
         assert entry["config_fingerprint"] == config_fingerprint(entry["tags"])
         assert "python" in entry["environment"]
         assert entry["run_dir"] == str(run_dir)
-        # Inventory covers the artefacts configure/shutdown wrote.
+        # Inventory covers the artefacts the run wrote.
         assert {"events.jsonl", "trace.jsonl", "metrics.json"} <= set(
             entry["artifacts"]
         )
-        # events/metrics have content; trace.jsonl may be empty (no spans).
         assert entry["artifacts"]["events.jsonl"] > 0
         assert entry["artifacts"]["metrics.json"] > 0
 
@@ -426,49 +428,47 @@ class TestDiff:
 # ----------------------------------------------------------------------
 class TestHealthMonitor:
     def test_grad_explosion_fires_once_per_stretch(self, tmp_path):
-        monitor = HealthMonitor(
-            registry=MetricsRegistry(), run_dir=str(tmp_path)
-        )
-        assert monitor.observe_epoch("snn", 1, loss=1.0, grad_norm=10.0) == []
-        burst = monitor.observe_epoch("snn", 2, loss=0.9, grad_norm=5e3)
-        assert [a["rule"] for a in burst] == ["grad_explosion"]
-        assert burst[0]["severity"] == "critical"
-        # Still exploded: no duplicate alert.
-        assert monitor.observe_epoch("snn", 3, loss=0.8, grad_norm=6e3) == []
-        # Recovered, then exploded again: re-armed.
-        assert monitor.observe_epoch("snn", 4, loss=0.7, grad_norm=1.0) == []
-        again = monitor.observe_epoch("snn", 5, loss=0.6, grad_norm=1e4)
-        assert [a["rule"] for a in again] == ["grad_explosion"]
+        with obs.observe(str(tmp_path)):
+            monitor = HealthMonitor()
+            assert monitor.observe_epoch("snn", 1, loss=1.0, grad_norm=10.0) == []
+            burst = monitor.observe_epoch("snn", 2, loss=0.9, grad_norm=5e3)
+            assert [a["rule"] for a in burst] == ["grad_explosion"]
+            assert burst[0]["severity"] == "critical"
+            # Still exploded: no duplicate alert.
+            assert monitor.observe_epoch("snn", 3, loss=0.8, grad_norm=6e3) == []
+            # Recovered, then exploded again: re-armed.
+            assert monitor.observe_epoch("snn", 4, loss=0.7, grad_norm=1.0) == []
+            again = monitor.observe_epoch("snn", 5, loss=0.6, grad_norm=1e4)
+            assert [a["rule"] for a in again] == ["grad_explosion"]
 
     def test_grad_growth_factor_triggers(self):
-        monitor = HealthMonitor(registry=MetricsRegistry())
-        monitor.observe_epoch("dnn", 1, loss=1.0, grad_norm=1.0)
-        alerts = monitor.observe_epoch("dnn", 2, loss=1.0, grad_norm=500.0)
+        with obs.observe():
+            monitor = HealthMonitor()
+            monitor.observe_epoch("dnn", 1, loss=1.0, grad_norm=1.0)
+            alerts = monitor.observe_epoch("dnn", 2, loss=1.0, grad_norm=500.0)
         assert [a["rule"] for a in alerts] == ["grad_explosion"]
 
     def test_loss_plateau(self):
-        monitor = HealthMonitor(
-            config=HealthConfig(plateau_epochs=3),
-            registry=MetricsRegistry(),
-        )
         alerts = []
-        for epoch, loss in enumerate([1.0, 0.8, 0.8001, 0.8, 0.79999], 1):
-            alerts += monitor.observe_epoch("dnn", epoch, loss=loss)
+        with obs.observe():
+            monitor = HealthMonitor()
+            for epoch, loss in enumerate([1.0, 0.8, 0.8001, 0.8, 0.79999], 1):
+                alerts += monitor.observe_epoch("dnn", epoch, loss=loss)
         assert [a["rule"] for a in alerts] == ["loss_plateau"]
 
     def test_spike_collapse_only_at_ultra_low_t(self):
-        config = HealthConfig(collapse_epochs=2)
-        low_t = HealthMonitor(config=config, registry=MetricsRegistry())
-        high_t = HealthMonitor(config=config, registry=MetricsRegistry())
         silent = [0.2, 0.0]
         fired = []
-        for epoch in (1, 2, 3):
-            fired += low_t.observe_epoch(
-                "snn", epoch, loss=1.0, timesteps=2, layer_rates=silent
-            )
-            assert high_t.observe_epoch(
-                "snn", epoch, loss=1.0, timesteps=8, layer_rates=silent
-            ) == []
+        with obs.observe():
+            low_t = HealthMonitor()
+            high_t = HealthMonitor()
+            for epoch in (1, 2, 3):
+                fired += low_t.observe_epoch(
+                    "snn", epoch, loss=1.0, timesteps=2, layer_rates=silent
+                )
+                assert high_t.observe_epoch(
+                    "snn", epoch, loss=1.0, timesteps=8, layer_rates=silent
+                ) == []
         # Layer 1 collapsed exactly once (epochs 2 and 3 both silent,
         # but once-per-stretch); layer 0 is active and never fires.
         assert [(a["rule"], a["layer"]) for a in fired] == [
@@ -477,28 +477,29 @@ class TestHealthMonitor:
 
     def test_threshold_saturation(self):
         snn = tiny_snn()
-        monitor = HealthMonitor(registry=MetricsRegistry())
         neurons = snn.spiking_neurons()
         neurons[0].v_threshold.data[...] = MIN_THRESHOLD
-        alerts = monitor.observe_epoch("snn", 1, loss=1.0, model=snn)
-        assert ("threshold_saturation", 0) in [
-            (a["rule"], a["layer"]) for a in alerts
-        ]
-        # Same stretch: quiet on the next epoch.
-        assert all(
-            a["rule"] != "threshold_saturation" or a["layer"] != 0
-            for a in monitor.observe_epoch("snn", 2, loss=1.0, model=snn)
-        )
+        with obs.observe():
+            monitor = HealthMonitor()
+            alerts = monitor.observe_epoch("snn", 1, loss=1.0, model=snn)
+            assert ("threshold_saturation", 0) in [
+                (a["rule"], a["layer"]) for a in alerts
+            ]
+            # Same stretch: quiet on the next epoch.
+            assert all(
+                a["rule"] != "threshold_saturation" or a["layer"] != 0
+                for a in monitor.observe_epoch("snn", 2, loss=1.0, model=snn)
+            )
 
     def test_heartbeats_and_alerts_land_in_file_and_registry(self, tmp_path):
-        registry = MetricsRegistry()
-        monitor = HealthMonitor(registry=registry, run_dir=str(tmp_path))
-        monitor.observe_epoch(
-            "snn", 1, loss=0.7, accuracy=0.5, grad_norm=1.0,
-            timesteps=2, layer_rates=[0.1, 0.2],
-        )
-        monitor.observe_epoch("snn", 2, loss=0.7, grad_norm=9e9)
-        monitor.close()
+        with obs.observe(str(tmp_path)):
+            monitor = HealthMonitor()
+            monitor.observe_epoch(
+                "snn", 1, loss=0.7, accuracy=0.5, grad_norm=1.0,
+                timesteps=2, layer_rates=[0.1, 0.2],
+            )
+            monitor.observe_epoch("snn", 2, loss=0.7, grad_norm=9e9)
+        registry = obs.get_registry()
         records = [
             json.loads(line)
             for line in (tmp_path / "alerts.jsonl").read_text().splitlines()
@@ -514,8 +515,8 @@ class TestHealthMonitor:
         assert "health.alerts{rule=grad_explosion}" in snapshot["counters"]
 
     def test_no_file_without_records(self, tmp_path):
-        monitor = HealthMonitor(registry=MetricsRegistry(), run_dir=str(tmp_path))
-        monitor.close()
+        with obs.observe(str(tmp_path)):
+            HealthMonitor()
         assert not (tmp_path / "alerts.jsonl").exists()
 
     def test_module_hook_noop_without_monitor(self):
@@ -525,7 +526,8 @@ class TestHealthMonitor:
     def test_configure_installs_monitor_for_run_dirs(self, tmp_path):
         with obs.observe(str(tmp_path / "run")):
             assert obs_health.active() is not None
-            assert obs_health.active().run_dir == str(tmp_path / "run")
+            obs_health.observe_epoch("snn", 1, loss=1.0)
+        assert (tmp_path / "run" / "alerts.jsonl").exists()
         assert obs_health.active() is None
         with obs.observe():  # memory-only: no monitor
             assert obs_health.active() is None
@@ -716,13 +718,12 @@ class TestReport:
 # ----------------------------------------------------------------------
 class TestEnergyInstrument:
     def test_record_energy_profile_gauges(self):
-        registry = MetricsRegistry()
         snn = tiny_snn()
         rng = np.random.default_rng(0)
         batches = [(rng.normal(size=(5, 4)), np.zeros(5, dtype=int))]
-        summary = record_energy_profile(
-            snn, batches, input_shape=(4,), registry=registry
-        )
+        with obs.observe():
+            summary = record_energy_profile(snn, batches, input_shape=(4,))
+        registry = obs.get_registry()
         assert summary["images"] == 5
         assert summary["dnn_total_flops"] == pytest.approx(4 * 6 + 6 * 3)
         assert summary["dnn_joules"] > 0
@@ -740,13 +741,11 @@ class TestEnergyInstrument:
         # The pipeline hook is covered end-to-end by
         # test_obs.py::TestPipelineTracing::test_identical_seed_runs_diff_clean;
         # here we only pin that the span name is stable for reports.
-        registry = MetricsRegistry()
         snn = tiny_snn()
         rng = np.random.default_rng(0)
         batches = [(rng.normal(size=(3, 4)), np.zeros(3, dtype=int))]
         with obs.observe():
-            record_energy_profile(snn, batches, input_shape=(4,),
-                                  registry=registry)
+            record_energy_profile(snn, batches, input_shape=(4,))
             names = [s["name"] for s in obs.state().spans]
         assert "energy_profile" in names
 

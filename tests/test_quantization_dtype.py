@@ -40,6 +40,11 @@ class TestQuantizeArray:
         out = quantize_array(np.zeros(5), bits=4)
         np.testing.assert_allclose(out, 0.0)
 
+    def test_subnormal_step_underflow_stays_finite(self):
+        # max|w| / levels underflows to 0 here; dividing by it gave NaN.
+        values = np.array([5e-324, 0.0])
+        np.testing.assert_array_equal(quantize_array(values, bits=3), values)
+
     def test_rejects_one_bit(self, rng):
         with pytest.raises(ValueError):
             quantize_array(rng.normal(size=3), bits=1)

@@ -3,7 +3,7 @@
 Pins the contract from ``repro.tensor.sparse`` + ``repro.snn.dispatch``:
 the CSR spike packing round-trips, the gather kernels match the dense
 layers to float tolerance across geometries / amplitudes / per-event
-values / int8 weights, and a dispatch-routed ``SpikingNetwork`` produces
+values, and a dispatch-routed ``SpikingNetwork`` produces
 the same logits and spike counts as the dense engines — fused and
 stepwise, IF and LIF, soft and hard reset, direct and Poisson encoding,
 under injected dead-unit faults and across warm streaming windows.
@@ -26,8 +26,7 @@ from hypothesis import given, settings
 from repro.faults import FaultSpec
 from repro.hw.quantization import quantize_array, quantize_int8
 from repro.nn import Conv2d, Flatten, Linear
-from repro.obs.instruments import record_dispatch_profile, record_energy_profile
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.instruments import record_energy_profile
 from repro.snn import IFNeuron, PoissonEncoder, SpikingNetwork
 from repro.snn.crossover import (
     calibrate_crossover,
@@ -159,19 +158,6 @@ class TestSparseLinearGather:
         )
         assert_logits_match(out, dense_forward(layer, frame), GATHER_CONTRACT)
 
-    def test_int8_matches_dequantized_dense(self):
-        rng = np.random.default_rng(8)
-        layer = Linear(32, 9, bias=False, rng=rng)
-        qw = quantize_int8(layer.weight.data)
-        frame = spike_frame((4, 32), 0.2, seed=8, amplitude=1.3)
-        out = sparse_linear_gather(
-            pack_spikes(frame, amplitude=1.3),
-            qweight=qw.q, qscale=qw.scale,
-            out_dtype=layer.weight.data.dtype,
-        )
-        dense = frame @ qw.dequantize().T
-        np.testing.assert_allclose(out, dense, rtol=1e-12, atol=1e-12)
-
     def test_requires_some_weight(self):
         with pytest.raises(ValueError):
             sparse_linear_gather(pack_spikes(np.zeros((1, 4))))
@@ -248,22 +234,6 @@ class TestSparseConvGather:
         )
         assert_logits_match(out, dense_forward(layer, frame), GATHER_CONTRACT)
 
-    def test_int8_matches_dequantized_dense(self):
-        rng = np.random.default_rng(13)
-        layer = Conv2d(3, 4, 3, padding=1, bias=False, rng=rng)
-        qw = quantize_int8(layer.weight.data)
-        frame = spike_frame((2, 3, 6, 6), 0.1, seed=13, amplitude=0.78)
-        out = sparse_conv2d_gather(
-            pack_spikes(frame, amplitude=0.78),
-            stride=1, padding=1,
-            qpacked=pack_conv_weight(qw.q), qscale=qw.scale,
-            out_dtype=layer.weight.data.dtype,
-        )
-        layer.weight.data[...] = qw.dequantize()
-        np.testing.assert_allclose(
-            out, dense_forward(layer, frame), rtol=1e-9, atol=1e-12
-        )
-
     def test_requires_some_weight(self):
         with pytest.raises(ValueError):
             sparse_conv2d_gather(pack_spikes(np.zeros((1, 2, 3, 3))))
@@ -325,18 +295,6 @@ class TestDispatchEquivalence:
         assert stats, "dispatcher saw no weight layers"
         assert all(st.dense_runs == 0 for st in stats)
         assert sum(st.sparse_runs for st in stats) > 0
-
-    @pytest.mark.parametrize("mode", ["fused", "stepwise"])
-    def test_int8_within_quantization_tolerance(self, mode):
-        images = images_batch()
-        dense = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
-        ref_logits, _ = run_recorded(dense, images)
-        routed = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
-        routed.enable_sparse_dispatch(
-            crossover=CrossoverTable(defaults=FORCE_SPARSE), int8=True
-        )
-        logits, _ = run_recorded(routed, images)
-        np.testing.assert_allclose(logits, ref_logits, atol=0.05, rtol=0.05)
 
     @pytest.mark.parametrize("mode", ["fused", "stepwise"])
     def test_dead_neuron_faults_survive_routing(self, mode):
@@ -752,52 +710,17 @@ class TestDispatchTimingGates:
 
 
 # ======================================================================
-# Observability: dispatch gauges and measured energy counts
+# Observability: measured energy counts
 # ======================================================================
 class TestDispatchObservability:
-    def test_record_dispatch_profile_gauges(self):
-        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
-        dispatch = snn.enable_sparse_dispatch(
-            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
-        )
-        run_recorded(snn, images_batch())
-        registry = MetricsRegistry()
-        rows = record_dispatch_profile(snn, registry=registry)
-        assert len(rows) == len(dispatch.layer_stats()) == 2
-        gauges = registry.snapshot()["gauges"]
-        for layer in range(2):
-            for field in ("density", "threshold", "sparse_fraction",
-                          "sparse_runs", "dense_runs", "accumulates"):
-                assert f"dispatch.{field}{{layer={layer}}}" in gauges
-        assert rows[0]["sparse_runs"] > 0
-
-    def test_record_dispatch_profile_without_dispatcher(self):
-        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
-        assert record_dispatch_profile(snn, registry=MetricsRegistry()) == []
-
-    def test_report_rows_from_gauges(self):
-        from repro.obs.report import _dispatch_rows
-
-        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
-        snn.enable_sparse_dispatch(
-            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
-        )
-        run_recorded(snn, images_batch())
-        registry = MetricsRegistry()
-        record_dispatch_profile(snn, registry=registry)
-        rows = _dispatch_rows(registry.snapshot()["gauges"])
-        assert [row["layer"] for row in rows] == [0, 1]
-        assert all(row["sparse_runs"] > 0 for row in rows)
-
     @pytest.mark.smoke
     def test_observed_dispatched_run(self, converted_tiny_vgg, tmp_path):
         """An observed, dispatched run of the converted tiny VGG with op
-        counting on: measured energy counts and dispatch.* gauges reach
-        metrics.json, the report shows the sparse-dispatch table, and two
+        counting on: measured energy counts reach metrics.json, and two
         such runs diff clean."""
         from repro.obs import observe
         from repro.obs.diff import diff_run_dirs
-        from repro.obs.report import load_run, render_report
+        from repro.obs.report import load_run
 
         snn, images = converted_tiny_vgg
         quiet = images * 0.25
@@ -807,12 +730,9 @@ class TestDispatchObservability:
             snn.enable_sparse_dispatch(crossover=CROSSOVER_PATH, count_ops=True)
             with observe(run_dir, seed=0):
                 record_energy_profile(snn, [(quiet, labels)], (3, 8, 8))
-                record_dispatch_profile(snn)
             gauges = load_run(run_dir).metrics["gauges"]
             assert gauges["energy.measured_counts"]["value"] == 1
-            assert any(name.startswith("dispatch.") for name in gauges)
 
-        assert "## Sparse dispatch" in render_report(load_run(run_dirs[0]))
         diff = diff_run_dirs(*run_dirs)
         assert diff.ok, diff.render()
 
@@ -824,9 +744,7 @@ class TestDispatchObservability:
         snn.eval()
         images = images_batch()
         labels = np.zeros(len(images), dtype=int)
-        summary = record_energy_profile(
-            snn, [(images, labels)], (1, 4, 4), registry=MetricsRegistry()
-        )
+        summary = record_energy_profile(snn, [(images, labels)], (1, 4, 4))
         assert summary["measured_counts"] is True
         assert summary["snn_total_flops"] > 0
 
@@ -837,9 +755,7 @@ class TestDispatchObservability:
         snn.eval()
         images = images_batch()
         labels = np.zeros(len(images), dtype=int)
-        summary = record_energy_profile(
-            snn, [(images, labels)], (1, 4, 4), registry=MetricsRegistry()
-        )
+        summary = record_energy_profile(snn, [(images, labels)], (1, 4, 4))
         assert summary["measured_counts"] is False
 
     def test_fused_prefix_rescale_matches_stepwise(self):
@@ -855,9 +771,7 @@ class TestDispatchObservability:
             crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
         )
             snn.eval()
-            summary = record_energy_profile(
-                snn, [(images, labels)], (1, 4, 4), registry=MetricsRegistry()
-            )
+            summary = record_energy_profile(snn, [(images, labels)], (1, 4, 4))
             assert summary["measured_counts"] is True
             totals[mode] = summary["snn_total_flops"]
         assert totals["fused"] == pytest.approx(totals["stepwise"])
