@@ -20,7 +20,7 @@ accounting works for any topology built from this library's layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -135,7 +135,7 @@ def _walk_spiking(module: Module, out: List) -> None:
 def snn_layer_flops(
     snn: SpikingNetwork,
     input_shape: Tuple[int, ...],
-    rates: Optional[dict] = None,
+    rates: dict,
 ) -> List[LayerFlops]:
     """Spike-scaled operation counts for every weight layer of an SNN.
 
@@ -148,22 +148,11 @@ def snn_layer_flops(
     rates:
         Mapping ``id(neuron) -> average spikes per neuron per inference``
         (from :func:`repro.energy.spikes.measure_spiking_activity`).
-        Required unless the network has had activity recorded already.
 
     The first weight layer is direct-encoded: its count is ``T x`` its
     dense MACs and is flagged ``is_mac``.  Every other weight layer is
     scaled by its input neuron layer's spike rate.
     """
-    if rates is None:
-        rates = {
-            id(neuron): (
-                neuron.spike_count / max(1.0, neuron.neuron_count)
-                if neuron.neuron_count
-                else 0.0
-            )
-            for neuron in snn.spiking_neurons()
-        }
-
     dense = trace_weight_layers(snn.body, input_shape)
     events: List = []
     _walk_spiking(snn.body, events)

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from ..snn import SpikingNetwork
+from ..snn import SpikingNetwork, count_spikes
 from ..tensor import no_grad
 
 
@@ -23,7 +23,7 @@ class LayerSpikeStats:
     """Per-layer activity over a measurement set."""
 
     layer: int
-    total_spikes: float
+    spikes: int
     neurons: int
     images: int
 
@@ -32,7 +32,7 @@ class LayerSpikeStats:
         """Average spikes per neuron per inference (over all T steps)."""
         if self.neurons == 0 or self.images == 0:
             return 0.0
-        return self.total_spikes / (self.neurons * self.images)
+        return self.spikes / (self.neurons * self.images)
 
 
 @dataclass
@@ -51,10 +51,10 @@ class SpikeActivityReport:
         return float(np.mean([layer.spikes_per_neuron for layer in self.layers]))
 
     @property
-    def total_spikes_per_image(self) -> float:
+    def spikes_per_image(self) -> float:
         if self.images == 0:
             return 0.0
-        return sum(layer.total_spikes for layer in self.layers) / self.images
+        return sum(layer.spikes for layer in self.layers) / self.images
 
     def rates_by_neuron_id(self, snn: SpikingNetwork) -> Dict[int, float]:
         """Map ``id(neuron) -> spikes per neuron per inference`` for the
@@ -74,31 +74,25 @@ def measure_spiking_activity(
     batches: Iterable[Tuple[np.ndarray, np.ndarray]],
     max_batches: int = None,
 ) -> SpikeActivityReport:
-    """Run inference with spike recording and summarise activity."""
+    """Run inference under :func:`~repro.snn.count_spikes` and
+    summarise activity."""
     was_training = snn.training
     snn.eval()
-    snn.reset_spike_stats()
-    snn.set_recording(True)
     images = 0
     try:
-        for index, (batch, _labels) in enumerate(batches):
-            if max_batches is not None and index >= max_batches:
-                break
-            snn(np.asarray(batch))
-            images += len(batch)
+        with count_spikes(snn) as counts:
+            for index, (batch, _labels) in enumerate(batches):
+                if max_batches is not None and index >= max_batches:
+                    break
+                snn(np.asarray(batch))
+                images += len(batch)
     finally:
-        snn.set_recording(False)
         snn.train(was_training)
     if images == 0:
         raise ValueError("no batches provided for spike measurement")
 
     layers = [
-        LayerSpikeStats(
-            layer=i,
-            total_spikes=neuron.spike_count,
-            neurons=neuron.neuron_count,
-            images=images,
-        )
-        for i, neuron in enumerate(snn.spiking_neurons())
+        LayerSpikeStats(layer=i, spikes=spikes, neurons=neurons, images=images)
+        for i, (spikes, neurons) in enumerate(zip(counts.spikes, counts.neurons))
     ]
     return SpikeActivityReport(layers=layers, timesteps=snn.timesteps, images=images)

@@ -211,9 +211,9 @@ def run_pipeline(
             conversion_accuracy = float(resumed_state["conversion_accuracy"])
         else:
             # Post-conversion evaluation doubles as the spiking-activity
-            # measurement pass: per-layer spike-rate and
-            # membrane-potential histograms land in the metrics registry
-            # (Fig. 4 quantities).
+            # measurement pass: per-layer spike-rate histograms and
+            # spike counters land in the metrics registry (Fig. 4
+            # quantities).
             with trace.span("snn_eval", phase="post_conversion") as eval_span:
                 with monitored(conversion.snn):
                     conversion_accuracy = evaluate_snn(

@@ -158,17 +158,17 @@ class FaultInjector:
                         f"layers (valid indices 0..{count - 1})"
                     )
         if isinstance(self.model, SpikingNetwork):
-            neuron_count = len(list(self.model.spiking_neurons()))
+            layer_count = len(list(self.model.spiking_neurons()))
             for kind, component in (("neuron", nf), ("transmission", tf)):
                 if component.layers is None or component.is_null:
                     continue
                 for layer in component.layers:
-                    if layer >= neuron_count:
+                    if layer >= layer_count:
                         raise ValueError(
                             f"{kind} fault spec targets spiking layer "
                             f"{layer}, but {type(self.model).__name__} has "
-                            f"{neuron_count} spiking layers (valid indices "
-                            f"0..{neuron_count - 1})"
+                            f"{layer_count} spiking layers (valid indices "
+                            f"0..{layer_count - 1})"
                         )
 
     # ------------------------------------------------------------------

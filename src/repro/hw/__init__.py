@@ -8,10 +8,8 @@ from .mapping import (
     map_network,
 )
 from .quantization import (
-    QuantizedWeights,
     precision_sweep,
     quantize_array,
-    quantize_int8,
     quantize_weights,
 )
 
@@ -20,10 +18,8 @@ __all__ = [
     "DeploymentReport",
     "EnergyCoefficients",
     "LayerMapping",
-    "QuantizedWeights",
     "map_network",
     "precision_sweep",
     "quantize_array",
-    "quantize_int8",
     "quantize_weights",
 ]

@@ -15,7 +15,6 @@ on real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -42,54 +41,6 @@ def quantize_array(values: np.ndarray, bits: int) -> np.ndarray:
         return values.copy()
     snapped = np.clip(np.round(values / delta), -levels, levels) * delta
     return snapped.astype(values.dtype, copy=False)
-
-
-@dataclass
-class QuantizedWeights:
-    """Integer weight storage with its shared per-layer scale.
-
-    ``q`` holds the signed integer codes (int8 for ``bits <= 8``);
-    ``dequantize()`` reproduces exactly the grid :func:`quantize_array`
-    snaps to (``q * scale`` in the source dtype), so an int-accumulating
-    kernel and a float kernel over pre-quantized weights agree.
-    """
-
-    q: np.ndarray
-    scale: float
-    bits: int
-    source_dtype: np.dtype
-
-    def dequantize(self) -> np.ndarray:
-        out = self.q.astype(self.source_dtype) * self.source_dtype.type(
-            self.scale
-        )
-        return out.astype(self.source_dtype, copy=False)
-
-
-def quantize_int8(values: np.ndarray, bits: int = 8) -> QuantizedWeights:
-    """Pack weights as int8 codes plus a per-layer dequantization scale.
-
-    Same symmetric grid as :func:`quantize_array` — ``Δ = max|w| /
-    (2^{bits-1} - 1)`` with the shared exponent outside the crossbar —
-    but keeping the integer codes, which is what the sparse gather
-    kernels accumulate before applying ``Δ`` once.
-    """
-    if not 2 <= bits <= 8:
-        raise ValueError("int8 packing supports 2..8 bits")
-    levels = 2 ** (bits - 1) - 1
-    max_abs = np.abs(values).max()
-    if max_abs == 0:
-        return QuantizedWeights(
-            q=np.zeros(values.shape, dtype=np.int8),
-            scale=1.0,
-            bits=bits,
-            source_dtype=values.dtype,
-        )
-    delta = max_abs / levels
-    q = np.clip(np.round(values / delta), -levels, levels).astype(np.int8)
-    return QuantizedWeights(
-        q=q, scale=float(delta), bits=bits, source_dtype=values.dtype
-    )
 
 
 def quantize_weights(model: Module, bits: int) -> Dict[str, float]:

@@ -1,13 +1,13 @@
 """SNN-specific instruments.
 
-Spiking instrumentation builds on the network's existing recording
-surface (``set_recording`` / ``reset_spike_stats`` on
-:class:`~repro.snn.network.SpikingNetwork`): :class:`StepMonitor`
-attaches to the network's per-timestep hook and, at every step, turns
-the neurons' running spike counters into per-layer spike-*rate*
-histogram samples and membrane-potential statistics in the global
-metrics registry.  Like every writer of :mod:`repro.obs.metrics`, the
-instruments record only while observability is enabled.
+Spike instrumentation reads the one spike counter,
+:func:`repro.snn.analysis.count_spikes`, a layer tap that fires once per
+time block in both engines: :class:`StepMonitor` is that counter plus,
+per tap call, a per-layer spike-*rate* histogram sample and a spike
+counter increment in the global metrics registry, and
+:func:`record_spike_profile` gauges the per-layer rates of a finished
+count.  Like every writer of :mod:`repro.obs.metrics`, the instruments
+record only while observability is enabled.
 """
 
 from __future__ import annotations
@@ -15,90 +15,50 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import List, Optional
 
-import numpy as np
-
+from ..snn.analysis import SpikeCounts, count_spikes
 from . import metrics as obs_metrics
 from . import trace
 from .core import is_enabled
 
 
-class StepMonitor:
-    """Per-timestep spike-rate and membrane-potential monitor.
+class StepMonitor(SpikeCounts):
+    """Spike counter that also publishes every time block it sees.
 
-    Attach via :func:`monitored` (or ``snn.attach_monitor``); the
-    network calls :meth:`on_step` after each simulated time step.
-    Neuron ``recording`` must be on for spike counters to advance.
+    Each tap call (one layer, one time step) observes
+    ``snn.spike_rate{layer=i}`` — spikes over the block's output slots —
+    and increments ``snn.spikes{layer=i}``.  Install via
+    :func:`monitored`.
     """
 
-    def __init__(self, snn) -> None:
-        # The module-tree walk is too slow for a per-step callback;
-        # freeze the neuron list at attach time.
-        self._neurons = snn.spiking_neurons()
-        self._last_counts = [neuron.spike_count for neuron in self._neurons]
-        self.steps_seen = 0
-
-    def on_step(self, step: int, network) -> None:
-        self.steps_seen += 1
-        for index, neuron in enumerate(self._neurons):
-            membrane = neuron.membrane
-            units = None
-            if membrane is not None:
-                units = float(np.prod(membrane.data.shape))
-                obs_metrics.observe(
-                    "snn.membrane_mean", float(membrane.data.mean()), layer=index
-                )
-            delta = neuron.spike_count - self._last_counts[index]
-            self._last_counts[index] = neuron.spike_count
-            if units:
-                obs_metrics.observe("snn.spike_rate", delta / units, layer=index)
-            obs_metrics.inc("snn.spikes", delta, layer=index)
-
-    def summary(self) -> dict:
-        """Per-layer totals accumulated so far (counter values)."""
-        registry = obs_metrics.get_registry()
-        return {
-            index: registry.counter("snn.spikes", layer=index).value
-            for index in range(len(self._neurons))
-        }
+    def on_call(self, layer: int, spikes: int, slots: int) -> None:
+        obs_metrics.observe("snn.spike_rate", spikes / slots, layer=layer)
+        obs_metrics.inc("snn.spikes", spikes, layer=layer)
 
 
 @contextmanager
 def monitored(snn):
     """Monitor ``snn`` for the duration of the block.
 
-    Enables spike recording, attaches a :class:`StepMonitor` to the
-    network's per-timestep hook, and restores the previous recording
-    state afterwards.  When observability is disabled the block runs
-    completely uninstrumented (yields ``None``).
+    Installs a :class:`StepMonitor` counter on the network's spiking
+    layers; the network keeps its engine.  When observability is
+    disabled the block runs completely uninstrumented (yields ``None``).
     """
     if not is_enabled():
         yield None
         return
-    previous_recording = [n.recording for n in snn.spiking_neurons()]
-    snn.reset_spike_stats()
-    snn.set_recording(True)
-    monitor = StepMonitor(snn)
-    snn.attach_monitor(monitor)
-    try:
+    with count_spikes(snn, StepMonitor(snn)) as monitor:
         yield monitor
-    finally:
-        snn.detach_monitor()
-        for neuron, was_recording in zip(snn.spiking_neurons(), previous_recording):
-            neuron.recording = was_recording
 
 
-def record_spike_profile(snn) -> List[float]:
-    """Summarise the network's accumulated spike statistics into gauges.
+def record_spike_profile(counts: SpikeCounts) -> List[float]:
+    """Gauge a finished count's per-layer firing rates.
 
-    Reads the counters populated by a recorded run (``set_recording``)
-    and gauges one average per-neuron-per-step firing rate per layer.
-    Returns the per-layer rates.
+    ``counts`` comes from :func:`~repro.snn.analysis.count_spikes`; one
+    ``snn.layer_spike_rate{layer=i}`` gauge per layer carries its spikes
+    per neuron per image per step.  Returns the per-layer rates.
     """
-    rates: List[float] = []
-    for index, neuron in enumerate(snn.spiking_neurons()):
-        denom = neuron.neuron_count * neuron.step_count
-        rate = neuron.spike_count / denom if denom else 0.0
-        rates.append(rate)
+    rates = counts.rates()
+    for index, rate in enumerate(rates):
         obs_metrics.gauge("snn.layer_spike_rate", rate, layer=index)
     return rates
 

@@ -49,7 +49,7 @@ import time
 from typing import List, Optional
 
 from ..tensor.tensor import add_op_observer, remove_op_observer
-from . import core, report, trace
+from . import core, trace
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
 PROFILE_SCHEMA_VERSION = 1
@@ -162,7 +162,7 @@ class OpProfiler:
         """A context manager labelling ops created inside it."""
         return _Region(self, label)
 
-    # -- recording -----------------------------------------------------
+    # -- collection ----------------------------------------------------
     def _on_op(self, out, name: str) -> None:
         now = time.perf_counter()
         record = {
@@ -373,6 +373,12 @@ def end_session() -> Optional[str]:
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
     """CLI body shared with ``python -m repro.obs profile``."""
+    # Imported here, not at module level: ``repro.obs`` imports this
+    # module eagerly, and a package-time import of ``report`` would make
+    # ``python -m repro.obs.report`` warn that the module was already
+    # imported before running it as ``__main__``.
+    from . import report
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs profile",
         description="The report's hot-ops section and Chrome-trace export "

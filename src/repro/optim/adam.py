@@ -29,14 +29,14 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._step_count = 0
+        self._steps = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1 ** self._step_count
-        bias2 = 1.0 - self.beta2 ** self._step_count
+        self._steps += 1
+        bias1 = 1.0 - self.beta1 ** self._steps
+        bias2 = 1.0 - self.beta2 ** self._steps
         for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue

@@ -6,6 +6,8 @@ structure, which is precisely the paper's bet — most of the information
 must move in the first step or two.  These utilities let tests and
 examples quantify that:
 
+- :func:`count_spikes` — the one spike counter: per-layer spikes and
+  output slots over a block, in either engine;
 - :func:`record_spike_raster` — per-layer ``(T, batch, ...)`` binary
   spike tensors for a given input batch;
 - :func:`spikes_per_step` — population spike counts over time;
@@ -17,13 +19,65 @@ examples quantify that:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 from ..nn import tap
 from ..tensor import no_grad
 from .network import SpikingNetwork
+
+
+class SpikeCounts:
+    """Per-layer spike totals gathered by :func:`count_spikes`.
+
+    Indexed by spiking layer (``snn.spiking_neurons()`` order):
+    ``spikes`` counts the nonzero outputs the layer transmitted,
+    ``slots`` the output slots it produced (neurons x images x steps)
+    and ``neurons`` its per-sample neuron count.  The instance is the
+    tap itself; subclasses observe each call through :meth:`on_call`.
+    """
+
+    def __init__(self, snn: SpikingNetwork) -> None:
+        self.layers = snn.spiking_neurons()
+        self._index = {id(neuron): i for i, neuron in enumerate(self.layers)}
+        self.spikes = [0] * len(self.layers)
+        self.slots = [0] * len(self.layers)
+        self.neurons = [0] * len(self.layers)
+
+    def __call__(self, neuron, _current, out) -> None:
+        data = out.data
+        index = self._index[id(neuron)]
+        fired = int(np.count_nonzero(data))
+        self.spikes[index] += fired
+        self.slots[index] += data.size
+        self.neurons[index] = data.size // data.shape[0]
+        self.on_call(index, fired, data.size)
+
+    def on_call(self, layer: int, spikes: int, slots: int) -> None:
+        """One tap call: ``spikes`` of ``slots`` outputs of one time block."""
+
+    def rates(self) -> List[float]:
+        """Per-layer spikes per neuron per image per step (at most 1)."""
+        return [s / n if n else 0.0 for s, n in zip(self.spikes, self.slots)]
+
+
+@contextmanager
+def count_spikes(
+    snn: SpikingNetwork, counts: Optional[SpikeCounts] = None
+) -> Iterator[SpikeCounts]:
+    """Count every spiking layer's transmitted spikes within the block.
+
+    Taps the neurons through :class:`repro.nn.tap`, which fires once per
+    time block in both engines, so counting never changes the engine.
+    Counts start at zero (or at ``counts``, a possibly subclassed
+    :class:`SpikeCounts` of this network) and follow any tap installed
+    earlier, e.g. transmission faults.
+    """
+    counts = SpikeCounts(snn) if counts is None else counts
+    with tap(counts.layers, counts):
+        yield counts
 
 
 def record_spike_raster(

@@ -26,9 +26,9 @@ Two execution modes compute the identical unroll:
 Layer probes (:class:`repro.nn.tap`) run in both engines.  The fused
 engine keeps a tapped module on its vectorised path and fires the tap
 once per time block, in time order, on row-block views of the folded
-input and output; a replacement output is folded back.  Only a
-network-level step monitor, which reads whole-network state at step
-boundaries, forces the forward back to stepwise.
+input and output; a replacement output is folded back.  Spike counts
+come from such a tap (:func:`repro.snn.analysis.count_spikes`), so
+observing a network never changes its engine.
 
 Structure classes:
 
@@ -396,10 +396,7 @@ class SpikingNetwork(SpikingModule):
     the T frames into the batch axis so each stateless layer runs one
     GEMM and neurons scan their membranes over the time blocks;
     ``"stepwise"`` is the classic step-major loop.  Both produce
-    equivalent logits, spike counts and BPTT gradients.  A fused network
-    falls back to stepwise automatically while a step monitor is
-    attached (the per-step hook observes whole-network state at step
-    boundaries, which layer-major execution never materialises).
+    equivalent logits, spike counts and BPTT gradients.
     """
 
     OUTPUT_MODES = ("mean", "max", "last")
@@ -433,29 +430,12 @@ class SpikingNetwork(SpikingModule):
         # over steps; "last" reads only the final step.
         self.output_mode = output_mode
         self.mode = mode
-        # Per-timestep observer (repro.obs.instruments.StepMonitor);
-        # None keeps the temporal loop on its fast path.
-        self._step_monitor = None
         # Activity-adaptive sparse dispatch (repro.snn.dispatch); None
         # keeps every weight layer on the dense path.  Installed into
         # the module-global dispatch context only for eligible passes
         # (eval mode, gradients disabled), so training and autograd
         # probes never leave the dense autograd path.
         self._dispatch: Optional[SparseDispatch] = None
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def attach_monitor(self, monitor) -> None:
-        """Install an object whose ``on_step(step, network)`` is called
-        after every simulated time step (see ``repro.obs.monitored``).
-
-        While a monitor is attached, forward passes run stepwise even in
-        fused mode, so the hook sees true step-boundary state."""
-        self._step_monitor = monitor
-
-    def detach_monitor(self) -> None:
-        self._step_monitor = None
 
     def inject_faults(self, spec):
         """Context manager realising a :class:`repro.faults.FaultSpec`
@@ -472,16 +452,10 @@ class SpikingNetwork(SpikingModule):
     # ------------------------------------------------------------------
     # Execution-mode plumbing
     # ------------------------------------------------------------------
-    def resolved_mode(self) -> str:
-        """The engine the next forward pass will actually use."""
-        if self.mode == "stepwise" or self._step_monitor is not None:
-            return "stepwise"
-        return "fused"
-
     @contextmanager
     def using_mode(self, mode: str):
-        """Pin the execution mode within a block (a step monitor still
-        forces stepwise; taps run in either mode)."""
+        """Pin the execution mode within a block (taps run in either
+        mode)."""
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got '{mode}'")
         previous = self.mode
@@ -538,7 +512,7 @@ class SpikingNetwork(SpikingModule):
         return self._run_engine(images)
 
     def _run_engine(self, images) -> Tensor:
-        if self.resolved_mode() == "fused":
+        if self.mode == "fused":
             return self._forward_fused(images)
         return self._forward_stepwise(images)
 
@@ -564,10 +538,8 @@ class SpikingNetwork(SpikingModule):
         from ..tensor import maximum
 
         total: Optional[Tensor] = None
-        for step, frame in enumerate(frames):
+        for frame in frames:
             out = self.body(frame)
-            if self._step_monitor is not None:
-                self._step_monitor.on_step(step, self)
             if self.output_mode == "mean":
                 total = out if total is None else total + out
             elif self.output_mode == "max":
@@ -629,22 +601,10 @@ class SpikingNetwork(SpikingModule):
             return total
         return per_step[timesteps - 1]
 
-    # ------------------------------------------------------------------
-    # Spiking statistics
-    # ------------------------------------------------------------------
     def spiking_neurons(self) -> List[SpikingNeuron]:
+        """Spiking layers in module order (the layer index of every
+        per-layer statistic)."""
         return [m for m in self.modules() if isinstance(m, SpikingNeuron)]
-
-    def set_recording(self, enabled: bool) -> None:
-        for neuron in self.spiking_neurons():
-            neuron.recording = enabled
-
-    def reset_spike_stats(self) -> None:
-        for neuron in self.spiking_neurons():
-            neuron.reset_spike_stats()
-
-    def total_spikes(self) -> float:
-        return sum(neuron.spike_count for neuron in self.spiking_neurons())
 
     def extra_repr(self) -> str:
         return (

@@ -10,7 +10,7 @@ Public surface:
 - :mod:`conv_ops` — conv2d (channel-major window pack + GEMM, transposed-conv
   input gradient; one block-Toeplitz GEMM on maps with ``H*W <= K*K``),
   max/avg pooling.
-- :class:`no_grad` — disable graph recording.
+- :class:`no_grad` — disable graph building.
 - :func:`check_gradients` — finite-difference validation helper.
 """
 

@@ -20,7 +20,7 @@ import numpy as np
 
 
 class GradMode:
-    """Global switch for gradient recording (mirrors torch.no_grad)."""
+    """Global switch for gradient tracking (mirrors torch.no_grad)."""
 
     _enabled: bool = True
 
@@ -34,7 +34,7 @@ class GradMode:
 
 
 class no_grad:
-    """Context manager / decorator that disables gradient recording.
+    """Context manager / decorator that disables gradient tracking.
 
     Example
     -------

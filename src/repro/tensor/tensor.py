@@ -118,7 +118,7 @@ class Tensor:
 
         This is the extension point used by every op in the library
         (including custom surrogate-gradient spike functions in
-        :mod:`repro.snn`).  Gradient recording is skipped when the global
+        :mod:`repro.snn`).  Gradient tracking is skipped when the global
         grad mode is off or no parent requires grad.
         """
         requires = GradMode.is_enabled() and any(p.requires_grad for p in parents)

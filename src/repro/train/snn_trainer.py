@@ -27,7 +27,7 @@ from ..obs import profile as obs_profile
 from ..obs import trace
 from ..obs.instruments import record_spike_profile
 from ..optim import SGD, Adam, MultiStepLR, paper_milestones
-from ..snn import SpikingNetwork, SpikingNeuron
+from ..snn import SpikingNetwork, count_spikes
 from .guard import NonFiniteDetected, NonFiniteGuard
 from .history import TrainingHistory
 from .metrics import evaluate_snn
@@ -258,24 +258,12 @@ class SNNTrainer:
                 health_monitor = obs_health.active()
                 if test_batches_factory is not None and health_monitor is not None:
                     # Piggyback spike-rate measurement on the epoch's
-                    # test pass: record spike counters for its duration
-                    # and fold them into per-layer rates for the
-                    # collapse rule.  Recording works in both temporal
-                    # engines and is restored afterwards.
-                    previous_recording = [
-                        n.recording for n in snn.spiking_neurons()
-                    ]
-                    snn.reset_spike_stats()
-                    snn.set_recording(True)
-                    try:
+                    # test pass: count spikes for its duration and fold
+                    # them into per-layer rates for the collapse rule.
+                    with count_spikes(snn) as counts:
                         with obs_profile.region("snn.eval"):
                             test_acc = evaluate_snn(snn, test_batches_factory)
-                        layer_rates = record_spike_profile(snn)
-                    finally:
-                        for neuron, was_recording in zip(
-                            snn.spiking_neurons(), previous_recording
-                        ):
-                            neuron.recording = was_recording
+                    layer_rates = record_spike_profile(counts)
                 elif test_batches_factory is not None:
                     with obs_profile.region("snn.eval"):
                         test_acc = evaluate_snn(snn, test_batches_factory)

@@ -26,6 +26,7 @@ from repro.snn import (
     SpikingSequential,
     StepWrapper,
     TemporalDropout,
+    count_spikes,
 )
 from repro.snn.dispatch import CrossoverTable
 from repro.tensor import no_grad
@@ -89,14 +90,12 @@ def images_batch(n=4, seed=3):
 
 
 def run_recorded(snn, images):
-    """Eval-mode no-grad forward with spike recording; returns
+    """Eval-mode no-grad forward under the spike counter; returns
     ``(logits, total spike count)``."""
     snn.eval()
-    snn.reset_spike_stats()
-    snn.set_recording(True)
-    with no_grad():
+    with count_spikes(snn) as counts, no_grad():
         logits = snn(images)
-    return logits.data, snn.total_spikes()
+    return logits.data, sum(counts.spikes)
 
 
 def assert_logits_match(actual, expected, contract=FUSED_CONTRACT):

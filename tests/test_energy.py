@@ -108,7 +108,7 @@ class TestSpikeMeasurement:
     def test_recording_disabled_after(self, converted):
         conversion, loader = converted
         measure_spiking_activity(conversion.snn, loader)
-        assert all(not n.recording for n in conversion.snn.spiking_neurons())
+        assert all(not n._taps for n in conversion.snn.spiking_neurons())
 
     def test_empty_batches_rejected(self, converted):
         conversion, _ = converted

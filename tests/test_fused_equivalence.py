@@ -6,8 +6,7 @@ These tests pin the contract from ``repro.snn.network``: identical
 logits, spike counts and BPTT gradients for every ``output_mode``,
 neuron configuration (IF/LIF, soft/hard reset, ``beta``, non-zero
 initial potential), encoder, and probe (event counting, step monitors,
-drift diagnosis) — or a documented stepwise fallback where per-step
-semantics demand one.
+drift diagnosis).
 """
 
 import numpy as np
@@ -29,6 +28,7 @@ from repro.snn import (
     SpikingResidualBlock,
     SpikingSequential,
     StepWrapper,
+    count_spikes,
     fold_time,
     record_spike_raster,
     tile_time,
@@ -282,6 +282,17 @@ def _event_counts_probe(snn, images):
     return {"logits": ("close", logits), "counts": ("exact", counts)}
 
 
+def _spike_count_probe(snn, images):
+    snn.eval()
+    with count_spikes(snn) as counts, no_grad():
+        logits = snn(images).data
+    assert all(0.0 < rate <= 1.0 for rate in counts.rates())
+    return {
+        "logits": ("close", logits),
+        "counts": ("exact", (counts.spikes, counts.slots, counts.neurons)),
+    }
+
+
 def _inner_conv_probe(snn, images):
     # The first conv sees identical frames under direct encoding; a
     # replacement that differs per step must still reach later layers.
@@ -300,6 +311,7 @@ def _inner_conv_probe(snn, images):
 
 TAP_PROBES = [
     pytest.param(_raster_probe, id="spike-raster"),
+    pytest.param(_spike_count_probe, id="spike-counts"),
     pytest.param(_average_outputs_probe, id="snn-average-outputs"),
     pytest.param(_average_currents_probe, id="snn-average-currents"),
     pytest.param(_regularizer_probe, id="spike-rate-regularizer"),
@@ -383,19 +395,11 @@ class TestModePlumbing:
         with no_grad():
             baseline = snn(images).data
         with snn.using_mode("stepwise"):
-            assert snn.resolved_mode() == "stepwise"
+            assert snn.mode == "stepwise"
             with no_grad():
                 pinned = snn(images).data
         assert snn.mode == "fused"
         assert np.array_equal(baseline, pinned)
-
-    def test_monitor_forces_stepwise(self):
-        snn = build_net(lambda: IFNeuron(), "fused")
-        assert snn.resolved_mode() == "fused"
-        snn.attach_monitor(object())
-        assert snn.resolved_mode() == "stepwise"
-        snn.detach_monitor()
-        assert snn.resolved_mode() == "fused"
 
     def test_fold_unfold_round_trip(self):
         frames = [Tensor(np.full((2, 3), float(t))) for t in range(T)]
@@ -430,27 +434,31 @@ def converted():
 
 
 class TestObsCompatibility:
-    def test_step_monitor_series_identical(self):
-        # A StepMonitor needs true step-boundary state, so a fused
-        # network documents an explicit fallback: while attached,
-        # resolved_mode() is stepwise and the recorded gauge
-        # trajectories match a stepwise-pinned twin exactly.
+    def test_step_monitor_series_identical(self, monkeypatch):
+        # A StepMonitor is a layer tap, so a monitored fused network
+        # stays on the fused engine — it never enters the step-major
+        # loop — and records the same series as a stepwise twin.
+        stepwise_calls = []
+        original = SpikingNetwork._forward_stepwise
+
+        def spy(self, images):
+            stepwise_calls.append(self)
+            return original(self, images)
+
+        monkeypatch.setattr(SpikingNetwork, "_forward_stepwise", spy)
         images = images_batch()
-        snapshots, steps = {}, {}
+        snapshots, nets = {}, {}
         for mode in SpikingNetwork.MODES:
-            snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
+            snn = nets[mode] = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
             snn.eval()
-            with observe(), monitored(snn) as monitor:
-                assert snn.resolved_mode() == "stepwise"
+            with observe(), monitored(snn):
                 with no_grad():
                     snn(images)
-                steps[mode] = monitor.steps_seen
-            assert snn.resolved_mode() == mode
-            snapshots[mode] = get_registry().snapshot()
-        assert steps["fused"] == steps["stepwise"] == T
+                snapshots[mode] = get_registry().snapshot()
+        assert stepwise_calls == [nets["stepwise"]]
         assert snapshots["fused"] == snapshots["stepwise"]
-        # The series is non-trivial: per-layer spike-rate and membrane
-        # histograms plus spike counters were actually recorded.
+        # The series is non-trivial: per-layer spike-rate histograms
+        # and spike counters were actually recorded.
         assert snapshots["fused"]["histograms"]
         assert snapshots["fused"]["counters"]
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import load_run, render_report
-from repro.snn import SpikingNetwork, SpikingNeuron, SpikingSequential, StepWrapper
+from repro.snn import (
+    SpikingNetwork,
+    SpikingNeuron,
+    SpikingSequential,
+    StepWrapper,
+    count_spikes,
+)
 
 
 def _reset_obs():
@@ -252,13 +260,12 @@ class TestInstruments:
         with obs.observe():
             with obs.monitored(snn) as monitor:
                 snn(images)
-            assert monitor.steps_seen == snn.timesteps
         registry = obs.get_registry()
         hist = registry.histogram("snn.spike_rate", layer=0)
         assert hist.count == snn.timesteps
         assert 0.0 <= hist.mean <= 1.0
-        membrane = registry.histogram("snn.membrane_mean", layer=0)
-        assert membrane.count == snn.timesteps
+        assert registry.counter("snn.spikes", layer=0).value == monitor.spikes[0]
+        assert monitor.slots[0] == 5 * 6 * snn.timesteps
 
     def test_monitored_restores_state(self):
         snn = tiny_snn()
@@ -266,8 +273,7 @@ class TestInstruments:
         with obs.observe():
             with obs.monitored(snn):
                 snn(images)
-        assert snn._step_monitor is None
-        assert all(not n.recording for n in snn.spiking_neurons())
+        assert all(not n._taps for n in snn.spiking_neurons())
 
     def test_monitored_noop_when_disabled(self):
         snn = tiny_snn()
@@ -278,13 +284,27 @@ class TestInstruments:
 
     def test_record_spike_profile(self):
         snn = tiny_snn()
-        snn.set_recording(True)
-        snn(np.random.default_rng(0).random((4, 4)))
+        with count_spikes(snn) as counts:
+            snn(np.random.default_rng(0).random((4, 4)))
         with obs.observe():
-            rates = obs.record_spike_profile(snn)
+            rates = obs.record_spike_profile(counts)
         registry = obs.get_registry()
         assert len(rates) == 1
         assert registry.gauge("snn.layer_spike_rate", layer=0).value == rates[0]
+
+    def test_spike_profile_independent_of_batch_size(self):
+        """A per-neuron-per-step rate: the same 16 images give the same
+        rates (each at most 1) as one batch of 16 or 16 batches of 1."""
+        snn = tiny_snn()
+        images = np.random.default_rng(4).random((16, 4))
+        rates = {}
+        for batch in (16, 1):
+            with count_spikes(snn) as counts:
+                for start in range(0, len(images), batch):
+                    snn(images[start:start + batch])
+            rates[batch] = obs.record_spike_profile(counts)
+        assert rates[16] == rates[1]
+        assert all(0.0 < rate <= 1.0 for rate in rates[16])
 
 
 class TestReport:
@@ -346,6 +366,21 @@ class TestReport:
         run = load_run(str(tmp_path))
         assert not any("drift" in w for w in run.warnings)
         assert "Conversion drift" not in render_report(run)
+
+
+class TestReportCli:
+    def test_module_run_prints_no_warning(self):
+        """``python -m repro.obs.report`` must not find its own module
+        already imported by the package (runpy's RuntimeWarning)."""
+        src = os.path.dirname(os.path.dirname(os.path.dirname(obs.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.obs.report", "--help"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
 
 class TestPipelineTracing:
@@ -527,9 +562,9 @@ class TestDriftMonitor:
 
 
 def _drive_spike_profile(snn, images, _drift_setup):
-    snn.set_recording(True)
-    snn(images)
-    obs.record_spike_profile(snn)
+    with count_spikes(snn) as counts:
+        snn(images)
+    obs.record_spike_profile(counts)
 
 
 def _drive_energy_profile(snn, images, _drift_setup):
@@ -632,7 +667,7 @@ class TestZeroOverheadWhenDisabled:
         assert obs.state().spans == []
         assert obs.state().events == []
         assert len(obs.get_registry()) == 0
-        assert snn._step_monitor is None
+        assert all(not n._taps for n in snn.spiking_neurons())
 
     def test_disabled_calls_are_cheap(self):
         """Disabled span/metric calls must stay at raw-function-call

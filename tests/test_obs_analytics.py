@@ -605,8 +605,8 @@ class TestTrainerHealthIntegration:
         for beat in snn_beats:
             assert beat["timesteps"] == 2
             assert len(beat["layer_rates"]) == len(snn.spiking_neurons())
-        # Recording was only borrowed for the test pass.
-        assert all(not n.recording for n in snn.spiking_neurons())
+        # The spike counter tapped the neurons only for the test pass.
+        assert all(not n._taps for n in snn.spiking_neurons())
 
 
 # ----------------------------------------------------------------------

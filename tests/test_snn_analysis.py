@@ -7,6 +7,7 @@ from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
 from repro.models import vgg11
 from repro.snn import (
+    count_spikes,
     first_spike_latency,
     layer_summary,
     record_spike_raster,
@@ -45,16 +46,14 @@ class TestRaster:
     def test_consistent_with_recording(self, snn_and_images):
         snn, images = snn_and_images
         rasters = record_spike_raster(snn, images)
-        snn.reset_spike_stats()
-        snn.set_recording(True)
         snn.eval()
         from repro.tensor import no_grad
 
-        with no_grad():
+        with count_spikes(snn) as counts, no_grad():
             snn(images)
-        snn.set_recording(False)
-        for raster, neuron in zip(rasters, snn.spiking_neurons()):
-            assert raster.sum() == pytest.approx(neuron.spike_count)
+        for raster, spikes, slots in zip(rasters, counts.spikes, counts.slots):
+            assert raster.sum() == spikes
+            assert raster.size == slots
 
 
 class TestStatistics:

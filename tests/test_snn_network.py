@@ -15,6 +15,7 @@ from repro.snn import (
     SpikingSequential,
     StepWrapper,
     TemporalDropout,
+    count_spikes,
 )
 from repro.tensor import Tensor
 
@@ -139,15 +140,15 @@ class TestSpikingNetwork:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_recording_controls(self, rng):
+        # The counter counts inside its block only and leaves no tap.
         snn = tiny_snn(timesteps=2, v_th=0.01)
-        snn.set_recording(True)
+        with count_spikes(snn) as counts:
+            snn(np.abs(rng.normal(size=(1, 1, 4, 4))))
+        seen = sum(counts.spikes)
+        assert seen > 0
         snn(np.abs(rng.normal(size=(1, 1, 4, 4))))
-        assert snn.total_spikes() > 0
-        snn.reset_spike_stats()
-        assert snn.total_spikes() == 0
-        snn.set_recording(False)
-        snn(np.abs(rng.normal(size=(1, 1, 4, 4))))
-        assert snn.total_spikes() == 0
+        assert sum(counts.spikes) == seen
+        assert all(not n._taps for n in snn.spiking_neurons())
 
     def test_spiking_neurons_enumeration(self):
         snn = tiny_snn()

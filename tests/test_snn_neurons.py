@@ -7,9 +7,12 @@ from repro.nn import Parameter
 from repro.snn import (
     IFNeuron,
     LIFNeuron,
+    SpikingNetwork,
     SpikingNeuron,
+    SpikingSequential,
     available_surrogates,
     boxcar,
+    count_spikes,
     get_surrogate,
     spike_function,
     triangle,
@@ -148,21 +151,31 @@ class TestLIFNeuron:
         assert n.leak.grad is not None and n.leak.grad[0] != 0.0
 
 
+def one_neuron_net(timesteps=1):
+    return SpikingNetwork(
+        SpikingSequential(IFNeuron(v_threshold=1.0)), timesteps=timesteps
+    )
+
+
 class TestSpikeRecording:
     def test_counts_spikes(self):
-        n = IFNeuron(v_threshold=1.0)
-        n.recording = True
-        n(Tensor(np.full((2, 3), 1.5)))
-        assert n.spike_count == 6
-        assert n.neuron_count == 3  # per-sample neurons (excl. batch dim)
-        assert n.step_count == 1
+        snn = one_neuron_net()
+        with count_spikes(snn) as counts:
+            snn(np.full((2, 3), 1.5))
+        assert counts.spikes == [6]
+        assert counts.neurons == [3]  # per-sample neurons (excl. batch dim)
+        assert counts.slots == [6]  # neurons x images x steps
+        assert counts.rates() == [1.0]
 
     def test_reset_spike_stats(self):
-        n = IFNeuron(v_threshold=1.0)
-        n.recording = True
-        n(Tensor(np.full((1, 2), 1.5)))
-        n.reset_spike_stats()
-        assert n.spike_count == 0 and n.step_count == 0
+        # Every count_spikes block starts from zero.
+        snn = one_neuron_net()
+        with count_spikes(snn):
+            snn(np.full((1, 2), 1.5))
+        with count_spikes(snn) as counts:
+            pass
+        assert counts.spikes == [0] and counts.slots == [0]
+        assert counts.rates() == [0.0]
 
 
 class TestSurrogates:

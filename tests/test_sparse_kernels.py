@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.faults import FaultSpec
-from repro.hw.quantization import quantize_array, quantize_int8
+from repro.hw.quantization import quantize_array
 from repro.nn import Conv2d, Flatten, Linear
 from repro.obs.instruments import record_energy_profile
 from repro.snn import IFNeuron, PoissonEncoder, SpikingNetwork
@@ -240,7 +240,7 @@ class TestSparseConvGather:
 
 
 # ======================================================================
-# int8 quantization plumbing (satellite: dtype preservation)
+# Weight quantization keeps the source dtype
 # ======================================================================
 class TestQuantizationDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -250,25 +250,6 @@ class TestQuantizationDtype:
                 np.random.default_rng(14).normal(size=(8, 8)), dtype=dtype
             )
             assert quantize_array(values, 8).dtype == np.dtype(dtype)
-
-    def test_quantize_int8_matches_quantize_array_grid(self):
-        values = np.random.default_rng(15).normal(size=(6, 10))
-        qw = quantize_int8(values)
-        np.testing.assert_array_equal(qw.dequantize(), quantize_array(values, 8))
-        assert qw.q.dtype == np.int8
-        assert qw.dequantize().dtype == values.dtype
-
-    def test_quantize_int8_zero_weights(self):
-        qw = quantize_int8(np.zeros((3, 3)))
-        assert qw.scale == 1.0
-        np.testing.assert_array_equal(qw.dequantize(), np.zeros((3, 3)))
-
-    def test_quantize_int8_rejects_bad_bits(self):
-        values = np.ones((2, 2))
-        with pytest.raises(ValueError):
-            quantize_int8(values, bits=1)
-        with pytest.raises(ValueError):
-            quantize_int8(values, bits=9)
 
 
 # ======================================================================
