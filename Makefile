@@ -20,7 +20,7 @@ bench:
 # End-to-end determinism checks, selected from the tier-1 suite by the
 # `smoke` pytest marker: an observed, op-profiled tiny pipeline run twice
 # must diff clean and render a byte-identical report twice; an observed
-# sparse-dispatched run must publish measured energy counts and diff
+# sparse-dispatched run must publish exact accumulate gauges and diff
 # clean; fault sweeps must be bitwise identical serial vs on the worker
 # pool (and observed runs diff clean); a null fault spec must be a
 # bitwise identity; NonFiniteGuard must recover from a transient NaN.

@@ -50,12 +50,6 @@ class SpikeActivityReport:
             return 0.0
         return float(np.mean([layer.spikes_per_neuron for layer in self.layers]))
 
-    @property
-    def spikes_per_image(self) -> float:
-        if self.images == 0:
-            return 0.0
-        return sum(layer.spikes for layer in self.layers) / self.images
-
     def rates_by_neuron_id(self, snn: SpikingNetwork) -> Dict[int, float]:
         """Map ``id(neuron) -> spikes per neuron per inference`` for the
         FLOP accounting in :mod:`repro.energy.flops`."""

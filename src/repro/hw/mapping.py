@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..nn import Conv2d, Linear
-from ..snn import SpikingNetwork, StepWrapper
-from ..snn.dispatch import CrossoverTable
+from ..snn import SpikingNetwork
+from ..snn.analysis import count_accumulates
 from ..tensor import no_grad
 
 
@@ -165,12 +165,12 @@ def map_network(
 ) -> DeploymentReport:
     """Map every weight layer of ``snn`` onto neuromorphic cores.
 
-    The mapping is driven by one exact measurement pass through a
-    counting :class:`~repro.snn.dispatch.SparseDispatch`: each layer's
-    geometry comes from the shape it actually saw (so pooling / flatten
-    stages are handled exactly), and its input spike traffic from the
-    counted events — no rate approximations.  The pass routes every
-    layer dense, so the spikes are the dense simulator's, and a
+    The mapping is driven by one exact measurement pass under
+    :func:`~repro.snn.analysis.count_accumulates`: each layer's geometry
+    comes from the shape it actually saw (so pooling / flatten stages
+    are handled exactly), and its input spike traffic from the counted
+    events — no rate approximations.  The pass runs without a sparse
+    dispatcher, so the spikes are the dense simulator's, and a
     dispatcher already installed on ``snn`` is left as it was.
 
     Parameters
@@ -184,30 +184,23 @@ def map_network(
         Core capabilities (TrueNorth-like defaults).
     """
     spec = core_spec or CoreSpec()
-    weight_layers = [
-        m.inner for m in snn.modules()
-        if isinstance(m, StepWrapper) and isinstance(m.inner, (Conv2d, Linear))
-    ]
-    if not weight_layers:
-        raise ValueError("network has no weight layers to map")
-
     installed, was_training = snn.sparse_dispatch, snn.training
-    dispatch = snn.enable_sparse_dispatch(
-        CrossoverTable(defaults={"conv": -1.0, "linear": -1.0}), count_ops=True
-    )
+    snn.sparse_dispatch = None
     snn.eval()
     try:
-        with no_grad():
+        with count_accumulates(snn) as counts, no_grad():
+            if not counts.layers:
+                raise ValueError("network has no weight layers to map")
             snn(images)
     finally:
         snn.sparse_dispatch = installed
         snn.train(was_training)
 
     layers: List[LayerMapping] = []
-    for index, inner in enumerate(weight_layers):
-        st = dispatch.stats[id(inner)]
+    events = counts.per_inference(counts.events)
+    for index, inner in enumerate(counts.layers):
         neurons, inputs, fan_in, synapses, _out_shape = _layer_geometry(
-            inner, st.unit_shape
+            inner, counts.unit_shapes[index]
         )
         cores = _cores_for_layer(neurons, fan_in, spec)
         # Fraction of deliveries that cross cores: with one core there
@@ -221,7 +214,7 @@ def map_network(
                 fan_in=fan_in,
                 synapses=synapses,
                 cores=cores,
-                input_spikes_per_inference=st.per_image(st.events, snn.timesteps),
+                input_spikes_per_inference=events[index],
                 crossing_fraction=crossing,
             )
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import List, Optional
 
-from ..snn.analysis import SpikeCounts, count_spikes
+from ..snn.analysis import SpikeCounts, count_accumulates, count_spikes
 from . import metrics as obs_metrics
 from . import trace
 from .core import is_enabled
@@ -81,10 +81,11 @@ def record_energy_profile(
       ``energy.snn_joules``, ``energy.dnn_joules``,
       ``energy.improvement`` (the DNN/SNN energy ratio).
 
-    When the network runs with sparse dispatch enabled (and op counting
-    on), the rate-based per-layer ``snn_ops`` estimates are replaced by
-    the dispatcher's *exact* accumulate counts measured during the same
-    activity pass, and ``energy.measured_counts`` gauges 1.
+    Those are the paper's rate estimates.  The same activity pass runs
+    under :func:`~repro.snn.analysis.count_accumulates`, and its exact
+    per-image accumulates are reported beside them:
+    ``energy.accumulates{layer=i}`` and the summary's
+    ``snn_accumulates`` total.
 
     Returns the summary dict (also attached to the enclosing span).
     The energy package is imported lazily so the observability core
@@ -98,18 +99,13 @@ def record_energy_profile(
     )
 
     with trace.span("energy_profile", timesteps=snn.timesteps) as sp:
-        dispatch = getattr(snn, "sparse_dispatch", None)
-        if dispatch is not None and dispatch.count_ops:
-            dispatch.reset_stats()
-        activity = measure_spiking_activity(snn, batches, max_batches=max_batches)
+        with count_accumulates(snn) as counted:
+            activity = measure_spiking_activity(
+                snn, batches, max_batches=max_batches
+            )
+        accumulates = counted.per_inference(counted.accumulates)
         rates = activity.rates_by_neuron_id(snn)
         records = snn_layer_flops(snn, input_shape, rates)
-        measured = _measured_snn_ops(
-            dispatch, records, activity.images, activity.timesteps
-        )
-        if measured is not None:
-            for rec, ops in zip(records, measured):
-                rec.snn_ops = ops
         model = EnergyModel()
         snn_joules = model.snn_energy(records)
         dnn_joules = model.dnn_energy(records)
@@ -124,7 +120,7 @@ def record_energy_profile(
             # A fully silent network has zero SNN energy; report 0 rather
             # than raising mid-run.
             "improvement": dnn_joules / snn_joules if snn_joules else 0.0,
-            "measured_counts": measured is not None,
+            "snn_accumulates": sum(accumulates),
         }
         sp.set(**summary)
     for layer, stats in enumerate(activity.layers):
@@ -134,29 +130,9 @@ def record_energy_profile(
     for layer, rec in enumerate(records):
         obs_metrics.gauge("energy.snn_ops", rec.snn_ops, layer=layer)
         obs_metrics.gauge("energy.dnn_macs", rec.macs, layer=layer)
+    for layer, count in enumerate(accumulates):
+        obs_metrics.gauge("energy.accumulates", count, layer=layer)
     for key in ("snn_total_flops", "dnn_total_flops", "snn_joules",
                 "dnn_joules", "improvement", "avg_spikes_per_neuron"):
         obs_metrics.gauge(f"energy.{key}", summary[key])
-    obs_metrics.gauge("energy.measured_counts", float(summary["measured_counts"]))
     return summary
-
-
-def _measured_snn_ops(dispatch, records, images, timesteps):
-    """Per-image exact accumulate counts from the dispatcher, if usable.
-
-    The dispatcher records one stats entry per weight layer in execution
-    order — the same order the structural FLOP walk yields.  The
-    simulator may have run a layer on fewer frames than the hardware
-    presents (the fused engine's direct-encoding prefix computes once
-    per forward; a folded layer covers all steps in one ``(T*N)``
-    call), so :meth:`~repro.snn.dispatch.LayerDispatchStats.per_image`
-    rescales by the frames each layer did see.
-    """
-    if dispatch is None or not dispatch.count_ops:
-        return None
-    stats = dispatch.layer_stats()
-    if len(stats) != len(records) or not images or not timesteps:
-        return None
-    if any(st.batch_sum <= 0 for st in stats):
-        return None
-    return [st.per_image(st.accumulates, timesteps) for st in stats]

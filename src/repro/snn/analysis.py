@@ -8,6 +8,9 @@ examples quantify that:
 
 - :func:`count_spikes` — the one spike counter: per-layer spikes and
   output slots over a block, in either engine;
+- :func:`count_accumulates` — the one exact accumulate counter: per
+  weight layer, the input events and the synaptic operations they
+  trigger (Section VI of the paper);
 - :func:`record_spike_raster` — per-layer ``(T, batch, ...)`` binary
   spike tensors for a given input batch;
 - :func:`spikes_per_step` — population spike counts over time;
@@ -20,13 +23,13 @@ examples quantify that:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import tap
+from ..nn import Conv2d, Linear, tap
 from ..tensor import no_grad
-from .network import SpikingNetwork
+from .network import SpikingNetwork, StepWrapper
 
 
 class SpikeCounts:
@@ -76,6 +79,105 @@ def count_spikes(
     earlier, e.g. transmission faults.
     """
     counts = SpikeCounts(snn) if counts is None else counts
+    with tap(counts.layers, counts):
+        yield counts
+
+
+def conv_fanout_map(
+    in_shape: Tuple[int, int, int], layer: Conv2d
+) -> np.ndarray:
+    """Per-input-position fan-out of a convolution.
+
+    Returns an ``(C, H, W)`` integer array: the number of *output*
+    connections each input element feeds (``out_channels x`` the number
+    of kernel placements covering that position).  Border positions
+    have smaller fan-out — exactly the count a spike event from that
+    position triggers.
+    """
+    _, height, width = in_shape
+    k, s, p = layer.kernel_size, layer.stride, layer.padding
+
+    def coverage(length: int) -> np.ndarray:
+        """Kernel placements covering each position along one axis."""
+        starts = np.arange((length + 2 * p - k) // s + 1) * s - p
+        taps = (starts[:, None] + np.arange(k)).ravel()
+        return np.bincount(taps[(taps >= 0) & (taps < length)], minlength=length)
+
+    per_position = np.outer(coverage(height), coverage(width)) * layer.out_channels
+    return np.broadcast_to(per_position, tuple(in_shape)).copy()
+
+
+class AccumulateCounts:
+    """Per-weight-layer event totals gathered by :func:`count_accumulates`.
+
+    Indexed by weight layer (the ``Conv2d``/``Linear`` inner of every
+    :class:`~repro.snn.network.StepWrapper`, in module order):
+    ``events`` counts the input events the layer received — the nonzero
+    inputs of a hidden layer, every input element of the layer that
+    receives the encoder's frames — and ``accumulates`` the synaptic
+    operations they trigger, one per reachable output connection
+    (:func:`conv_fanout_map`).  ``rows`` counts the per-step input rows
+    seen (images x steps) and ``unit_shapes`` holds each layer's
+    per-sample input shape.  The instance is the tap itself.
+    """
+
+    def __init__(self, snn: SpikingNetwork) -> None:
+        self.timesteps = snn.timesteps
+        self.layers = [
+            m.inner for m in snn.modules()
+            if isinstance(m, StepWrapper) and isinstance(m.inner, (Conv2d, Linear))
+        ]
+        self._index = {id(layer): i for i, layer in enumerate(self.layers)}
+        self.events = [0] * len(self.layers)
+        self.accumulates = [0] * len(self.layers)
+        self.rows = [0] * len(self.layers)
+        self.unit_shapes: List[tuple] = [()] * len(self.layers)
+        self._encoder_fed: Optional[int] = None
+
+    def __call__(self, layer, x, _out) -> None:
+        data = x.data
+        index = self._index[id(layer)]
+        if self._encoder_fed is None:
+            # The first weight layer a forward reaches receives the
+            # encoder's frames: analog input, every element an event at
+            # every step, whatever its value.
+            self._encoder_fed = index
+        rows, unit_shape = data.shape[0], data.shape[1:]
+        if index == self._encoder_fed:
+            counts = np.full(int(np.prod(unit_shape)), rows)
+        else:
+            counts = np.count_nonzero(data.reshape(rows, -1), axis=0)
+        events = int(counts.sum())
+        if isinstance(layer, Conv2d):
+            fanout = conv_fanout_map(unit_shape, layer).reshape(-1)
+            self.accumulates[index] += int(counts.dot(fanout))
+        else:
+            self.accumulates[index] += events * layer.out_features
+        self.events[index] += events
+        self.rows[index] += rows
+        self.unit_shapes[index] = unit_shape
+
+    def per_inference(self, counts: List[int]) -> List[float]:
+        """Per-layer ``counts`` (``events`` or ``accumulates``) per
+        inference: the hardware presents each image for ``timesteps``
+        steps, and a layer saw ``rows`` per-step rows in all."""
+        return [
+            count * self.timesteps / rows if rows else 0.0
+            for count, rows in zip(counts, self.rows)
+        ]
+
+
+@contextmanager
+def count_accumulates(snn: SpikingNetwork) -> Iterator[AccumulateCounts]:
+    """Count every weight layer's input events and accumulates within
+    the block.
+
+    Taps the weight layers' inputs through :class:`repro.nn.tap`, which
+    fires once per time block in both engines, so the counts do not
+    depend on the engine or on which path (dense GEMM or sparse gather)
+    computed the outputs.  Counts start at zero.
+    """
+    counts = AccumulateCounts(snn)
     with tap(counts.layers, counts):
         yield counts
 

@@ -19,14 +19,9 @@ re-scanning the dense frame; a sparse-routed frame without events skips
 the packing and the gather and outputs the bias.  Training and autograd-enabled passes
 never see a context and keep the dense autograd path bit-for-bit.
 
-The dispatcher is also the one exact-accumulate counter (Section VI of
-the paper).  With ``count_ops=True`` a hidden weight layer pays one
-accumulate per input spike per reachable output connection
-(:func:`conv_fanout_map`), and the layer that receives the encoder's
-frames pays for every input element at every step, whichever path
-computed the values.  :func:`repro.obs.instruments.record_energy_profile`
-and :func:`repro.hw.map_network` read the counts per image through
-:meth:`LayerDispatchStats.per_image`.
+The dispatcher only routes.  Exact accumulate counts (Section VI of the
+paper) come from :func:`repro.snn.analysis.count_accumulates`, a tap
+that counts the same frames whichever path computed them.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -55,30 +50,6 @@ CROSSOVER_SCHEMA = "repro.bench.crossover/v1"
 #: Measured on the reference host the gather kernels only beat BLAS
 #: well below 10% activity; these defaults err toward the dense path.
 DEFAULT_THRESHOLDS = {"conv": 0.01, "linear": 0.05}
-
-
-def conv_fanout_map(
-    in_shape: Tuple[int, int, int], layer: Conv2d
-) -> np.ndarray:
-    """Per-input-position fan-out of a convolution.
-
-    Returns an ``(C, H, W)`` integer array: the number of *output*
-    connections each input element feeds (``out_channels x`` the number
-    of kernel placements covering that position).  Border positions
-    have smaller fan-out — exactly the count a spike event from that
-    position triggers.
-    """
-    _, height, width = in_shape
-    k, s, p = layer.kernel_size, layer.stride, layer.padding
-
-    def coverage(length: int) -> np.ndarray:
-        """Kernel placements covering each position along one axis."""
-        starts = np.arange((length + 2 * p - k) // s + 1) * s - p
-        taps = (starts[:, None] + np.arange(k)).ravel()
-        return np.bincount(taps[(taps >= 0) & (taps < length)], minlength=length)
-
-    per_position = np.outer(coverage(height), coverage(width)) * layer.out_channels
-    return np.broadcast_to(per_position, tuple(in_shape)).copy()
 
 
 def layer_signature(layer, unit_shape) -> str:
@@ -149,29 +120,13 @@ class CrossoverTable:
 
 @dataclass
 class LayerDispatchStats:
-    """Per-layer dispatch telemetry (exact event accounting included).
-
-    ``events`` are input events: the nonzero inputs of a hidden layer,
-    every input element of the layer that receives the encoder's
-    frames.  ``accumulates`` (kept only with ``count_ops``) are the
-    synaptic operations those events trigger.  Both are summed over the
-    calls the simulator made; :meth:`per_image` turns either into a
-    per-inference figure.
-    """
+    """Per-layer routing telemetry: paths taken and input densities."""
 
     signature: str
     kind: str
     threshold: float
     dense_runs: int = 0
     sparse_runs: int = 0
-    events: float = 0.0
-    accumulates: float = 0.0
-    #: Summed input batch sizes over all calls.  Distinguishes a layer
-    #: the fused engine ran once on the (T*N)-folded batch from one the
-    #: direct-encoding prefix ran once on N analog frames — both have
-    #: ``calls == 1`` but the hardware pays T presentations either way,
-    #: so :meth:`per_image` rescales by ``timesteps / batch_sum``.
-    batch_sum: float = 0.0
     last_density: float = 0.0
     density_sum: float = 0.0
     unit_shape: tuple = ()
@@ -188,75 +143,26 @@ class LayerDispatchStats:
     def sparse_fraction(self) -> float:
         return self.sparse_runs / self.calls if self.calls else 0.0
 
-    def per_image(self, count: float, timesteps: int) -> float:
-        """``count`` (``events`` or ``accumulates``) per inference.
-
-        The hardware pays ``timesteps`` presentations per image, and the
-        layer saw ``batch_sum`` frames in total, however the engine
-        folded them.
-        """
-        return count * timesteps / self.batch_sum
-
-    def as_dict(self) -> dict:
-        return {
-            "signature": self.signature,
-            "kind": self.kind,
-            "threshold": self.threshold,
-            "dense_runs": self.dense_runs,
-            "sparse_runs": self.sparse_runs,
-            "events": self.events,
-            "accumulates": self.accumulates,
-            "last_density": self.last_density,
-            "mean_density": self.mean_density,
-            "sparse_fraction": self.sparse_fraction,
-        }
-
-
-class _PackedLayer:
-    """Cached kernel-ready weights for one layer."""
-
-    __slots__ = ("packed", "fanout", "fanout_sum")
-
-    def __init__(self) -> None:
-        self.packed = None
-        self.fanout: Dict[tuple, np.ndarray] = {}
-        self.fanout_sum: Dict[tuple, float] = {}
-
 
 class SparseDispatch:
     """Routes eligible weight layers between dense GEMM and sparse gather.
 
-    Parameters
-    ----------
-    crossover:
-        ``None`` (defaults only), a path to a crossover artefact, or a
-        :class:`CrossoverTable`.
-    count_ops:
-        Keep exact accumulate counts on *every* forward — also on dense
-        runs, where the event-driven op count is what the hardware would
-        pay regardless of which simulator path computed the values.
-        Off by default: counting costs a few vectorised passes per layer
-        per step, so it is opt-in for energy-profiling and mapping runs
-        (:func:`repro.obs.instruments.record_energy_profile`,
-        :func:`repro.hw.map_network`).
+    ``crossover`` is ``None`` (defaults only), a path to a crossover
+    artefact, or a :class:`CrossoverTable`.
     """
 
-    def __init__(self, crossover=None, count_ops: bool = False) -> None:
+    def __init__(self, crossover=None) -> None:
         if crossover is None:
             crossover = CrossoverTable()
         elif not isinstance(crossover, CrossoverTable):
             crossover = CrossoverTable.load(crossover)
         self.table = crossover
-        self.count_ops = bool(count_ops)
         self.stats: Dict[int, LayerDispatchStats] = {}
         self._order: List[int] = []
-        self._packed: Dict[int, _PackedLayer] = {}
+        # Packed conv weights, keyed by layer id.
+        self._packed: Dict[int, np.ndarray] = {}
         # Latest spike tensor offered by a neuron: (id, ref, nnz, amp).
         self._offer = None
-        # id of the weight layer that receives the encoder's frames:
-        # _PENDING until the first weight layer of a network forward
-        # claims it, None outside network forwards.
-        self._input_layer = None
 
     # ------------------------------------------------------------------
     # Neuron-side spike emission
@@ -265,9 +171,10 @@ class SparseDispatch:
         """Register a freshly emitted spike tensor's metadata.
 
         Keyed by array identity: the very next weight layer that
-        receives this exact array can reuse the event count and uniform
-        amplitude without re-scanning it.  Holding the reference keeps
-        the id stable until the next offer replaces it.
+        receives this exact array can reuse the event count (its
+        density) and uniform amplitude (its packing) without re-scanning
+        it.  Holding the reference keeps the id stable until the next
+        offer replaces it.
         """
         self._offer = (id(data), data, nnz, amplitude)
 
@@ -278,7 +185,7 @@ class SparseDispatch:
         return None
 
     # ------------------------------------------------------------------
-    # Weight / fanout caches
+    # Weight cache
     # ------------------------------------------------------------------
     def invalidate_cache(self) -> None:
         """Drop packed weights (call after in-place weight mutation)."""
@@ -288,31 +195,17 @@ class SparseDispatch:
         for key in self._order:
             st = self.stats[key]
             st.dense_runs = st.sparse_runs = 0
-            st.events = st.accumulates = st.batch_sum = 0.0
             st.last_density = st.density_sum = 0.0
 
     def layer_stats(self) -> List[LayerDispatchStats]:
         """Stats in first-use (execution) order."""
         return [self.stats[key] for key in self._order]
 
-    def _packed_for(self, layer) -> _PackedLayer:
-        key = id(layer)
-        pl = self._packed.get(key)
-        if pl is None:
-            pl = _PackedLayer()
-            if isinstance(layer, Conv2d):
-                pl.packed = pack_conv_weight(layer.weight.data)
-            self._packed[key] = pl
-        return pl
-
-    def _fanout_for(self, pl: _PackedLayer, layer: Conv2d, unit_shape):
-        key = tuple(unit_shape)
-        fanout = pl.fanout.get(key)
-        if fanout is None:
-            fanout = conv_fanout_map(key, layer).reshape(-1)
-            pl.fanout[key] = fanout
-            pl.fanout_sum[key] = float(fanout.sum())
-        return fanout, pl.fanout_sum[key]
+    def _packed_for(self, layer: Conv2d) -> np.ndarray:
+        packed = self._packed.get(id(layer))
+        if packed is None:
+            packed = self._packed[id(layer)] = pack_conv_weight(layer.weight.data)
+        return packed
 
     # ------------------------------------------------------------------
     def _stats_for(self, layer, kind, unit_shape) -> LayerDispatchStats:
@@ -334,8 +227,8 @@ class SparseDispatch:
     def maybe_run(self, layer, x):
         """Sparse-path the layer if profitable; ``None`` keeps it dense.
 
-        Either way the forward is recorded (density, path, exact
-        accumulates) in this layer's :class:`LayerDispatchStats`.
+        Either way the forward's density and path are recorded in this
+        layer's :class:`LayerDispatchStats`.
         """
         if isinstance(layer, Linear):
             kind = "linear"
@@ -346,38 +239,14 @@ class SparseDispatch:
         data = x.data
         if kind == "conv" and data.ndim != 4:
             return None
-        if self._input_layer is _PENDING:
-            self._input_layer = id(layer)
         st = self._stats_for(layer, kind, data.shape[1:])
-        claimed = self._claim(data)
-        if claimed is not None:
-            nnz, amplitude = claimed
-        else:
-            nnz = amplitude = None
-        counts = None  # per-unit event counts, shared by nnz + op count
+        nnz, amplitude = self._claim(data) or (None, None)
         if nnz is None:
-            if self.count_ops and kind == "conv":
-                counts = np.count_nonzero(
-                    data.reshape(data.shape[0], -1), axis=0
-                )
-                nnz = int(counts.sum())
-            else:
-                nnz = int(np.count_nonzero(data))
+            nnz = int(np.count_nonzero(data))
         density = nnz / data.size if data.size else 0.0
         st.last_density = density
         st.density_sum += density
-        # The encoder's frames reach the hardware as analog input: every
-        # element is an event at every step, whatever its value.
-        events = data.size if id(layer) == self._input_layer else nnz
-        st.events += events
-        st.batch_sum += data.shape[0]
-        sparse = density <= st.threshold
-        pl = self._packed_for(layer) if (sparse or self.count_ops) else None
-        if self.count_ops:
-            st.accumulates += self._exact_accumulates(
-                layer, kind, data, events, amplitude, counts, pl
-            )
-        if not sparse:
+        if density > st.threshold:
             st.dense_runs += 1
             return None
         st.sparse_runs += 1
@@ -407,37 +276,9 @@ class SparseDispatch:
                 stride=layer.stride,
                 padding=layer.padding,
                 bias=bias,
-                packed=pl.packed,
+                packed=self._packed_for(layer),
             )
         return Tensor(out)
-
-    def _exact_accumulates(self, layer, kind, data, nnz, amplitude, counts, pl):
-        """Event-driven op count for this forward (path-independent).
-
-        Conv counts use a column-count dot: ``sum_e fanout[col(e)]`` ==
-        (per-unit event counts) . fanout — exactly the event-extraction
-        result, but fully vectorised so the dense path stays cheap.
-        """
-        if kind == "linear":
-            return float(nnz) * layer.out_features
-        fanout, fanout_sum = self._fanout_for(pl, layer, data.shape[1:])
-        if nnz == data.size:
-            # Every unit is an event — no scan needed.
-            return fanout_sum * data.shape[0]
-        if nnz == 0:
-            return 0.0
-        if counts is None:
-            flat = data.reshape(data.shape[0], -1)
-            if amplitude:
-                # Claimed uniform-amplitude spike frame: the column sum
-                # over {0, amp} values IS amp * per-unit event counts.
-                # The true count is integral — rint removes the division
-                # round-off so counts stay exact.
-                return float(
-                    np.rint(flat.sum(axis=0).dot(fanout) / amplitude)
-                )
-            counts = np.count_nonzero(flat, axis=0)
-        return float(counts.dot(fanout))
 
 
 # ----------------------------------------------------------------------
@@ -449,10 +290,6 @@ class SparseDispatch:
 #: every call, and ``None`` keeps them on the dense fast path.
 _ACTIVE_DISPATCH: Optional[SparseDispatch] = None
 
-#: Marks a dispatcher whose next weight layer receives the encoder's
-#: frames (see :func:`dispatch_context`).
-_PENDING = object()
-
 
 def active_dispatch() -> Optional[SparseDispatch]:
     return _ACTIVE_DISPATCH
@@ -461,13 +298,10 @@ def active_dispatch() -> Optional[SparseDispatch]:
 @contextmanager
 def dispatch_context(dispatch: Optional[SparseDispatch]):
     """Install ``dispatch`` as the active dispatcher for one network
-    forward within the block; the first weight layer it then sees is
-    the one that receives the encoder's frames."""
+    forward within the block."""
     global _ACTIVE_DISPATCH
     previous = _ACTIVE_DISPATCH
     _ACTIVE_DISPATCH = dispatch
-    if dispatch is not None:
-        dispatch._input_layer = _PENDING
     try:
         yield dispatch
     finally:

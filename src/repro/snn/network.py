@@ -468,22 +468,18 @@ class SpikingNetwork(SpikingModule):
     # ------------------------------------------------------------------
     # Sparse dispatch plumbing
     # ------------------------------------------------------------------
-    def enable_sparse_dispatch(
-        self, crossover=None, count_ops: bool = False
-    ) -> SparseDispatch:
+    def enable_sparse_dispatch(self, crossover=None) -> SparseDispatch:
         """Route weight layers through the activity-adaptive dispatcher.
 
         ``crossover`` is ``None`` (conservative per-kind defaults), a
         path to a ``python -m repro.snn.crossover`` artefact, or a
-        :class:`~repro.snn.dispatch.CrossoverTable`.  ``count_ops=True``
-        keeps exact per-layer accumulate counts on every forward (what
-        ``record_energy_profile`` consumes for measured energy) at a small
-        per-layer bookkeeping cost; the default tracks densities and
-        routing only.  Only no-grad eval passes are affected;
-        training keeps the dense autograd path.  Returns the installed
-        :class:`SparseDispatch`.
+        :class:`~repro.snn.dispatch.CrossoverTable`.  The dispatcher
+        tracks densities and routing only; exact accumulate counts come
+        from :func:`repro.snn.analysis.count_accumulates`.  Only no-grad
+        eval passes are affected; training keeps the dense autograd
+        path.  Returns the installed :class:`SparseDispatch`.
         """
-        self._dispatch = SparseDispatch(crossover=crossover, count_ops=count_ops)
+        self._dispatch = SparseDispatch(crossover=crossover)
         return self._dispatch
 
     def disable_sparse_dispatch(self) -> None:

@@ -7,9 +7,9 @@ every input spike of a hidden layer costs one accumulate per reachable
 output connection, and the layer that receives the encoder's frames
 pays for every input element at every step.  It enumerates output
 positions and kernel taps by brute force and never calls the
-dispatcher's fan-out map or the gather kernels, so
-:class:`~repro.snn.dispatch.SparseDispatch`'s exact counts can be
-checked against it layer by layer.
+counter's fan-out map or the gather kernels, so the exact counts of
+:func:`~repro.snn.analysis.count_accumulates` can be checked against
+it layer by layer, under either forced routing of the dispatcher.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.snn import (
     SpikingSequential,
     StepWrapper,
     TemporalDropout,
+    count_accumulates,
     count_spikes,
 )
 from repro.snn.dispatch import CrossoverTable
@@ -147,17 +148,18 @@ def weight_layers(snn):
 
 
 def counted_forward(snn, images, routing=FORCE_DENSE):
-    """One eval no-grad forward with a counting dispatcher, observed by
-    the oracle.
+    """One eval no-grad forward under the accumulate counter, with a
+    dispatcher forced to ``routing``, observed by the oracle.
 
     Taps record every per-step frame each weight layer receives (the
     fused engine fires them once per time block, so both engines show
     the same calls), and the brute-force counts of those frames are
-    compared with the dispatcher's.  Returns ``(logits, measured,
-    expected)``: per-image ``(events, accumulates)`` for each weight
-    layer in execution order, read from the dispatcher with
-    :meth:`~repro.snn.dispatch.LayerDispatchStats.per_image` and from
-    the oracle.  The dispatcher installed before the call is restored.
+    compared with :func:`~repro.snn.analysis.count_accumulates`.
+    Returns ``(logits, measured, expected)``: per-image ``(events,
+    accumulates)`` for each weight layer in execution order, read from
+    the counter with
+    :meth:`~repro.snn.analysis.AccumulateCounts.per_inference` and from the
+    oracle.  The dispatcher installed before the call is restored.
     """
     images = np.asarray(images)
     frames = {}
@@ -166,12 +168,11 @@ def counted_forward(snn, images, routing=FORCE_DENSE):
         frames.setdefault(id(layer), (layer, []))[1].append(x.data.copy())
 
     installed = snn.sparse_dispatch
-    dispatch = snn.enable_sparse_dispatch(
-        CrossoverTable(defaults=routing), count_ops=True
-    )
+    snn.enable_sparse_dispatch(CrossoverTable(defaults=routing))
     snn.eval()
     try:
-        with tap(weight_layers(snn), record), no_grad():
+        with tap(weight_layers(snn), record), count_accumulates(snn) as counts, \
+                no_grad():
             logits = snn(images).data
     finally:
         snn.sparse_dispatch = installed
@@ -183,13 +184,9 @@ def counted_forward(snn, images, routing=FORCE_DENSE):
             axis=0,
         )
         expected.append(tuple(float(total) / len(images) for total in totals))
-    measured = [
-        (
-            st.per_image(st.events, snn.timesteps),
-            st.per_image(st.accumulates, snn.timesteps),
-        )
-        for st in dispatch.layer_stats()
-    ]
+    measured = list(
+        zip(counts.per_inference(counts.events), counts.per_inference(counts.accumulates))
+    )
     return logits, measured, expected
 
 

@@ -1,9 +1,14 @@
-"""Exact event accounting: the dispatcher's fan-out map and counts.
+"""Exact event accounting: the counter's fan-out map and counts.
 
-``SparseDispatch(count_ops=True)`` is the repository's one exact
+:func:`repro.snn.count_accumulates` is the repository's one exact
 accumulate counter; these tests pin its fan-out map and its per-layer
 counts on a converted VGG against the brute-force oracle of
 ``snn_oracle``, and bound the rate-based FLOP estimator by them.
+
+    PYTHONPATH=src python -m tests.test_event_driven
+
+prints the estimator's per-layer estimate/exact ratios on the net
+``test_rate_estimator_agrees_with_exact_counts`` checks.
 """
 
 import numpy as np
@@ -12,8 +17,10 @@ import pytest
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
 from repro.models import vgg11
+from repro.energy import measure_spiking_activity, snn_layer_flops
 from repro.nn import Conv2d
-from repro.snn.dispatch import conv_fanout_map
+from repro.snn import count_accumulates
+from repro.snn.analysis import conv_fanout_map
 from repro.tensor import no_grad
 
 from .snn_oracle import (
@@ -38,8 +45,35 @@ def converted():
     return conversion.snn, images
 
 
+def estimator_vs_exact():
+    """``(name, estimate, exact)`` accumulates per image for every weight
+    layer of a converted 16x16 VGG-11 at T=3.
+
+    One activity pass runs under both counters: its spike rates feed
+    the ``snn_layer_flops`` estimate, its tap the exact count.
+    """
+    rng = np.random.default_rng(5)
+    model = vgg11(
+        num_classes=5, image_size=16, width_multiplier=0.125,
+        rng=np.random.default_rng(1),
+    )
+    loader = DataLoader(rng.random((8, 3, 16, 16)), rng.integers(0, 5, 8), 8)
+    snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=3)).snn
+    images = rng.random((4, 3, 16, 16))
+    labels = np.zeros(4, dtype=np.int64)
+    with count_accumulates(snn) as counts:
+        report = measure_spiking_activity(
+            snn, DataLoader(images, labels, batch_size=4)
+        )
+    records = snn_layer_flops(
+        snn, images.shape[1:], report.rates_by_neuron_id(snn)
+    )
+    exact = counts.per_inference(counts.accumulates)
+    return [(rec.name, rec.snn_ops, count) for rec, count in zip(records, exact)]
+
+
 def fanout_of(in_shape, layer):
-    """The dispatcher's fan-out map, checked against the oracle's."""
+    """The counter's fan-out map, checked against the oracle's."""
     fanout = conv_fanout_map(in_shape, layer)
     np.testing.assert_array_equal(fanout, brute_force_fanout(layer, in_shape))
     return fanout
@@ -121,31 +155,16 @@ class TestDispatcherCounts:
         """The Fig. 4(b) estimator must track event-driven ground truth.
 
         The estimator assumes uniform fan-out (dense MACs x average
-        rate); the exact count excludes padding taps and weights spike
-        *positions*.  On realistically-sized feature maps (here 16x16,
-        so no degenerate 1x1 stages) the totals must agree within a
-        factor well below the order-of-magnitude claims of Fig. 4.
+        rate) and prices a layer behind a max pool at the pre-pool
+        rate; the exact count excludes padding taps and counts the
+        pooled spikes at their positions.  Per layer the two part ways
+        (on the 1x1 maps of the last stage only the centre tap is
+        real), but the totals must agree within a factor well below
+        the order-of-magnitude claims of Fig. 4.
         """
-        from repro.energy import measure_spiking_activity, snn_layer_flops
-
-        rng = np.random.default_rng(5)
-        model = vgg11(
-            num_classes=5, image_size=16, width_multiplier=0.125,
-            rng=np.random.default_rng(1),
-        )
-        loader = DataLoader(rng.random((8, 3, 16, 16)), rng.integers(0, 5, 8), 8)
-        snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=3)).snn
-        images = rng.random((4, 3, 16, 16))
-        labels = np.zeros(4, dtype=np.int64)
-        _logits, measured, _expected = counted_forward(snn, images)
-        report = measure_spiking_activity(
-            snn, DataLoader(images, labels, batch_size=4)
-        )
-        records = snn_layer_flops(
-            snn, images.shape[1:], report.rates_by_neuron_id(snn)
-        )
-        estimated_total = sum(r.snn_ops for r in records)
-        exact_total = sum(accumulates for _, accumulates in measured)
+        layers = estimator_vs_exact()
+        estimated_total = sum(estimate for _, estimate, _ in layers)
+        exact_total = sum(exact for _, _, exact in layers)
         assert 0.5 < estimated_total / exact_total < 2.0
 
     def test_silent_network_counts_only_first_layer(self, converted):
@@ -154,3 +173,11 @@ class TestDispatcherCounts:
         assert measured == expected
         assert measured[0][1] > 0
         assert all(accumulates == 0 for _, accumulates in measured[1:])
+
+
+if __name__ == "__main__":
+    layers = estimator_vs_exact()
+    for name, estimate, exact in layers:
+        print(f"{name:8s} estimate/exact = {estimate / exact:.3f}")
+    total = sum(e for _, e, _ in layers) / sum(x for _, _, x in layers)
+    print(f"{'total':8s} estimate/exact = {total:.3f}")

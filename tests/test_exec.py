@@ -14,11 +14,14 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.exec import (
     ExecutorError,
     ModelStore,
@@ -449,6 +452,73 @@ class TestSharedMemory:
                 np.testing.assert_array_equal(
                     model(Tensor(images)).data, before
                 )
+
+
+#: A fault_sweep-shaped map: a model published through ``ModelStore``,
+#: attached by every worker's initializer, mapped at ``workers=2``.
+_LIFETIME_SCRIPT = """
+import numpy as np
+
+from repro.exec import ModelStore, ParallelExecutor, attach_model
+from repro.models import vgg11
+
+MODEL = None
+
+
+def init(handle):
+    global MODEL
+    MODEL = attach_model(handle)
+
+
+def task(index):
+    return index + float(sum(p.data.sum() for p in MODEL.parameters()))
+
+
+if __name__ == "__main__":
+    model = vgg11(num_classes=5, image_size=8, width_multiplier=0.125,
+                  rng=np.random.default_rng(1))
+    with ModelStore() as store:
+        outcome = ParallelExecutor(workers=2).map(
+            task, range(4), label="lifetime",
+            initializer=init, initargs=(store.publish(model),),
+        )
+    print(outcome.stats.mode, len(outcome.values_or_raise()))
+"""
+
+
+class TestProcessLifetime:
+    def test_shared_memory_map_leaves_no_process(self, tmp_path):
+        """Run the shared-memory map in its own session: within 10 s of
+        that process exiting, nothing of its process group (workers,
+        multiprocessing's resource tracker) is left."""
+        script = tmp_path / "lifetime.py"
+        script.write_text(_LIFETIME_SCRIPT)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        with open(tmp_path / "out.txt", "w") as out:
+            proc = subprocess.Popen(
+                [sys.executable, str(script)], env=env, stdout=out,
+                stderr=subprocess.STDOUT, start_new_session=True,
+            )
+            proc.wait(timeout=120)
+        output = (tmp_path / "out.txt").read_text()
+        assert proc.returncode == 0, output
+        assert output.split()[-2:] == ["parallel", "4"], output
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            if time.monotonic() > deadline:
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise AssertionError(
+                    f"a process of group {proc.pid} outlived its leader by 10 s"
+                )
+            time.sleep(0.05)
 
 
 class TestAmbientScope:

@@ -152,7 +152,7 @@ class TestMapNetwork:
     def test_leaves_installed_dispatcher_untouched(self, mapped_vgg):
         snn, images = mapped_vgg
         was_training = snn.training
-        installed = snn.enable_sparse_dispatch(count_ops=True)
+        installed = snn.enable_sparse_dispatch()
         try:
             snn.eval()
             with no_grad():

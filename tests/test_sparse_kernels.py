@@ -8,9 +8,10 @@ the same logits and spike counts as the dense engines — fused and
 stepwise, IF and LIF, soft and hard reset, direct and Poisson encoding,
 under injected dead-unit faults and across warm streaming windows.
 Crossover calibration must be deterministic under an injected clock and
-round-trip through its artefact, and the dispatcher's exact accumulate
-accounting must equal the brute-force oracle of ``snn_oracle`` on
-random small networks and reach the energy/observability gauges.  Two
+round-trip through its artefact, and the exact accumulate counter
+(``count_accumulates``) must equal the brute-force oracle of
+``snn_oracle`` on random small networks under either forced routing
+and reach the energy/observability gauges.  Two
 paired timing gates keep the dispatcher honest on a converted tiny VGG: on low-activity input the
 dispatched pass beats dense, and on a fully dense-routed workload the
 dispatcher's bookkeeping costs under 5%.
@@ -27,7 +28,14 @@ from repro.faults import FaultSpec
 from repro.hw.quantization import quantize_array
 from repro.nn import Conv2d, Flatten, Linear
 from repro.obs.instruments import record_energy_profile
-from repro.snn import IFNeuron, PoissonEncoder, SpikingNetwork
+from repro.snn import (
+    IFNeuron,
+    PoissonEncoder,
+    SpikingNetwork,
+    SpikingSequential,
+    StepWrapper,
+    count_accumulates,
+)
 from repro.snn.crossover import (
     calibrate_crossover,
     main as crossover_main,
@@ -266,7 +274,7 @@ class TestDispatchEquivalence:
 
         routed = build_net(neuron_fn, mode, encoder=encoder_fn())
         dispatch = routed.enable_sparse_dispatch(
-            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
+            crossover=CrossoverTable(defaults=FORCE_SPARSE)
         )
         logits, spikes = run_recorded(routed, images)
 
@@ -314,9 +322,7 @@ class TestDispatchRouting:
         plain = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
         ref, _ = run_recorded(plain, images)
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
-        snn.enable_sparse_dispatch(
-            crossover=CrossoverTable(defaults=FORCE_DENSE), count_ops=True
-        )
+        snn.enable_sparse_dispatch(crossover=CrossoverTable(defaults=FORCE_DENSE))
         logits, _ = run_recorded(snn, images)
         np.testing.assert_array_equal(logits, ref)
 
@@ -458,29 +464,38 @@ class TestExactAccumulates:
 
     def test_path_independent(self):
         """Counting is about what the hardware would pay, not which
-        simulator path ran — dense-forced and sparse-forced agree."""
+        simulator path ran — on one net, dense-forced and sparse-forced
+        routing count the same."""
         images = images_batch()
+        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
         totals = []
-        for routing in (FORCE_SPARSE, FORCE_DENSE):
-            snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
+        for routing, path in ((FORCE_SPARSE, "sparse"), (FORCE_DENSE, "dense")):
             dispatch = snn.enable_sparse_dispatch(
-                crossover=CrossoverTable(defaults=routing), count_ops=True
+                crossover=CrossoverTable(defaults=routing)
             )
-            run_recorded(snn, images)
-            totals.append([st.accumulates for st in dispatch.layer_stats()])
-        np.testing.assert_allclose(totals[0], totals[1])
+            with count_accumulates(snn) as counts:
+                run_recorded(snn, images)
+            assert all(st.calls == getattr(st, f"{path}_runs")
+                       for st in dispatch.layer_stats())
+            totals.append((counts.events, counts.accumulates))
+        assert totals[0] == totals[1]
 
     def test_linear_accumulates_by_hand(self):
+        """A one-``Linear`` network: its layer receives the encoder's
+        frames, so every input element is an event at every step, and
+        each event reaches all ``out_features`` outputs."""
         rng = np.random.default_rng(18)
-        layer = Linear(10, 6, bias=False, rng=rng)
-        dispatch = SparseDispatch(
-            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
+        snn = SpikingNetwork(
+            SpikingSequential(StepWrapper(Linear(10, 6, bias=False, rng=rng))),
+            timesteps=T,
         )
-        frame = spike_frame((2, 10), 0.3, seed=18)  # 6 events
-        dispatch.maybe_run(layer, Tensor(frame))
-        (st,) = dispatch.layer_stats()
-        assert st.events == int(np.count_nonzero(frame))
-        assert st.accumulates == st.events * 6
+        frame = spike_frame((2, 10), 0.3, seed=18)  # 6 nonzero inputs
+        with count_accumulates(snn) as counts:
+            run_recorded(snn, frame)
+        assert counts.events == [frame.size * T]
+        assert counts.accumulates == [counts.events[0] * 6]
+        assert counts.rows == [len(frame) * T]
+        assert counts.per_inference(counts.events) == [10 * T]
 
 
 # ======================================================================
@@ -621,9 +636,7 @@ class TestDispatchTimingGates:
         images = images * 0.25
         with no_grad():
             reference = snn(images).data
-        probe = snn.enable_sparse_dispatch(
-            crossover=CROSSOVER_PATH, count_ops=True
-        )
+        probe = snn.enable_sparse_dispatch(crossover=CROSSOVER_PATH)
         with no_grad():
             routed = snn(images).data
         assert np.allclose(routed, reference, atol=1e-9)
@@ -691,13 +704,13 @@ class TestDispatchTimingGates:
 
 
 # ======================================================================
-# Observability: measured energy counts
+# Observability: exact accumulate gauges
 # ======================================================================
 class TestDispatchObservability:
     @pytest.mark.smoke
     def test_observed_dispatched_run(self, converted_tiny_vgg, tmp_path):
-        """An observed, dispatched run of the converted tiny VGG with op
-        counting on: measured energy counts reach metrics.json, and two
+        """An observed, dispatched run of the converted tiny VGG: the
+        exact accumulates reach metrics.json per weight layer, and two
         such runs diff clean."""
         from repro.obs import observe
         from repro.obs.diff import diff_run_dirs
@@ -708,51 +721,63 @@ class TestDispatchObservability:
         labels = np.random.default_rng(0).integers(0, 10, len(images))
         run_dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
         for run_dir in run_dirs:
-            snn.enable_sparse_dispatch(crossover=CROSSOVER_PATH, count_ops=True)
+            snn.enable_sparse_dispatch(crossover=CROSSOVER_PATH)
             with observe(run_dir, seed=0):
-                record_energy_profile(snn, [(quiet, labels)], (3, 8, 8))
+                summary = record_energy_profile(snn, [(quiet, labels)], (3, 8, 8))
             gauges = load_run(run_dir).metrics["gauges"]
-            assert gauges["energy.measured_counts"]["value"] == 1
+            accumulates = [
+                gauges[f"energy.accumulates{{layer={i}}}"]["value"]
+                for i in range(len(weight_layers(snn)))
+            ]
+            assert accumulates[0] > 0
+            assert sum(accumulates) == summary["snn_accumulates"]
 
         diff = diff_run_dirs(*run_dirs)
         assert diff.ok, diff.render()
 
     def test_energy_profile_uses_measured_counts(self):
-        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
-        snn.enable_sparse_dispatch(
-            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
-        )
-        snn.eval()
+        """The energy profile's exact accumulates equal the brute-force
+        oracle's total on a twin network."""
         images = images_batch()
         labels = np.zeros(len(images), dtype=int)
+        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
+        snn.enable_sparse_dispatch(crossover=CrossoverTable(defaults=FORCE_SPARSE))
         summary = record_energy_profile(snn, [(images, labels)], (1, 4, 4))
-        assert summary["measured_counts"] is True
+        twin = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
+        _, _, expected = counted_forward(twin, images, FORCE_SPARSE)
+        assert summary["snn_accumulates"] == sum(acc for _, acc in expected)
         assert summary["snn_total_flops"] > 0
 
     def test_energy_profile_estimates_without_counting(self):
-        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
-        # count_ops off
-        snn.enable_sparse_dispatch(crossover=CrossoverTable(defaults=FORCE_SPARSE))
-        snn.eval()
+        """``snn_ops`` and the totals stay the paper's rate estimate:
+        counting in the same pass does not replace them."""
+        from repro.energy import (
+            measure_spiking_activity,
+            snn_layer_flops,
+            snn_total_flops,
+        )
+
         images = images_batch()
-        labels = np.zeros(len(images), dtype=int)
-        summary = record_energy_profile(snn, [(images, labels)], (1, 4, 4))
-        assert summary["measured_counts"] is False
+        batches = [(images, np.zeros(len(images), dtype=int))]
+        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
+        summary = record_energy_profile(snn, batches, (1, 4, 4))
+        rates = measure_spiking_activity(snn, batches).rates_by_neuron_id(snn)
+        estimate = snn_total_flops(snn_layer_flops(snn, (1, 4, 4), rates))
+        assert summary["snn_total_flops"] == estimate
 
     def test_fused_prefix_rescale_matches_stepwise(self):
         """The fused engine runs the direct-encoding prefix once per
-        forward; _measured_snn_ops rescales it to per-step calls, so
-        fused and stepwise runs report identical measured energy."""
+        forward but fires its taps per time block, so fused and stepwise
+        runs report identical exact accumulates."""
         images = images_batch()
         labels = np.zeros(len(images), dtype=int)
         totals = {}
         for mode in ("fused", "stepwise"):
             snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
             snn.enable_sparse_dispatch(
-            crossover=CrossoverTable(defaults=FORCE_SPARSE), count_ops=True
-        )
-            snn.eval()
+                crossover=CrossoverTable(defaults=FORCE_SPARSE)
+            )
             summary = record_energy_profile(snn, [(images, labels)], (1, 4, 4))
-            assert summary["measured_counts"] is True
-            totals[mode] = summary["snn_total_flops"]
-        assert totals["fused"] == pytest.approx(totals["stepwise"])
+            assert summary["snn_accumulates"] > 0
+            totals[mode] = summary["snn_accumulates"]
+        assert totals["fused"] == totals["stepwise"]
