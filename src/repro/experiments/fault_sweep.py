@@ -46,6 +46,9 @@ DEFAULT_LADDERS: Dict[str, Sequence] = {
 # Fault kinds a plain (non-spiking) DNN can experience.
 WEIGHT_KINDS = ("quantization", "prune", "stuck_zero", "sign_flip")
 
+# The swept models, in task order; the DNN only meets WEIGHT_KINDS.
+_MODEL_KEYS = ("dnn", "converted", "finetuned")
+
 _SPEC_BUILDERS = {
     "quantization": FaultSpec.quantization,
     "prune": FaultSpec.pruning,
@@ -74,9 +77,10 @@ def build_fault_spec(kind: str, level, seed: int = 0) -> FaultSpec:
     return _SPEC_BUILDERS[kind](level, seed=seed)
 
 
-def _faulted_accuracy(model, loader_factory, spec: FaultSpec, evaluate) -> float:
+def _faulted_accuracy(model_key: str, model, loader_factory, spec: FaultSpec) -> float:
     from ..faults import inject_faults
 
+    evaluate = evaluate_dnn if model_key == "dnn" else evaluate_snn
     if spec.is_null:
         return evaluate(model, loader_factory) * 100.0
     with inject_faults(model, spec):
@@ -121,33 +125,48 @@ def _worker_test_loader():
     )
 
 
-def _sweep_point_task(payload: Tuple[str, str, object, int]) -> float:
-    """Evaluate one (model, fault kind, severity) sweep point."""
+def _sweep_point_task(payload: Tuple[str, FaultSpec]) -> float:
+    """Evaluate one model under one fault spec."""
     from ..exec import attach_model
 
-    model_key, kind, level, seed = payload
+    model_key, spec = payload
     state = _WORKER_STATE
     model = state["models"].get(model_key)
     if model is None:
         model = attach_model(state["handles"][model_key], writable=True)
         state["models"][model_key] = model
-    spec = build_fault_spec(kind, level, seed=seed)
-    evaluate = evaluate_dnn if model_key == "dnn" else evaluate_snn
-    return _faulted_accuracy(model, _worker_test_loader(), spec, evaluate)
+    return _faulted_accuracy(model_key, model, _worker_test_loader(), spec)
 
 
-def _sweep_points(
-    kinds: Sequence[str], ladders: Dict[str, Sequence]
-) -> List[Tuple[str, str, object]]:
-    """Deterministic task order: (model, kind, level) per sweep cell."""
-    points: List[Tuple[str, str, object]] = []
+_Cell = Tuple[str, str, object]  # (model_key, kind, level)
+
+
+def _swept_models(kind: str) -> Tuple[str, ...]:
+    return _MODEL_KEYS if kind in WEIGHT_KINDS else _MODEL_KEYS[1:]
+
+
+def _sweep_tasks(
+    kinds: Sequence[str], ladders: Dict[str, Sequence], seed: int
+) -> Tuple[List[Tuple[str, FaultSpec]], Dict[_Cell, int], List[_Cell]]:
+    """One task per distinct ``(model_key, spec)``, in first-cell order.
+
+    Every ladder's level 0 builds the same null spec, so a model's clean
+    accuracy is one task that all its level-0 cells read.  Returns the
+    tasks, each curve cell's task index, and each task's first cell.
+    """
+    index: Dict[Tuple[str, FaultSpec], int] = {}
+    cells: Dict[_Cell, int] = {}
+    first: List[_Cell] = []
     for kind in kinds:
         for level in ladders[kind]:
-            if kind in WEIGHT_KINDS:
-                points.append(("dnn", kind, level))
-            points.append(("converted", kind, level))
-            points.append(("finetuned", kind, level))
-    return points
+            spec = build_fault_spec(kind, level, seed=seed)
+            for model_key in _swept_models(kind):
+                task = (model_key, spec)
+                if task not in index:
+                    index[task] = len(first)
+                    first.append((model_key, kind, level))
+                cells[(model_key, kind, level)] = index[task]
+    return list(index), cells, first
 
 
 def run_fault_sweep(
@@ -167,16 +186,23 @@ def run_fault_sweep(
     "finetuned"}, ...]}`` with accuracies in percent; ``dnn`` is ``None``
     for fault kinds that only exist in the spiking domain.
 
-    ``workers > 1`` (or an explicit ``executor``) shards the sweep cells
-    over a :class:`repro.exec.ParallelExecutor`: models are published
-    once over shared memory, every worker rebuilds the deterministic
-    test set, and cells are assembled back by task index — so curves
-    are bitwise identical to the serial sweep for any worker count.
-    Quarantined cells (a genuinely poisonous task) surface as ``None``
-    entries with ``status="partial"`` and a ``failures`` list instead
-    of losing the whole sweep.  Under an observed run the executor maps
-    serially in this process, so the run's fault telemetry is a serial
-    sweep's at any worker count.
+    Each distinct ``(model, FaultSpec)`` is evaluated once: every
+    ladder's level 0 builds the same null spec, so a model's clean
+    accuracy is one task whose value fills all its level-0 cells (the
+    default ladders take 92 tasks for 111 cells), and a repeated level
+    is one task too.  Serial and parallel sweeps read the same task list.
+
+    ``workers > 1`` (or an explicit ``executor``) shards the tasks over
+    a :class:`repro.exec.ParallelExecutor`: models are published once
+    over shared memory, every worker rebuilds the deterministic test
+    set, and results are assembled back by task index — so curves are
+    bitwise identical to the serial sweep for any worker count.  A
+    quarantined task (a genuinely poisonous one) leaves ``None`` in
+    every cell it feeds, with ``status="partial"`` and one ``failures``
+    entry naming the task's first cell as ``point``, instead of losing
+    the whole sweep.  Under an observed run the executor maps serially
+    in this process, so the run's fault telemetry is a serial sweep's
+    at any worker count.
     """
     scale = get_scale(scale_name)
     config = ExperimentConfig(
@@ -194,60 +220,40 @@ def run_fault_sweep(
     from ..exec import resolve_executor
 
     executor = resolve_executor(workers, executor)
-    parallel = executor is not None and executor.workers > 1
+    models = {"dnn": context.model, "converted": converted, "finetuned": result.snn}
+    tasks, cell_task, first_cell = _sweep_tasks(kinds, ladders, seed)
 
     failures: List[Dict] = []
-    if parallel:
+    if executor is not None and executor.workers > 1:
         from ..exec import ModelStore
 
-        models = {"dnn": context.model, "converted": converted, "finetuned": result.snn}
-        points = _sweep_points(kinds, ladders)
         with ModelStore() as store:
             handles = {key: store.publish(model) for key, model in models.items()}
             outcome = executor.map(
                 _sweep_point_task,
-                [(model_key, kind, level, seed) for model_key, kind, level in points],
+                tasks,
                 label="fault_sweep",
                 initializer=_sweep_worker_init,
                 initargs=(handles, config),
             )
-        cell_values = dict(zip(points, outcome.results))
+        values = outcome.results
         failures = [
-            {**failure.as_dict(), "point": list(points[index])}
+            {**failure.as_dict(), "point": list(first_cell[index])}
             for index, failure in sorted(outcome.failures.items())
         ]
-
-        def _cell(model_key: str, kind: str, level) -> Optional[float]:
-            return cell_values[(model_key, kind, level)]
-
     else:
-
-        def _cell(model_key: str, kind: str, level) -> float:
-            spec = build_fault_spec(kind, level, seed=seed)
-            if model_key == "dnn":
-                return _faulted_accuracy(
-                    context.model, context.test_loader(), spec, evaluate_dnn
-                )
-            model = converted if model_key == "converted" else result.snn
-            return _faulted_accuracy(model, context.test_loader(), spec, evaluate_snn)
+        values = [
+            _faulted_accuracy(model_key, models[model_key], context.test_loader(), spec)
+            for model_key, spec in tasks
+        ]
 
     curves = []
     for kind in kinds:
         levels = list(ladders[kind])
-        dnn_curve = [] if kind in WEIGHT_KINDS else None
-        converted_curve, finetuned_curve = [], []
-        for level in levels:
-            if dnn_curve is not None:
-                dnn_curve.append(_cell("dnn", kind, level))
-            converted_curve.append(_cell("converted", kind, level))
-            finetuned_curve.append(_cell("finetuned", kind, level))
-        curves.append({
-            "fault": kind,
-            "levels": levels,
-            "dnn": dnn_curve,
-            "converted": converted_curve,
-            "finetuned": finetuned_curve,
-        })
+        curve = {"fault": kind, "levels": levels, "dnn": None}
+        for model_key in _swept_models(kind):
+            curve[model_key] = [values[cell_task[(model_key, kind, level)]] for level in levels]
+        curves.append(curve)
 
     return {
         "arch": arch,

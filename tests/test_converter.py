@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.conversion import (
     ConversionConfig,
+    LayerActivationStats,
     NeuronSpec,
     activation_layers,
     build_specs,
@@ -19,7 +22,15 @@ from repro.conversion import (
 from repro.conversion.converter import absorb_beta
 from repro.data import DataLoader
 from repro.models import resnet20, vgg11
-from repro.nn import Conv2d, Linear
+from repro.nn import (
+    ActivationRecorder,
+    Conv2d,
+    Linear,
+    ReLU,
+    Sequential,
+    ThresholdReLU,
+    tap,
+)
 from repro.snn import (
     SpikingMaxPool,
     SpikingNetwork,
@@ -28,6 +39,7 @@ from repro.snn import (
     StepWrapper,
     TemporalDropout,
 )
+from repro.tensor import Tensor, no_grad
 from repro.train import evaluate_snn
 
 
@@ -112,6 +124,90 @@ class TestActivationStats:
             collect_activation_stats(
                 Sequential(Linear(4, 2, rng=np.random.default_rng(0))), batches
             )
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _reference_stats(model, batches, max_samples=200_000):
+    """Calibration with plain ``np.percentile`` of the recording-order
+    samples: the oracle for collect_activation_stats' sorted path."""
+    layers = activation_layers(model)
+    recorders = {id(layer): ActivationRecorder(max_samples=max_samples) for layer in layers}
+    was_training = model.training
+    model.eval()
+    try:
+        with tap(layers, lambda layer, x, _out: recorders[id(layer)].record(x.data)), no_grad():
+            for images, _labels in batches:
+                model(Tensor(np.asarray(images)))
+    finally:
+        model.train(was_training)
+    stats = []
+    for layer in layers:
+        values = recorders[id(layer)].values()
+        d_max = float(values.max())
+        stats.append(LayerActivationStats(
+            percentiles=np.percentile(values, np.arange(101.0)),
+            mu=layer.threshold if isinstance(layer, ThresholdReLU) else d_max,
+            d_max=d_max,
+            mean=float(values.mean()),
+            count=values.size,
+        ))
+    return stats
+
+
+_SAMPLE = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, width=64),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -3.0]),  # ties and signed zeros
+)
+
+
+class TestPercentileExactness:
+    """Sorting before ``np.percentile`` must change no bit of the stats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        samples=st.lists(_SAMPLE, min_size=1, max_size=300).map(np.array),
+        batches=st.integers(1, 4),
+        max_samples=st.sampled_from([5, 64, 200_000]),
+    )
+    @example(samples=np.array([0.7]), batches=1, max_samples=200_000)
+    @example(samples=np.full(40, 0.25), batches=3, max_samples=200_000)
+    @example(samples=-np.linspace(0.1, 5.0, 50), batches=2, max_samples=200_000)
+    @example(samples=np.array([0.0, -0.0] * 30), batches=2, max_samples=200_000)
+    @example(samples=np.array([-0.0, 0.0, -1.0] * 20), batches=4, max_samples=200_000)
+    @example(samples=np.arange(100.0) % 7 - 3.0, batches=2, max_samples=37)
+    def test_matches_recording_order_percentile(self, samples, batches, max_samples):
+        chunks = [c[None, :] for c in np.array_split(samples, batches) if c.size]
+        loader = [(chunk, None) for chunk in chunks]
+        recorder = ActivationRecorder(max_samples=max_samples)
+        for chunk in chunks:
+            recorder.record(chunk)
+        values = recorder.values()
+
+        (stat,) = collect_activation_stats(
+            Sequential(ReLU()), loader, max_samples_per_layer=max_samples
+        )
+        assert np.array_equal(stat.percentiles, np.percentile(values, np.arange(101.0)))
+        assert _bits(stat.d_max) == _bits(values.max())
+        assert _bits(stat.mean) == _bits(values.mean())
+        assert stat.count == values.size
+
+    @pytest.mark.parametrize("net", ["small_vgg", "small_resnet"])
+    def test_fig2_specs_match_reference_calibration(self, net, batches, request):
+        model = request.getfixturevalue(net)
+        stats = collect_activation_stats(model, batches)
+        reference = _reference_stats(model, batches)
+        for got, want in zip(stats, reference):
+            assert np.array_equal(got.percentiles, want.percentiles)
+            assert _bits(got.d_max) == _bits(want.d_max)
+            assert _bits(got.mean) == _bits(want.mean)
+        for strategy in ("proposed", "threshold_relu", "deng_shift"):
+            for timesteps in (2, 3):
+                assert build_specs(strategy, stats, timesteps) == build_specs(
+                    strategy, reference, timesteps
+                )
 
 
 class TestSpecs:

@@ -486,39 +486,67 @@ if __name__ == "__main__":
 """
 
 
+#: The fault-sweep driver itself at ``workers=2``: tiny preset, one
+#: short ladder.
+_SWEEP_LIFETIME_SCRIPT = """
+from repro.experiments import run_fault_sweep
+
+if __name__ == "__main__":
+    result = run_fault_sweep(
+        "vgg11", "cifar10", "tiny", 2, fault_kinds=["prune"],
+        ladders={"prune": (0.0, 0.3)}, seed=0, workers=2,
+    )
+    print(result["status"], len(result["curves"][0]["converted"]))
+"""
+
+
+def _run_in_own_session(tmp_path, source):
+    """Run ``source`` as a script in its own session and return its
+    output; fail if any process of that group (workers,
+    multiprocessing's resource tracker) outlives it by 10 s."""
+    script = tmp_path / "lifetime.py"
+    script.write_text(source)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )
+    with open(tmp_path / "out.txt", "w") as out:
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], env=env, stdout=out,
+            stderr=subprocess.STDOUT, start_new_session=True,
+        )
+        try:
+            proc.wait(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    output = (tmp_path / "out.txt").read_text()
+    assert proc.returncode == 0, output
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        if time.monotonic() > deadline:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise AssertionError(
+                f"a process of group {proc.pid} outlived its leader by 10 s"
+            )
+        time.sleep(0.05)
+    return output
+
+
 class TestProcessLifetime:
     def test_shared_memory_map_leaves_no_process(self, tmp_path):
-        """Run the shared-memory map in its own session: within 10 s of
-        that process exiting, nothing of its process group (workers,
-        multiprocessing's resource tracker) is left."""
-        script = tmp_path / "lifetime.py"
-        script.write_text(_LIFETIME_SCRIPT)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        )
-        with open(tmp_path / "out.txt", "w") as out:
-            proc = subprocess.Popen(
-                [sys.executable, str(script)], env=env, stdout=out,
-                stderr=subprocess.STDOUT, start_new_session=True,
-            )
-            proc.wait(timeout=120)
-        output = (tmp_path / "out.txt").read_text()
-        assert proc.returncode == 0, output
+        output = _run_in_own_session(tmp_path, _LIFETIME_SCRIPT)
         assert output.split()[-2:] == ["parallel", "4"], output
-        deadline = time.monotonic() + 10.0
-        while True:
-            try:
-                os.killpg(proc.pid, 0)
-            except ProcessLookupError:
-                break
-            if time.monotonic() > deadline:
-                os.killpg(proc.pid, signal.SIGKILL)
-                raise AssertionError(
-                    f"a process of group {proc.pid} outlived its leader by 10 s"
-                )
-            time.sleep(0.05)
+
+    def test_fault_sweep_driver_leaves_no_process(self, tmp_path):
+        output = _run_in_own_session(tmp_path, _SWEEP_LIFETIME_SCRIPT)
+        assert output.split()[-2:] == ["ok", "2"], output
 
 
 class TestAmbientScope:
@@ -662,6 +690,102 @@ class TestDriverEquality:
         )
         assert result.status == "partial"
         assert "PARTIAL" in render_seed_sweep(result)
+
+
+class TestFaultSweepDedup:
+    """run_fault_sweep maps one task per distinct (model, FaultSpec):
+    every ladder's level 0 is the same null spec, so each model's clean
+    accuracy is evaluated once and fills all of its level-0 cells."""
+
+    KINDS = ["prune", "spike_drop"]
+    LADDERS = {"prune": (0.0, 0.3), "spike_drop": (0.0, 0.2)}
+    # dnn/converted/finetuned clean + prune@0.3, converted/finetuned spike_drop@0.2
+    DISTINCT = 8
+    CELLS = 2 * 3 + 2 * 2
+
+    @pytest.fixture(scope="class")
+    def sweep(self, tiny_config, tiny_context):
+        from repro.experiments import run_fault_sweep
+
+        def run(executor, fault_kinds=self.KINDS, ladders=self.LADDERS):
+            return run_fault_sweep(
+                arch=tiny_config.arch,
+                dataset=tiny_config.dataset,
+                scale_name=tiny_config.scale.name,
+                timesteps=tiny_config.timesteps,
+                fault_kinds=fault_kinds,
+                ladders=ladders,
+                seed=0,
+                executor=executor,
+            )
+
+        return run
+
+    @pytest.fixture(scope="class")
+    def clean(self, tiny_config, tiny_context):
+        from repro.experiments.pipeline import convert_only, run_pipeline
+        from repro.train import evaluate_dnn, evaluate_snn
+
+        snns = {
+            "converted": convert_only(tiny_config, context=tiny_context).snn,
+            "finetuned": run_pipeline(tiny_config).snn,
+        }
+        clean = {"dnn": evaluate_dnn(tiny_context.model, tiny_context.test_loader()) * 100.0}
+        for key, snn in snns.items():
+            clean[key] = evaluate_snn(snn, tiny_context.test_loader()) * 100.0
+        return clean
+
+    def test_maps_distinct_tasks_and_shares_clean_point(self, sweep, clean):
+        executor = _StatsExecutor(workers=2)
+        result = sweep(executor)
+        assert executor.last_stats.mode == "parallel"
+        assert executor.last_stats.tasks == self.DISTINCT
+        assert result["status"] == "ok" and result["failures"] == []
+        cells = [
+            value for curve in result["curves"]
+            for key in ("dnn", "converted", "finetuned")
+            for value in (curve[key] or [])
+        ]
+        assert len(cells) == self.CELLS
+        for curve in result["curves"]:
+            for key in ("dnn", "converted", "finetuned"):
+                if curve[key] is not None:
+                    assert curve[key][0] == clean[key], (curve["fault"], key)
+        assert multiprocessing.active_children() == []
+
+    def test_repeated_level_is_one_task(self, sweep):
+        executor = _StatsExecutor(workers=2)
+        result = sweep(executor, fault_kinds=["prune"], ladders={"prune": (0.3, 0.3)})
+        assert executor.last_stats.tasks == 3
+        (curve,) = result["curves"]
+        for key in ("dnn", "converted", "finetuned"):
+            assert curve[key][0] == curve[key][1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.stress
+    def test_poisoned_clean_task_blanks_every_level0_cell(self, sweep):
+        from repro.experiments.fault_sweep import render_fault_sweep
+
+        # Task order follows the first cell of each task: the prune
+        # ladder's level 0 makes tasks 0-2 the dnn/converted/finetuned
+        # clean evaluations.
+        clean_index = 1
+        executor = _StatsExecutor(
+            workers=2, chaos=ChaosSpec.kill_task(clean_index, attempts=2)
+        )
+        assert executor.poison_threshold == 2
+        result = sweep(executor)
+        assert result["status"] == "partial"
+        (failure,) = result["failures"]
+        assert failure["index"] == clean_index
+        assert failure["kind"] == "poison"
+        assert failure["point"] == ["converted", "prune", 0.0]
+        for curve in result["curves"]:
+            assert curve["converted"][0] is None
+            assert curve["converted"][1] is not None
+            assert curve["finetuned"][0] is not None
+        assert "PARTIAL SWEEP" in render_fault_sweep(result)
+        assert multiprocessing.active_children() == []
 
 
 class TestDiffIntegration:
