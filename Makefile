@@ -33,14 +33,11 @@ runs-gc:
 	PYTHONPATH=src python -m repro.obs runs gc --keep 20
 
 examples:
-	python examples/quickstart.py
-	python examples/energy_audit.py
-	python examples/conversion_strategies.py
-	python examples/custom_architecture.py
-	python examples/encoding_comparison.py
-	python examples/event_stream_classification.py
-	python examples/batchnorm_folding.py
-	python examples/neuromorphic_deployment.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/energy_audit.py
+	PYTHONPATH=src python examples/conversion_strategies.py
+	PYTHONPATH=src python examples/custom_architecture.py
+	PYTHONPATH=src python examples/neuromorphic_deployment.py
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache results

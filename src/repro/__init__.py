@@ -9,7 +9,7 @@ Subpackages
 - :mod:`repro.models` — VGG-11/16, ResNet-20 (BN-free, dropout);
 - :mod:`repro.data` — synthetic CIFAR-like datasets, loaders;
 - :mod:`repro.snn` — IF/LIF neurons (Eqs. 2-4, 8), surrogate gradients,
-  encoders, temporal execution;
+  direct-input temporal execution;
 - :mod:`repro.conversion` — Algorithm 1 (alpha/beta scaling), baseline
   conversion rules, the Eq. 5-7 error theory;
 - :mod:`repro.train` — DNN training and SNN SGL fine-tuning;

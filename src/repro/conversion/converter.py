@@ -30,12 +30,8 @@ from ..models.resnet import BasicBlock
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..nn import (
-    AvgPool2d,
     Conv2d,
     Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    Identity,
     Linear,
     MaxPool2d,
     Module,
@@ -44,7 +40,6 @@ from ..nn import (
     ThresholdReLU,
 )
 from ..snn import (
-    Encoder,
     SpikingMaxPool,
     SpikingNetwork,
     SpikingNeuron,
@@ -53,14 +48,13 @@ from ..snn import (
     StepWrapper,
     TemporalDropout,
 )
+from ..snn.network import STATELESS_LAYERS
 from .activation_stats import (
     LayerActivationStats,
     activation_layers,
     collect_activation_stats,
 )
 from .specs import NeuronSpec, build_specs
-
-_STATELESS = (Conv2d, Linear, MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten, Identity)
 
 
 @dataclass
@@ -195,7 +189,7 @@ def _build_spiking(module: Module, cursor: _SpecCursor) -> Module:
         return SpikingResidualBlock(conv1, neuron1, conv2, shortcut, neuron2)
     if isinstance(module, Sequential):
         return SpikingSequential(*[_build_spiking(child, cursor) for child in module])
-    if isinstance(module, _STATELESS):
+    if isinstance(module, STATELESS_LAYERS):
         return StepWrapper(copy.deepcopy(module))
     # Generic container (e.g. VGG, ResNet): map registered children in
     # definition order, which matches forward order for the library's
@@ -213,7 +207,6 @@ def convert_dnn_to_snn(
     model: Module,
     calibration_batches: Iterable[Tuple[np.ndarray, np.ndarray]],
     config: ConversionConfig,
-    encoder: Optional[Encoder] = None,
 ) -> ConversionResult:
     """Convert a trained DNN into a spiking network.
 
@@ -227,8 +220,6 @@ def convert_dnn_to_snn(
         activation statistics (labels ignored).
     config:
         Conversion configuration (latency, strategy, ...).
-    encoder:
-        Input encoder for the SNN (default: direct encoding).
     """
     with trace.span(
         "calibration", batches=config.calibration_batches
@@ -261,7 +252,7 @@ def convert_dnn_to_snn(
         cursor = _SpecCursor(specs, config)
         body = _build_spiking(model, cursor)
         cursor.assert_exhausted()
-        snn = SpikingNetwork(body, timesteps=config.timesteps, encoder=encoder)
+        snn = SpikingNetwork(body, timesteps=config.timesteps)
         if config.absorb_beta:
             absorb_beta(snn)
     return ConversionResult(snn=snn, stats=stats, specs=specs, config=config)
@@ -297,7 +288,6 @@ def absorb_beta(snn: SpikingNetwork) -> None:
             "beta absorption across residual blocks is not supported; "
             "keep beta explicit for ResNet-converted SNNs"
         )
-    transparent = (MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten, Identity)
     for index, module in enumerate(flat):
         if not isinstance(module, SpikingNeuron) or module.beta == 1.0:
             continue
@@ -308,15 +298,13 @@ def absorb_beta(snn: SpikingNetwork) -> None:
                 continue
             if isinstance(downstream, StepWrapper):
                 inner = downstream.inner
-                if isinstance(inner, transparent):
-                    continue
                 if isinstance(inner, (Conv2d, Linear)):
                     inner.weight.data *= module.beta
                     module.beta = 1.0
                     break
-                raise NotImplementedError(
-                    f"cannot absorb beta through {type(inner).__name__}"
-                )
+                # The other stateless layers (pools, flatten, identity)
+                # commute with a positive uniform scale.
+                continue
             raise NotImplementedError(
                 f"cannot absorb beta through {type(downstream).__name__}"
             )

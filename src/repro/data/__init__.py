@@ -2,7 +2,6 @@
 
 from .cifar import CIFARDataset, load_cifar10, load_cifar100
 from .dataloader import DataLoader
-from .events import SyntheticEventConfig, SyntheticEventDataset, synth_dvs
 from .synthetic import (
     SyntheticImageConfig,
     SyntheticImageDataset,
@@ -28,12 +27,9 @@ __all__ = [
     "load_cifar100",
     "RandomCrop",
     "RandomHorizontalFlip",
-    "SyntheticEventConfig",
-    "SyntheticEventDataset",
     "SyntheticImageConfig",
     "SyntheticImageDataset",
     "Transform",
     "synth_cifar10",
-    "synth_dvs",
     "synth_cifar100",
 ]

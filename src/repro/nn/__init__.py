@@ -2,7 +2,6 @@
 
 from . import init
 from .activations import ActivationRecorder, ReLU, ThresholdReLU
-from .batchnorm import BatchNorm2d, fold_all_batchnorms, fold_batchnorm
 from .containers import Flatten, Identity, Sequential
 from .conv import Conv2d
 from .dropout import Dropout
@@ -14,7 +13,6 @@ from .pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 __all__ = [
     "ActivationRecorder",
     "AvgPool2d",
-    "BatchNorm2d",
     "Conv2d",
     "CrossEntropyLoss",
     "Dropout",
@@ -29,8 +27,6 @@ __all__ = [
     "ReLU",
     "Sequential",
     "ThresholdReLU",
-    "fold_all_batchnorms",
-    "fold_batchnorm",
     "init",
     "tap",
 ]

@@ -113,8 +113,8 @@ class AccumulateCounts:
     Indexed by weight layer (the ``Conv2d``/``Linear`` inner of every
     :class:`~repro.snn.network.StepWrapper`, in module order):
     ``events`` counts the input events the layer received — the nonzero
-    inputs of a hidden layer, every input element of the layer that
-    receives the encoder's frames — and ``accumulates`` the synaptic
+    inputs of a hidden layer, every input element of the first weight
+    layer, which sees the analog image — and ``accumulates`` the synaptic
     operations they trigger, one per reachable output connection
     (:func:`conv_fanout_map`).  ``rows`` counts the per-step input rows
     seen (images x steps) and ``unit_shapes`` holds each layer's
@@ -132,18 +132,18 @@ class AccumulateCounts:
         self.accumulates = [0] * len(self.layers)
         self.rows = [0] * len(self.layers)
         self.unit_shapes: List[tuple] = [()] * len(self.layers)
-        self._encoder_fed: Optional[int] = None
+        self._analog_layer: Optional[int] = None
 
     def __call__(self, layer, x, _out) -> None:
         data = x.data
         index = self._index[id(layer)]
-        if self._encoder_fed is None:
-            # The first weight layer a forward reaches receives the
-            # encoder's frames: analog input, every element an event at
-            # every step, whatever its value.
-            self._encoder_fed = index
+        if self._analog_layer is None:
+            # The first weight layer a forward reaches sees the analog
+            # image: every element an event at every step, whatever its
+            # value.
+            self._analog_layer = index
         rows, unit_shape = data.shape[0], data.shape[1:]
-        if index == self._encoder_fed:
+        if index == self._analog_layer:
             counts = np.full(int(np.prod(unit_shape)), rows)
         else:
             counts = np.count_nonzero(data.reshape(rows, -1), axis=0)

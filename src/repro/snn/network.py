@@ -38,17 +38,17 @@ Structure classes:
 - :class:`SpikingSequential` — ordered chain of spiking modules;
 - :class:`SpikingResidualBlock` — spiking twin of a ResNet basic block
   (branch and shortcut currents sum before the output neuron);
-- :class:`SpikingNetwork` — encoder + body + temporal loop.
+- :class:`SpikingNetwork` — body + temporal loop (direct input, mean
+  output).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 import numpy as np
 
-from ..nn.batchnorm import BatchNorm2d
 from ..nn.containers import Flatten, Identity
 from ..nn.conv import Conv2d
 from ..nn.linear import Linear
@@ -56,7 +56,6 @@ from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..nn.module import Module
 from ..tensor import GradMode, Tensor, concatenate
 from .dispatch import SparseDispatch, active_dispatch, dispatch_context
-from .encoding import DirectEncoder, Encoder
 from .neurons import SpikingNeuron
 
 
@@ -179,19 +178,25 @@ class SpikingModule(Module):
                 child.reset_state()
 
 
+#: The stateless DNN layers a :class:`StepWrapper` may carry.  Each is
+#: deterministic and acts row-wise on the batch axis, so one call on a
+#: time-folded batch equals T per-step calls.
+STATELESS_LAYERS = (
+    Conv2d, Linear, MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten, Identity,
+)
+
+
 class StepWrapper(SpikingModule):
     """Applies a stateless DNN module (conv / linear / pool / flatten)
     at every time step, sharing its weights across steps."""
 
-    # Inners that are deterministic and act row-wise on the batch axis,
-    # so a time-folded batch through one call equals T per-step calls.
-    _FOLDABLE = (
-        Conv2d, Linear, MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten,
-        Identity,
-    )
-
     def __init__(self, inner: Module) -> None:
         super().__init__()
+        if not isinstance(inner, STATELESS_LAYERS):
+            raise TypeError(
+                f"StepWrapper cannot carry {type(inner).__name__}: only "
+                "the stateless layers of STATELESS_LAYERS fold over time"
+            )
         self.inner = inner
 
     def forward(self, x: Tensor) -> Tensor:
@@ -206,22 +211,7 @@ class StepWrapper(SpikingModule):
                 return out
         return self.inner.forward(x)
 
-    def _folds(self) -> bool:
-        """Whether one call on a folded batch matches T per-step calls."""
-        if isinstance(self.inner, self._FOLDABLE):
-            return True
-        # Eval-mode BatchNorm is a fixed per-row affine map; in training
-        # it computes batch statistics, which a folded batch would pool
-        # across time steps — run those per step instead.
-        if isinstance(self.inner, BatchNorm2d):
-            return not self.inner.training
-        return False
-
     def forward_fused(self, x: Tensor, timesteps: int) -> Tensor:
-        if not self._folds():
-            return fold_time(
-                [self.forward(f) for f in unfold_time(x, timesteps)]
-            )
         if isinstance(x, TiledFrames):
             out = tile_time(self._run_inner(x.frame), timesteps)
         else:
@@ -375,7 +365,7 @@ class SpikingResidualBlock(SpikingModule):
 
 
 class SpikingNetwork(SpikingModule):
-    """A converted SNN: encoder, spiking body, and the temporal loop.
+    """A converted SNN: the spiking body and the temporal loop.
 
     Parameters
     ----------
@@ -385,12 +375,12 @@ class SpikingNetwork(SpikingModule):
     timesteps:
         Number of time steps ``T`` (the paper's ultra-low-latency regime
         is T in {2, 3}).
-    encoder:
-        Input encoder; defaults to direct encoding.
 
-    ``forward`` accepts a numpy batch or Tensor and returns the
-    time-averaged logits; differentiable end-to-end through the unroll
-    (BPTT) for SGL fine-tuning.
+    The input is direct-encoded, as in the paper: the analog image is
+    presented to the first layer at every step.  ``forward`` accepts a
+    numpy batch or Tensor and returns the output layer's logits
+    averaged over the T steps; differentiable end-to-end through the
+    unroll (BPTT) for SGL fine-tuning.
 
     ``mode`` selects the execution engine: ``"fused"`` (default) folds
     the T frames into the batch axis so each stateless layer runs one
@@ -399,36 +389,23 @@ class SpikingNetwork(SpikingModule):
     equivalent logits, spike counts and BPTT gradients.
     """
 
-    OUTPUT_MODES = ("mean", "max", "last")
     MODES = ("fused", "stepwise")
 
     def __init__(
         self,
         body: SpikingModule,
         timesteps: int,
-        encoder: Optional[Encoder] = None,
-        output_mode: str = "mean",
         mode: str = "fused",
     ) -> None:
         super().__init__()
         if timesteps <= 0:
             raise ValueError("timesteps must be positive")
-        if output_mode not in self.OUTPUT_MODES:
-            raise ValueError(
-                f"output_mode must be one of {self.OUTPUT_MODES}, got "
-                f"'{output_mode}'"
-            )
         if mode not in self.MODES:
             raise ValueError(
                 f"mode must be one of {self.MODES}, got '{mode}'"
             )
         self.body = body
         self.timesteps = timesteps
-        self.encoder = encoder if encoder is not None else DirectEncoder()
-        # Output decoding: "mean" accumulates the output layer over all
-        # steps (the paper's choice); "max" takes the elementwise max
-        # over steps; "last" reads only the final step.
-        self.output_mode = output_mode
         self.mode = mode
         # Activity-adaptive sparse dispatch (repro.snn.dispatch); None
         # keeps every weight layer on the dense path.  Installed into
@@ -512,49 +489,30 @@ class SpikingNetwork(SpikingModule):
             return self._forward_fused(images)
         return self._forward_stepwise(images)
 
-    def _encode_input(self, images) -> Tuple[Optional[Tensor], List[Tensor]]:
-        """Returns ``(direct_frame, frames)``: a single in-graph frame
-        under direct encoding (presented every step), or the encoded
-        per-step frame list otherwise."""
-        if isinstance(self.encoder, DirectEncoder):
-            if isinstance(images, Tensor) and images.requires_grad:
-                # Keep the input in the autograd graph (direct encoding
-                # presents the same tensor every step), so gradients
-                # w.r.t. the input are available — used by FGSM probes.
-                return images, []
-            data = images.data if isinstance(images, Tensor) else np.asarray(images)
-            return Tensor(self.encoder(data, self.timesteps)[0]), []
-        data = images.data if isinstance(images, Tensor) else np.asarray(images)
-        return None, [Tensor(f) for f in self.encoder(data, self.timesteps)]
+    def _encode_input(self, images) -> Tensor:
+        """The one frame presented at every step (direct encoding).
+
+        An input that requires grad stays in the autograd graph, so
+        gradients w.r.t. the input are available (FGSM probes); any
+        other input becomes a new Tensor, which casts it to the default
+        dtype, so the float32 path carries through the whole unroll.
+        """
+        if isinstance(images, Tensor) and images.requires_grad:
+            return images
+        return Tensor(images)
 
     def _forward_stepwise(self, images) -> Tensor:
-        direct_frame, frames = self._encode_input(images)
-        if direct_frame is not None:
-            frames = [direct_frame] * self.timesteps
-        from ..tensor import maximum
-
-        total: Optional[Tensor] = None
-        for frame in frames:
-            out = self.body(frame)
-            if self.output_mode == "mean":
-                total = out if total is None else total + out
-            elif self.output_mode == "max":
-                total = out if total is None else maximum(total, out)
-            else:  # "last"
-                total = out
-        if self.output_mode == "mean":
-            return total * (1.0 / self.timesteps)
-        return total
+        frame = self._encode_input(images)
+        total = self.body(frame)
+        for _ in range(self.timesteps - 1):
+            total = total + self.body(frame)
+        return total * (1.0 / self.timesteps)
 
     def _forward_fused(self, images) -> Tensor:
         timesteps = self.timesteps
-        direct_frame, frames = self._encode_input(images)
-        if direct_frame is not None:
-            # Direct encoding presents identical frames: a tiled batch
-            # lets the leading stateless layers run once on (N, ...).
-            fused = tile_time(direct_frame, timesteps)
-        else:
-            fused = fold_time(frames)
+        # Every step sees the same frame: a tiled batch lets the leading
+        # stateless layers run once on (N, ...).
+        fused = tile_time(self._encode_input(images), timesteps)
         probe = _LAYER_PROBE
         if probe is None:
             return self._decode_output(apply_fused(self.body, fused, timesteps))
@@ -579,23 +537,12 @@ class SpikingNetwork(SpikingModule):
         return flatten(self.body)
 
     def _decode_output(self, fused: Tensor) -> Tensor:
-        """Reduce the time-folded output blocks per ``output_mode``."""
+        """Average the time-folded output blocks over the T steps."""
         timesteps = self.timesteps
         per_step = fused.reshape(
             (timesteps, fused.data.shape[0] // timesteps) + fused.data.shape[1:]
         )
-        if self.output_mode == "mean":
-            return per_step.mean(axis=0)
-        if self.output_mode == "max":
-            from ..tensor import maximum
-
-            # Fold pairwise in step order — the same tie-handling as the
-            # stepwise loop's running maximum.
-            total = per_step[0]
-            for t in range(1, timesteps):
-                total = maximum(total, per_step[t])
-            return total
-        return per_step[timesteps - 1]
+        return per_step.mean(axis=0)
 
     def spiking_neurons(self) -> List[SpikingNeuron]:
         """Spiking layers in module order (the layer index of every
@@ -603,7 +550,4 @@ class SpikingNetwork(SpikingModule):
         return [m for m in self.modules() if isinstance(m, SpikingNeuron)]
 
     def extra_repr(self) -> str:
-        return (
-            f"timesteps={self.timesteps}, "
-            f"encoder={type(self.encoder).__name__}, mode={self.mode}"
-        )
+        return f"timesteps={self.timesteps}, mode={self.mode}"

@@ -4,8 +4,8 @@ SNN suites (``test_fused_equivalence``, ``test_sparse_kernels``,
 
 The oracle prices a weight layer the way Section VI of the paper does:
 every input spike of a hidden layer costs one accumulate per reachable
-output connection, and the layer that receives the encoder's frames
-pays for every input element at every step.  It enumerates output
+output connection, and the first weight layer, which sees the analog
+image, pays for every input element at every step.  It enumerates output
 positions and kernel taps by brute force and never calls the
 counter's fan-out map or the gather kernels, so the exact counts of
 :func:`~repro.snn.analysis.count_accumulates` can be checked against
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.nn import BatchNorm2d, Conv2d, Flatten, Identity, Linear, tap
+from repro.nn import Conv2d, Flatten, Identity, Linear, tap
 from repro.snn import (
     IFNeuron,
     LIFNeuron,
@@ -63,16 +63,15 @@ NEURON_CONFIGS = [
 ]
 
 
-def build_net(neuron_fn, mode, timesteps=T, output_mode="mean",
-              encoder=None, dropout=None, batchnorm=False, seed=0):
+def build_net(neuron_fn, mode, timesteps=T, dropout=None, seed=0):
     """A tiny conv -> neuron -> pool -> linear network, seeded so two
     builds with the same ``seed`` are exact parameter twins."""
     rng = np.random.default_rng(seed)
-    layers = [StepWrapper(Conv2d(1, 2, 3, padding=1, rng=rng))]
-    if batchnorm:
-        layers.append(StepWrapper(BatchNorm2d(2)))
-    layers.append(neuron_fn())
-    layers.append(SpikingMaxPool(2))
+    layers = [
+        StepWrapper(Conv2d(1, 2, 3, padding=1, rng=rng)),
+        neuron_fn(),
+        SpikingMaxPool(2),
+    ]
     if dropout is not None:
         layers.append(TemporalDropout(dropout, rng=np.random.default_rng(99)))
     layers += [
@@ -80,10 +79,7 @@ def build_net(neuron_fn, mode, timesteps=T, output_mode="mean",
         StepWrapper(Linear(2 * 2 * 2, 3, rng=rng)),
     ]
     body = SpikingSequential(*layers)
-    return SpikingNetwork(
-        body, timesteps=timesteps, encoder=encoder,
-        output_mode=output_mode, mode=mode,
-    )
+    return SpikingNetwork(body, timesteps=timesteps, mode=mode)
 
 
 def images_batch(n=4, seed=3):
@@ -131,9 +127,9 @@ def brute_force_fanout(layer, in_shape):
 def brute_force_counts(layer, frame, analog=False):
     """``(events, accumulates)`` of ``layer`` on one per-step frame.
 
-    Hidden layers see spikes: each nonzero input is an event.  The layer
-    that receives the encoder's frames (``analog=True``) takes every
-    element as an event.
+    Hidden layers see spikes: each nonzero input is an event.  The first
+    weight layer, which sees the analog image (``analog=True``), takes
+    every element as an event.
     """
     active = np.ones(frame.shape, dtype=bool) if analog else frame != 0
     fanout = brute_force_fanout(layer, frame.shape[1:])

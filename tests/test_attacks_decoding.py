@@ -1,4 +1,4 @@
-"""FGSM attacks, output-decoding modes, and avg-pool VGG variant."""
+"""FGSM attacks and the avg-pool VGG variant."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
 from repro.models import vgg11
-from repro.nn import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d
-from repro.snn import IFNeuron, SpikingNetwork, SpikingSequential, StepWrapper
+from repro.nn import AvgPool2d, MaxPool2d
 from repro.tensor import Tensor
 from repro.train import fgsm_accuracy, fgsm_attack
 
@@ -62,41 +61,6 @@ class TestFGSM:
         model, *_ = attack_setup
         with pytest.raises(ValueError):
             fgsm_accuracy(model, [], epsilon=0.1)
-
-
-def tiny_snn(output_mode, rng=None):
-    rng = rng or np.random.default_rng(0)
-    body = SpikingSequential(
-        StepWrapper(Conv2d(1, 2, 3, padding=1, rng=rng)),
-        IFNeuron(v_threshold=0.5),
-        StepWrapper(Flatten()),
-        StepWrapper(Linear(2 * 4 * 4, 3, bias=False, rng=rng)),
-    )
-    return SpikingNetwork(body, timesteps=3, output_mode=output_mode)
-
-
-class TestOutputModes:
-    def test_modes_give_valid_shapes(self, rng):
-        x = rng.random((2, 1, 4, 4))
-        for mode in ("mean", "max", "last"):
-            out = tiny_snn(mode, np.random.default_rng(1))(x)
-            assert out.shape == (2, 3)
-
-    def test_mean_is_average_of_steps(self, rng):
-        # For a silent input all modes agree at zero.
-        for mode in ("mean", "max", "last"):
-            out = tiny_snn(mode, np.random.default_rng(1))(np.zeros((1, 1, 4, 4)))
-            np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
-
-    def test_max_bounds_mean(self, rng):
-        x = rng.random((2, 1, 4, 4))
-        mean_out = tiny_snn("mean", np.random.default_rng(1))(x)
-        max_out = tiny_snn("max", np.random.default_rng(1))(x)
-        assert np.all(max_out.data >= mean_out.data - 1e-12)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            tiny_snn("median")
 
 
 class TestAvgPoolVariant:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     AvgPool2d,
-    BatchNorm2d,
     Conv2d,
     CrossEntropyLoss,
     Dropout,
@@ -20,7 +19,6 @@ from repro.nn import (
     ReLU,
     Sequential,
     ThresholdReLU,
-    fold_batchnorm,
     tap,
 )
 from repro.nn.activations import ActivationRecorder
@@ -219,42 +217,6 @@ class TestSequential:
     def test_identity(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         assert Identity()(x) is x
-
-
-class TestBatchNorm:
-    def test_normalises_in_train_mode(self, rng):
-        bn = BatchNorm2d(3)
-        x = Tensor(rng.normal(loc=5.0, scale=3.0, size=(8, 3, 4, 4)))
-        out = bn(x)
-        np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-7)
-        np.testing.assert_allclose(out.data.std(axis=(0, 2, 3)), 1.0, atol=1e-2)
-
-    def test_eval_uses_running_stats(self, rng):
-        bn = BatchNorm2d(2)
-        for _ in range(50):
-            bn(Tensor(rng.normal(loc=2.0, size=(16, 2, 3, 3))))
-        bn.eval()
-        out = bn(Tensor(np.full((4, 2, 3, 3), 2.0)))
-        assert np.abs(out.data).max() < 0.5
-
-    def test_rejects_non_nchw(self, rng):
-        with pytest.raises(ValueError):
-            BatchNorm2d(2)(Tensor(rng.normal(size=(4, 2))))
-
-    def test_fold_batchnorm_equivalence(self, rng):
-        conv = Conv2d(2, 3, 3, padding=1, bias=False, rng=rng)
-        bn = BatchNorm2d(3)
-        x = Tensor(rng.normal(size=(4, 2, 6, 6)))
-        for _ in range(20):
-            bn(conv(Tensor(rng.normal(size=(8, 2, 6, 6)))))
-        bn.eval()
-        expected = bn(conv(x))
-        folded = fold_batchnorm(conv, bn)
-        np.testing.assert_allclose(folded(x).data, expected.data, atol=1e-8)
-
-    def test_fold_channel_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            fold_batchnorm(Conv2d(2, 3, 3, rng=rng), BatchNorm2d(4))
 
 
 class TestLosses:

@@ -7,6 +7,8 @@ from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
 from repro.hw import precision_sweep, quantize_array, quantize_weights
 from repro.models import vgg11
+from repro.nn import tap
+from repro.snn import SpikingNetwork, StepWrapper
 from repro.tensor import (
     Tensor,
     default_dtype,
@@ -128,8 +130,9 @@ class TestDefaultDtype:
 
 class TestFloat32FastPath:
     """A model built under float32 must stay float32 end to end —
-    parameters, encoders, and every intermediate activation (regression:
-    float64 used to leak in via init, layer biases, and encoders)."""
+    parameters, the input frame, and every intermediate activation
+    (regression: float64 used to leak in via init, layer biases, and the
+    input)."""
 
     def _build_snn(self, mode):
         rng = np.random.default_rng(0)
@@ -155,10 +158,6 @@ class TestFloat32FastPath:
             for layer in list(model.features) + list(model.classifier):
                 x = layer(x)
                 assert x.data.dtype == np.float32, type(layer).__name__
-            for bn_layer in [m for m in model.modules()
-                             if type(m).__name__ == "BatchNorm2d"]:
-                assert bn_layer.running_mean.dtype == np.float32
-                assert bn_layer.running_var.dtype == np.float32
 
     @pytest.mark.parametrize("mode", ["stepwise", "fused"])
     def test_snn_params_and_activations_float32(self, mode):
@@ -172,19 +171,21 @@ class TestFloat32FastPath:
             for neuron in snn.spiking_neurons():
                 assert neuron.membrane.data.dtype == np.float32
 
-    def test_encoders_follow_default_dtype(self):
-        from repro.snn import DirectEncoder, PoissonEncoder, TTFSEncoder
-
-        rng = np.random.default_rng(0)
-        images = rng.random((2, 1, 4, 4))
+    def test_network_input_follows_default_dtype(self):
+        # float64 numpy images are cast once at the input, so the first
+        # weight layer sees float32 frames in both engines.
+        images = np.random.default_rng(0).random((2, 3, 8, 8))
+        assert images.dtype == np.float64
         with default_dtype(np.float32):
-            for encoder in (
-                DirectEncoder(),
-                PoissonEncoder(rng=np.random.default_rng(1)),
-                TTFSEncoder(),
-            ):
-                for frame in encoder(images, 3):
-                    assert frame.dtype == np.float32, type(encoder).__name__
+            for mode in SpikingNetwork.MODES:
+                _model, snn = self._build_snn(mode)
+                first = next(
+                    m.inner for m in snn.modules() if isinstance(m, StepWrapper)
+                )
+                seen = []
+                with tap(first, lambda _layer, x, _out: seen.append(x.data.dtype)):
+                    snn(images)
+                assert seen and set(seen) == {np.dtype(np.float32)}, mode
 
     def test_float32_sgl_gradients_stay_float32(self):
         with default_dtype(np.float32):

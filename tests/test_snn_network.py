@@ -5,9 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, Flatten, Identity, Linear
+from repro.nn import Conv2d, Flatten, Identity, Linear, ReLU
 from repro.snn import (
-    DirectEncoder,
     IFNeuron,
     SpikingMaxPool,
     SpikingNetwork,
@@ -17,6 +16,7 @@ from repro.snn import (
     TemporalDropout,
     count_spikes,
 )
+from repro.snn.network import STATELESS_LAYERS
 from repro.tensor import Tensor
 
 
@@ -40,6 +40,17 @@ class TestStepWrapper:
 
     def test_repr(self, rng):
         assert "Linear" in repr(StepWrapper(Linear(2, 2, rng=rng)))
+
+    def test_rejects_unlisted_inner(self):
+        # Only stateless layers fold a time-folded batch in one call.
+        assert not isinstance(ReLU(), STATELESS_LAYERS)
+        with pytest.raises(TypeError, match="ReLU"):
+            StepWrapper(ReLU())
+
+    def test_converter_wraps_the_same_layers(self):
+        from repro.conversion import converter
+
+        assert converter.STATELESS_LAYERS is STATELESS_LAYERS
 
 
 class TestTemporalDropout:

@@ -5,7 +5,7 @@ the CSR spike packing round-trips, the gather kernels match the dense
 layers to float tolerance across geometries / amplitudes / per-event
 values, and a dispatch-routed ``SpikingNetwork`` produces
 the same logits and spike counts as the dense engines — fused and
-stepwise, IF and LIF, soft and hard reset, direct and Poisson encoding,
+stepwise, IF and LIF, soft and hard reset,
 under injected dead-unit faults and across warm streaming windows.
 Crossover calibration must be deterministic under an injected clock and
 round-trip through its artefact, and the exact accumulate counter
@@ -30,7 +30,6 @@ from repro.nn import Conv2d, Flatten, Linear
 from repro.obs.instruments import record_energy_profile
 from repro.snn import (
     IFNeuron,
-    PoissonEncoder,
     SpikingNetwork,
     SpikingSequential,
     StepWrapper,
@@ -74,14 +73,6 @@ from .snn_oracle import (
     run_recorded,
     weight_layers,
 )
-
-ENCODER_CONFIGS = [
-    pytest.param(lambda: None, id="direct"),
-    pytest.param(
-        lambda: PoissonEncoder(rng=np.random.default_rng(5)), id="poisson"
-    ),
-]
-
 
 def spike_frame(shape, density, seed=0, amplitude=1.0):
     """Binary frame with exactly ``round(density * size)`` active units."""
@@ -265,14 +256,13 @@ class TestQuantizationDtype:
 # ======================================================================
 class TestDispatchEquivalence:
     @pytest.mark.parametrize("mode", ["fused", "stepwise"])
-    @pytest.mark.parametrize("encoder_fn", ENCODER_CONFIGS)
     @pytest.mark.parametrize("neuron_fn", NEURON_CONFIGS)
-    def test_forced_sparse_matches_dense(self, neuron_fn, encoder_fn, mode):
+    def test_forced_sparse_matches_dense(self, neuron_fn, mode):
         images = images_batch()
-        dense = build_net(neuron_fn, mode, encoder=encoder_fn())
+        dense = build_net(neuron_fn, mode)
         ref_logits, ref_spikes = run_recorded(dense, images)
 
-        routed = build_net(neuron_fn, mode, encoder=encoder_fn())
+        routed = build_net(neuron_fn, mode)
         dispatch = routed.enable_sparse_dispatch(
             crossover=CrossoverTable(defaults=FORCE_SPARSE)
         )
@@ -450,8 +440,8 @@ class TestExactAccumulates:
     @pytest.mark.parametrize("mode", ["fused", "stepwise"])
     @pytest.mark.parametrize("zero_fraction", [1.0, 0.2], ids=["zero", "partly-zero"])
     def test_input_layer_counts_every_element(self, mode, zero_fraction):
-        """The layer that receives the encoder's frames pays for every
-        input element at every step, zero pixels included: its fan-out
+        """The first weight layer, which sees the analog image, pays for
+        every input element at every step, zero pixels included: its fan-out
         total x T per image, routing left to the pixels' density."""
         images = images_batch()
         images[np.random.default_rng(4).random(images.shape) < zero_fraction] = 0
@@ -481,8 +471,8 @@ class TestExactAccumulates:
         assert totals[0] == totals[1]
 
     def test_linear_accumulates_by_hand(self):
-        """A one-``Linear`` network: its layer receives the encoder's
-        frames, so every input element is an event at every step, and
+        """A one-``Linear`` network: its layer sees the analog input, so
+        every input element is an event at every step, and
         each event reaches all ``out_features`` outputs."""
         rng = np.random.default_rng(18)
         snn = SpikingNetwork(
