@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench quicktest smoke runs-gc examples clean
+.PHONY: install test bench quicktest verify smoke runs-gc examples clean
 
 install:
 	python setup.py develop
@@ -10,6 +10,12 @@ test:
 
 quicktest:
 	PYTHONPATH=src python -m pytest tests/ --ignore=tests/test_experiment_drivers.py -q
+
+# The tier-1 suite, then the e2e benchmark harness's own tests (not
+# under pytest's testpaths, so `make test` does not run them).
+verify:
+	PYTHONPATH=src python -m pytest -x -q
+	python -m pytest benchmarks/e2e -q
 
 # End-to-end benchmark: the paper's pipeline in pinned subprocesses
 # (results under results/e2e); compare two output directories with

@@ -87,10 +87,10 @@ def collect_activation_stats(
 
     Returns statistics in the same order as :func:`activation_layers`.
     ``mean`` and ``d_max`` are read from the samples in recording order;
-    each layer's samples are then sorted once and the percentiles taken
-    from the sorted copy, which gives exactly ``np.percentile`` of the
-    recording-order samples (percentiles depend on order statistics
-    only) at a fraction of its selection cost.
+    each layer's samples are then sorted once and the percentiles read
+    from the sorted copy by :func:`_sorted_percentiles`, which gives
+    ``np.percentile`` of the recording-order samples (percentiles depend
+    on order statistics only) without its selection pass.
     """
     layers = activation_layers(model)
     if not layers:
@@ -124,10 +124,8 @@ def collect_activation_stats(
         # depend on sample order: read both before sorting.
         mean = float(values.mean())
         d_max = float(values.max())
-        # Percentiles are functions of the order statistics alone, and
-        # np.percentile selects them far faster from sorted data.
         values.sort()
-        percentiles = np.percentile(values, np.arange(101.0))
+        percentiles = _sorted_percentiles(values)
         if isinstance(layer, ThresholdReLU):
             mu = layer.threshold
         else:
@@ -143,3 +141,29 @@ def collect_activation_stats(
         )
         recorder.clear()
     return stats
+
+
+def _sorted_percentiles(values: np.ndarray) -> np.ndarray:
+    """The 0th..100th percentiles of the ascending ``values``: those of
+    ``np.percentile(values, np.arange(101.0))``.
+
+    Reads the order statistics by index instead of re-partitioning the
+    sorted array, with numpy's own ``linear``-method arithmetic: virtual
+    index ``(n - 1) q``, lower index ``floor`` of it (``-1``, the last
+    sample, from ``n - 1`` on), and its lerp, which interpolates down
+    from the upper sample once the weight reaches 0.5.  Every bit agrees
+    except the sign of a zero percentile among tied ``+-0.0`` samples,
+    which depends on where the ties sit, as it does in ``np.percentile``.
+    """
+    n = values.size
+    virtual = (n - 1) * (np.arange(101.0) / 100)
+    prev = np.floor(virtual).astype(np.intp)
+    prev[virtual >= n - 1] = -1
+    nxt = np.where(prev == -1, -1, prev + 1)
+    gamma = virtual - prev
+    lo, hi = values[prev], values[nxt]
+    diff = hi - lo
+    out = np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma)
+    if np.isnan(values[-1]):  # NaN sorts last; np.percentile is then all NaN
+        out[:] = np.nan
+    return out

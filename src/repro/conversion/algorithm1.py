@@ -12,6 +12,12 @@ Using percentiles rather than a linear grid concentrates candidates
 where the (sharply skewed) distribution actually has mass — the paper's
 stated reason the approach beats linear threshold search.
 
+``ComputeLoss`` is affine in ``beta``.  ``find_scaling_factors`` uses
+that only as a filter: a vectorised pass bounds each ``alpha`` row with
+a margin ``E`` that covers the rounding of both the affine form and
+``ComputeLoss``, and only the rows that may hold the minimum are
+evaluated exactly, so the result is bitwise the pseudocode's loop.
+
 The three loss segments match Fig. 1(b):
 
 - Seg-I  (``0 <= p <= alpha mu``): the DNN output ``p`` sits on
@@ -122,10 +128,18 @@ def find_scaling_factors(
 
     Returns the pair minimising ``|ComputeLoss|``, initialised at the
     identity ``(alpha, beta) = (1, 1)`` exactly as in the pseudocode, so
-    the search can only improve on the unscaled conversion.  The loss of
-    every ``beta`` at one ``alpha`` is one NumPy expression whose entries
-    are bitwise the scalar ``compute_loss`` values, so the minimiser, its
-    loss and ``evaluations`` are those of the pseudocode's loop.
+    the search can only improve on the unscaled conversion.
+
+    The search runs in two passes.  :func:`_rows_that_may_hold_minimum`
+    bounds every ``alpha`` row at once through the affine form of the
+    loss and rules out each row whose every ``|loss|`` is provably above
+    some pair's.  The rows it keeps (typically one of ~60) are then
+    evaluated by :func:`_losses_over_betas`, whose entries are bitwise
+    the scalar ``compute_loss`` values.  A dropped row cannot hold any
+    minimum, so the first minimum in the kept rows' alpha-major,
+    beta-minor order is the pseudocode's: the minimiser, its loss (ties
+    and the ``alpha_candidates`` order included) and ``evaluations``,
+    which counts the pseudocode's pairs, are those of its loop.
     """
     p = np.asarray(percentiles, dtype=np.float64)
     if alpha_candidates is None:
@@ -146,17 +160,24 @@ def find_scaling_factors(
     evaluations = 1 + alpha_candidates.size * betas.size
     if evaluations > 1:
         positive = p[p > 0.0]  # negative pre-activations contribute 0 to both outputs
+        rows = np.flatnonzero(
+            _rows_that_may_hold_minimum(
+                positive, mu, alpha_candidates, betas, timesteps
+            )
+        )
         losses = np.stack(
             [
-                _losses_over_betas(positive, mu, alpha, betas, timesteps)
-                for alpha in alpha_candidates
+                _losses_over_betas(
+                    positive, mu, alpha_candidates[row], betas, timesteps
+                )
+                for row in rows
             ]
         )
         # argmin takes the first minimum in alpha-major, beta-minor order:
         # the pseudocode's scan with a strict "<".
         i, j = np.unravel_index(np.argmin(np.abs(losses)), losses.shape)
         if abs(losses[i, j]) < abs(best_loss):
-            best_alpha, best_beta = float(alpha_candidates[i]), float(betas[j])
+            best_alpha, best_beta = float(alpha_candidates[rows[i]]), float(betas[j])
             best_loss = float(losses[i, j])
     # A zero beta would silence the layer entirely; the pseudocode's grid
     # includes it but a dead layer is never the minimiser in practice.
@@ -165,6 +186,64 @@ def find_scaling_factors(
     return ScalingFactors(
         alpha=best_alpha, beta=best_beta, loss=best_loss, evaluations=evaluations
     )
+
+
+def _rows_that_may_hold_minimum(
+    p: np.ndarray,
+    mu: float,
+    alphas: np.ndarray,
+    betas: np.ndarray,
+    timesteps: int,
+) -> np.ndarray:
+    """Mask of the ``alphas`` rows whose ``|compute_loss|`` over ``betas``
+    may reach the minimum over the whole grid, for the positive
+    percentiles ``p``.
+
+    ``ComputeLoss`` is affine in ``beta``: in exact arithmetic it is
+    ``A - beta B`` with ``A = sum(p[p <= mu]) + n3 mu`` and
+    ``B = step sum(levels) + alpha_mu n2 + n3 mu alpha``, where ``n2``
+    and ``n3`` count Seg-II and Seg-III.  The Seg-I ``levels``,
+    ``alpha_mu`` and ``step`` come from ``_losses_over_betas``' own
+    elementwise operations, so both forms round the same real number.
+    The term magnitudes sum to at most ``M = A + beta B``, and each float
+    operation rounds with relative error ``eps / 2``, plus an absolute
+    ``tiny / 2`` (``tiny`` the smallest subnormal) when a product
+    underflows.  With ``n = len(p)``, computed ``ComputeLoss`` is within
+    ``(n + 4) eps M / 2 + (2n + 3) tiny / 2`` of that real number (at
+    most ``2n + 3`` products) and the rounded ``A - beta B`` within
+    ``(n + 6) eps M / 2 + 5 tiny / 2``, a gap of at most
+    ``(n + 5) eps M + (n + 4) tiny``.  The bound
+    ``E = 4 (n + 4) (eps M + tiny)`` is over three times that, which
+    also covers the rounding of ``M``, ``E`` and the comparisons.
+
+    A row is dropped only if every ``|A - beta B| - E`` in it exceeds
+    ``min(|A - beta B| + E)`` over the grid: its ``|compute_loss|``
+    values are then all strictly above that of the pair attaining the
+    minimum.  Rows with a NaN bound compare false and are kept.
+    """
+    alpha_mu = alphas * mu
+    step = alpha_mu / timesteps
+    seg1 = p[None, :] <= alpha_mu[:, None]
+    # Outside Seg-I the quotient stays 0, so its level clamps to 0.
+    quotient = np.divide(
+        p[None, :], step[:, None], out=np.zeros(seg1.shape), where=seg1
+    )
+    levels = np.maximum(np.floor(quotient - 1e-12), 0.0)
+    levels = np.minimum(levels, timesteps)
+    n3 = int((p > mu).sum())
+    n2 = (p <= mu).sum() - seg1.sum(axis=1)
+    a = p[p <= mu].sum() + n3 * mu
+    b = step * levels.sum(axis=1) + alpha_mu * n2 + n3 * mu * alphas
+
+    # Only three alpha x beta blocks are live at a time.
+    slope = np.multiply.outer(b, betas)
+    bound = a + slope
+    bound *= 4 * (p.size + 4) * np.finfo(np.float64).eps
+    bound += 4 * (p.size + 4) * np.finfo(np.float64).smallest_subnormal
+    magnitude = np.abs(np.subtract(a, slope, out=slope), out=slope)
+    ceiling = (magnitude + bound).min()
+    lowest = np.subtract(magnitude, bound, out=magnitude).min(axis=1)
+    return ~(lowest > ceiling)
 
 
 def _losses_over_betas(
@@ -180,7 +259,8 @@ def _losses_over_betas(
     Performs ``compute_loss``'s per-element operations in the same order,
     one row per ``beta``, so each entry is bitwise the scalar result.
     Only a ``len(betas) x len(p)`` block is live at a time, never the
-    ``alpha x beta x percentile`` cube.
+    ``alpha x beta x percentile`` cube; ``find_scaling_factors`` calls
+    it only for the rows :func:`_rows_that_may_hold_minimum` keeps.
     """
     alpha_mu = alpha * mu
     step = alpha_mu / timesteps

@@ -58,9 +58,9 @@ def proposed_specs(
 ) -> List[NeuronSpec]:
     """The paper's conversion: per-layer Algorithm-1 search.
 
-    Layers are searched serially in-process: the vectorised search takes
-    a few milliseconds per layer, less than shipping the layer to a
-    worker would cost.
+    Layers are searched serially in-process: the filtered search takes
+    well under a millisecond per layer, less than shipping the layer to
+    a worker would cost.
     """
     specs = []
     for index, layer_stats in enumerate(stats):

@@ -14,6 +14,7 @@ from repro.conversion import (
     collect_activation_stats,
     convert_dnn_to_snn,
     deng_shift_specs,
+    find_scaling_factors,
     grid_scaling_specs,
     max_activation_specs,
     proposed_specs,
@@ -41,6 +42,8 @@ from repro.snn import (
 )
 from repro.tensor import Tensor, no_grad
 from repro.train import evaluate_snn
+
+from .test_algorithm1 import as_tuple, reference_search
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +167,8 @@ _SAMPLE = st.one_of(
 
 
 class TestPercentileExactness:
-    """Sorting before ``np.percentile`` must change no bit of the stats."""
+    """Percentiles read from the sorted samples must equal ``np.percentile``
+    of the recording-order samples, and mean and max keep every bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -178,6 +182,7 @@ class TestPercentileExactness:
     @example(samples=np.array([0.0, -0.0] * 30), batches=2, max_samples=200_000)
     @example(samples=np.array([-0.0, 0.0, -1.0] * 20), batches=4, max_samples=200_000)
     @example(samples=np.arange(100.0) % 7 - 3.0, batches=2, max_samples=37)
+    @example(samples=np.arange(4321.0) * 0.37 % 11 - 4.0, batches=3, max_samples=5000)
     def test_matches_recording_order_percentile(self, samples, batches, max_samples):
         chunks = [c[None, :] for c in np.array_split(samples, batches) if c.size]
         loader = [(chunk, None) for chunk in chunks]
@@ -208,6 +213,23 @@ class TestPercentileExactness:
                 assert build_specs(strategy, stats, timesteps) == build_specs(
                     strategy, reference, timesteps
                 )
+
+    @pytest.mark.parametrize("net", ["small_vgg", "small_resnet"])
+    def test_proposed_specs_match_the_pseudocode_search(self, net, batches, request):
+        # Real layer statistics: every row the search skips must be one
+        # the scalar pseudocode loop would not pick either.
+        stats = collect_activation_stats(request.getfixturevalue(net), batches)
+        for timesteps in (1, 2, 3, 5):
+            reference = [
+                reference_search(s.percentiles, s.mu, timesteps) for s in stats
+            ]
+            for layer, want in zip(stats, reference):
+                got = find_scaling_factors(layer.percentiles, layer.mu, timesteps)
+                assert as_tuple(got) == as_tuple(want)
+            assert proposed_specs(stats, timesteps) == [
+                NeuronSpec(v_threshold=f.alpha * s.mu, beta=f.beta, alpha=f.alpha)
+                for f, s in zip(reference, stats)
+            ]
 
 
 class TestSpecs:
