@@ -11,6 +11,10 @@ shows).
 Training memory is *measured*, not modelled: :class:`GraphMemoryMeter`
 intercepts every tensor materialised during a forward pass with
 gradients enabled, which directly captures the unrolled-BPTT footprint.
+Backward releases that graph node by node, so a training step holds one
+graph at a time; the bytes counted here are those of one step's graph,
+made before its backward, and do not change with the release (nor does
+Fig. 3b).
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..nn.module import Module, Parameter
 from ..tensor import GradMode, Tensor
+from ..tensor.autograd import empty, empty_like
 from .dispatch import active_dispatch
 from .surrogate import SurrogateFn, get_surrogate
 
@@ -136,9 +137,9 @@ def fused_spike_scan(
     # allocated once, so the scan allocates nothing per step; the order
     # of operations is the stepwise chain's.
     out = np.empty_like(frames)
-    fired_all = np.empty(frames.shape, dtype=bool)
-    windows = np.empty_like(frames) if needs_grad else None
-    u_prev = np.empty_like(frames) if needs_grad else None
+    fired_all = empty(frames.shape, bool)
+    windows = empty_like(frames) if needs_grad else None
+    u_prev = empty_like(frames) if needs_grad else None
     u = np.full(frames.shape[1:], initial_potential, dtype=dtype)
     reset_tmp = None if beta == 1.0 else np.empty_like(u)
     for t in range(timesteps):
@@ -173,6 +174,7 @@ def fused_spike_scan(
             v_threshold, leak,
         ),
         "fused_spike_scan",
+        buffers=(fired_all, windows, u_prev),
     )
     return spikes, u, float(fired_all.sum())
 

@@ -34,6 +34,7 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .autograd import empty
 from .tensor import Tensor
 
 
@@ -72,7 +73,8 @@ def _pack(x: np.ndarray, kernel: int, stride: int) -> Tuple[np.ndarray, int, int
         strides=(sc, sh, sw, sn, sh * stride, sw * stride),
         writeable=False,
     )
-    cols = np.ascontiguousarray(windows).reshape(c * kernel * kernel, -1)
+    cols = empty((c * kernel * kernel, n * out_h * out_w), x.dtype)
+    np.copyto(cols.reshape(windows.shape), windows)
     return cols, out_h, out_w
 
 
@@ -221,7 +223,7 @@ def conv2d(
             return (dx, dw)
         return (dx, dw, g_mat.sum(axis=1))
 
-    return Tensor.from_op(out, parents, bwd, "conv2d")
+    return Tensor.from_op(out, parents, bwd, "conv2d", buffers=(cols,))
 
 
 def _check_pool_args(x: Tensor, kernel: int, stride: int) -> None:

@@ -113,18 +113,20 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward_fn: Callable,
         name: str = "op",
+        buffers: Tuple[np.ndarray, ...] = (),
     ) -> "Tensor":
         """Create a tensor as the output of a differentiable op.
 
         This is the extension point used by every op in the library
         (including custom surrogate-gradient spike functions in
         :mod:`repro.snn`).  Gradient tracking is skipped when the global
-        grad mode is off or no parent requires grad.
+        grad mode is off or no parent requires grad.  ``buffers`` are
+        arrays only ``backward_fn`` reads (see :class:`Node`).
         """
         requires = GradMode.is_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
-            out._node = Node(parents, backward_fn, name)
+            out._node = Node(parents, backward_fn, name, buffers)
         return out
 
     # ------------------------------------------------------------------
@@ -489,8 +491,9 @@ def _dispatching_from_op(
     parents: Sequence["Tensor"],
     backward_fn: Callable,
     name: str = "op",
+    buffers: Tuple[np.ndarray, ...] = (),
 ) -> "Tensor":
-    out = _PRISTINE_FROM_OP(data, parents, backward_fn, name)
+    out = _PRISTINE_FROM_OP(data, parents, backward_fn, name, buffers)
     for observer in _OP_OBSERVERS:
         observer(out, name)
     return out

@@ -28,6 +28,7 @@ from ..obs import trace
 from ..obs.instruments import record_spike_profile
 from ..optim import SGD, Adam, MultiStepLR, paper_milestones
 from ..snn import SpikingNetwork, count_spikes
+from ..tensor.autograd import recycle_buffers
 from .guard import NonFiniteDetected, NonFiniteGuard
 from .history import TrainingHistory
 from .metrics import evaluate_snn
@@ -118,6 +119,7 @@ class SNNTrainer:
             params, lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay
         )
 
+    @recycle_buffers()
     def fit(
         self,
         snn: SpikingNetwork,

@@ -23,6 +23,7 @@ from ..obs import profile as obs_profile
 from ..obs import trace
 from ..optim import SGD, MultiStepLR, paper_milestones
 from ..tensor import Tensor
+from ..tensor.autograd import recycle_buffers
 from .guard import NonFiniteDetected, NonFiniteGuard
 from .history import TrainingHistory
 from .metrics import evaluate_dnn
@@ -100,6 +101,7 @@ class DNNTrainer:
         grad_norm = float(np.sqrt(max_grad_sq)) if health_monitor else None
         return losses, correct, seen, grad_norm
 
+    @recycle_buffers()
     def fit(
         self,
         model: Module,

@@ -51,6 +51,25 @@ def reference_search(
     return ScalingFactors(best_alpha, best_beta, best_loss, evaluations)
 
 
+def exhaustive_search(percentiles, mu, timesteps, beta_max=2.0, beta_step=0.01):
+    """FindScalingFactors with every alpha row evaluated, no row filter:
+    a row's losses are ``_losses_over_betas``, bitwise the scalar
+    ``compute_loss`` values, scanned in the pseudocode's order."""
+    p = np.asarray(percentiles, dtype=np.float64)
+    alphas = paper_alpha_grid(p, mu)
+    betas = np.arange(0.0, beta_max + 0.5 * beta_step, beta_step)
+    best_alpha, best_beta = 1.0, 1.0
+    best_loss = compute_loss(p, mu, best_alpha, best_beta, timesteps)
+    for alpha in alphas:
+        row = _losses_over_betas(p[p > 0.0], mu, alpha, betas, timesteps)
+        j = int(np.argmin(np.abs(row)))  # the first minimum in beta order
+        if abs(row[j]) < abs(best_loss):
+            best_alpha, best_beta, best_loss = float(alpha), float(betas[j]), float(row[j])
+    if best_beta == 0.0:
+        best_beta = beta_step
+    return ScalingFactors(best_alpha, best_beta, best_loss, 1 + alphas.size * betas.size)
+
+
 def as_tuple(factors):
     return (factors.alpha, factors.beta, factors.loss, factors.evaluations)
 

@@ -1,9 +1,14 @@
-"""Autograd graph mechanics: accumulation, no_grad, deep unrolls."""
+"""Autograd graph mechanics: accumulation, no_grad, deep unrolls,
+graph release and the buffer hand-off."""
+
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.tensor import GradMode, Tensor, no_grad
+from repro.tensor import GradMode, Tensor, conv2d, no_grad, relu
+from repro.tensor import autograd
+from repro.tensor.autograd import empty, empty_like, recycle_buffers
 
 
 class TestBackward:
@@ -67,6 +72,114 @@ class TestBackward:
             y = y + 0.0
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0])
+
+
+class TestGraphRelease:
+    def test_second_backward_raises_naming_the_op(self):
+        x = Tensor([3.0], requires_grad=True)
+        loss = (x * 2.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="'sum'.*earlier backward"):
+            loss.backward()
+        np.testing.assert_allclose(x.grad, [2.0])
+
+    def test_new_graph_through_released_node_raises(self):
+        # A released intermediate must not pass for a leaf: it would
+        # silently swallow the gradient into its own .grad.
+        x = Tensor([3.0], requires_grad=True)
+        y = x * 2.0
+        y.sum().backward()
+        with pytest.raises(RuntimeError, match="'mul'"):
+            (y * 3.0).sum().backward()
+        assert y.grad is None
+        np.testing.assert_allclose(x.grad, [2.0])
+
+    def test_backward_releases_every_node(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        h = x @ w
+        a = relu(h)
+        b = a + h
+        loss = (b * b).mean()
+        intermediates = [h, a, b, loss]
+        loss.backward()
+        for tensor in intermediates:
+            node = tensor._node
+            assert node.parents == ()
+            assert node.backward_fn is None
+            assert node.buffers == ()
+        assert x._node is None and w._node is None
+        assert x.grad is not None and w.grad is not None
+
+    def test_conv_pack_is_garbage_after_backward(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        out = conv2d(x, weight, padding=1)
+        (cols,) = out._node.buffers
+        pack = weakref.ref(cols)
+        del cols
+        out.sum().backward()
+        assert pack() is None
+        assert out._node.backward_fn is None
+
+
+class TestBufferHandOff:
+    @staticmethod
+    def _conv_step(x, weight):
+        out = conv2d(x, weight, padding=1)
+        (out * out).sum().backward()
+        return out
+
+    def test_next_step_reuses_the_released_pack(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        reference = self._conv_step(x, weight)
+        reference_grad = weight.grad.copy()
+        weight.zero_grad()
+        with recycle_buffers():
+            first = self._conv_step(x, weight)
+            (released,) = autograd._spare.values()
+            pack = released[0]
+            weight.zero_grad()
+            out = conv2d(x, weight, padding=1)
+            assert out._node.buffers[0] is pack
+            (out * out).sum().backward()
+        assert autograd._spare is None
+        np.testing.assert_array_equal(first.data, reference.data)
+        np.testing.assert_array_equal(out.data, reference.data)
+        np.testing.assert_array_equal(weight.grad, reference_grad)
+
+    def test_unclaimed_buffers_dropped_at_next_backward(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        with recycle_buffers():
+            self._conv_step(x, weight)
+            pack = weakref.ref(next(iter(autograd._spare.values()))[0])
+            (x * 2.0).sum().backward()
+            assert pack() is None
+            assert autograd._spare == {}
+
+    def test_outside_a_block_backward_only_releases(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        self._conv_step(x, weight)
+        assert autograd._spare is None
+
+    @pytest.mark.parametrize("axes", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1)])
+    def test_recycled_buffer_keeps_numpy_layout(self, rng, axes):
+        like = np.ascontiguousarray(rng.normal(size=(3, 2, 4, 1))).transpose(axes)
+        like_layout, c_layout = np.empty_like(like), np.empty(like.shape)
+        with recycle_buffers():
+            Tensor.from_op(
+                like, (Tensor(like, requires_grad=True),), lambda g: (g,),
+                "probe", buffers=(like_layout, c_layout),
+            ).backward(np.ones_like(like))
+            reused = empty_like(like)
+            assert reused is like_layout or reused is c_layout
+            assert reused.strides == np.empty_like(like).strides
+            c_buffer = empty(like.shape, like.dtype)
+            assert c_buffer.flags.c_contiguous
+            assert empty(like.shape, bool).dtype == np.dtype(bool)
 
 
 class TestGradMode:

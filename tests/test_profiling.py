@@ -1,5 +1,7 @@
 """Profiling tests: memory meter, T-scaling, timing utilities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,10 @@ from repro.profiling import (
     time_callable,
     training_memory,
 )
-from repro.tensor import Tensor, no_grad
+from repro.optim import Adam
+from repro.tensor import Tensor, autograd, no_grad
+from repro.tensor.autograd import recycle_buffers
+from repro.train import SNNTrainConfig, SNNTrainer
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +106,69 @@ class TestTrainingMemory:
         assert report.parameters == params
         assert report.optimizer_state == 2 * params
         assert report.activations > 0
+
+
+class TestOneGraphPerStep:
+    """Backward releases the graph, so a training step never holds the
+    previous step's graph beside its own (the trainers keep ``logits``
+    and ``loss`` until the next forward)."""
+
+    #: The second step's traced peak over the memory before the first,
+    #: in graph bytes.  At T=3 one step's footprint (the graph's outputs
+    #: plus its saved window packs, masks and membranes) is ~4.0 graph
+    #: bytes, and a second graph beside the first takes it to ~8.0.
+    MAX_PEAK_OVER_GRAPH = 5.0
+
+    @staticmethod
+    def _sgl_step(snn, optimizer, images, labels):
+        optimizer.zero_grad()
+        logits = snn(images)
+        loss = CrossEntropyLoss()(logits, labels)
+        loss.backward()
+        optimizer.step()
+        return logits, loss
+
+    def _snn(self, model_and_loader):
+        model, loader = model_and_loader
+        snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=3)).snn
+        snn.train()
+        return snn, loader
+
+    def test_second_step_peak_stays_near_one_graph(self, model_and_loader):
+        snn, loader = self._snn(model_and_loader)
+        images, labels = next(iter(loader))
+        with GraphMemoryMeter() as meter:
+            CrossEntropyLoss()(snn(images), labels)
+        graph_bytes = meter.bytes_allocated
+        optimizer = Adam(snn.parameters(), lr=1e-4)
+        self._sgl_step(snn, optimizer, images, labels)  # optimizer state
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            with recycle_buffers():
+                held = self._sgl_step(snn, optimizer, images, labels)
+                tracemalloc.reset_peak()
+                held = self._sgl_step(snn, optimizer, images, labels)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del held
+        assert peak - baseline < self.MAX_PEAK_OVER_GRAPH * graph_bytes
+
+    def test_fit_leaves_no_buffer_behind(self, model_and_loader):
+        snn, loader = self._snn(model_and_loader)
+        pools = []
+
+        def on_epoch_end(epoch, history):
+            pools.append(autograd._spare)
+            assert sum(len(buffers) for buffers in autograd._spare.values()) > 0
+
+        SNNTrainer(SNNTrainConfig(epochs=2, lr=1e-4)).fit(
+            snn, loader, on_epoch_end=on_epoch_end
+        )
+        assert len(pools) == 2 and pools[0] is pools[1]
+        assert pools[0] == {}
+        assert autograd._spare is None
 
 
 class TestInferenceMemory:
