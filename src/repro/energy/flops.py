@@ -26,12 +26,14 @@ import numpy as np
 
 from ..nn import Conv2d, Linear, Module, tap
 from ..snn import (
+    SpikingModule,
     SpikingNetwork,
     SpikingNeuron,
     SpikingResidualBlock,
     SpikingSequential,
     StepWrapper,
     TemporalDropout,
+    apply_fused,
 )
 from ..tensor import Tensor, no_grad
 
@@ -72,6 +74,7 @@ def trace_weight_layers(
     """Trace a forward pass and return MAC counts per weight layer.
 
     ``input_shape`` excludes the batch dimension, e.g. ``(3, 32, 32)``.
+    A spiking body is traced over one time step.
     """
     records: List[LayerFlops] = []
     layers = [m for m in model.modules() if isinstance(m, (Conv2d, Linear))]
@@ -91,8 +94,12 @@ def trace_weight_layers(
     was_training = model.training
     model.eval()
     try:
+        x = Tensor(np.zeros((1,) + tuple(input_shape)))
         with tap(layers, trace):
-            model(Tensor(np.zeros((1,) + tuple(input_shape))))
+            if isinstance(model, SpikingModule):
+                apply_fused(model, x, 1)
+            else:
+                model(x)
     finally:
         model.train(was_training)
     return records

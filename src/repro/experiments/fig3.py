@@ -7,9 +7,12 @@ direct-encoded baseline (Rathi et al. [7]) on:
     layer pipeline once per step, so time grows ~linearly with T; the
     paper measures 2.38x (training) / 2.33x (inference) speedups at
     T=2 vs T=5;
-(b) memory — training memory is the unrolled-BPTT activation footprint
-    (measured with :class:`GraphMemoryMeter`), which also grows with T
-    (paper: 1.44x lower at T=2); inference memory is nearly constant.
+(b) memory — the tracemalloc peak that the timed training pass (forward,
+    BPTT backward) and eval pass allocate, read on a separate call because
+    tracing slows allocation (:func:`~repro.profiling.traced_peak_bytes`).
+    Training memory grows with T (paper: 1.44x lower at T=2).  The paper's
+    inference memory is nearly constant in T; the time-folded engine holds
+    all T steps of a layer at once, so here it grows with T too.
 
 All approaches are timed under iso-batch conditions on the same model.
 """
@@ -18,15 +21,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from ..nn import CrossEntropyLoss
-from ..profiling import inference_memory, time_callable, training_memory
+from ..profiling import time_callable, traced_peak_bytes
 from ..tensor import no_grad
 from .config import ExperimentConfig, get_scale
 from .context import get_context
 from .pipeline import convert_only
 from .reporting import format_table
+
+_MB = 1024.0 * 1024.0
 
 
 def _one_training_pass(snn, images, labels, criterion) -> None:
@@ -71,19 +74,17 @@ def run_fig3(
         infer_time = time_callable(
             lambda: _one_inference_pass(snn, images), repeats=repeats
         )
-        train_mem = training_memory(
-            snn,
-            lambda: _one_training_pass(snn, images, labels, criterion),
-            optimizer_state_copies=2,
+        train_bytes = traced_peak_bytes(
+            lambda: _one_training_pass(snn, images, labels, criterion)
         )
-        infer_mem = inference_memory(snn, context.input_shape, batch_size=scale.batch_size)
+        infer_bytes = traced_peak_bytes(lambda: _one_inference_pass(snn, images))
         rows.append(
             {
                 "timesteps": t,
                 "train_seconds_per_epoch": train_time.mean * batches_per_epoch,
                 "inference_seconds_per_epoch": infer_time.mean * batches_per_epoch,
-                "train_memory_mb": train_mem.total_megabytes,
-                "inference_memory_mb": infer_mem.total_megabytes,
+                "train_memory_mb": train_bytes / _MB,
+                "inference_memory_mb": infer_bytes / _MB,
             }
         )
 

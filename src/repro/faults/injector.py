@@ -11,22 +11,21 @@ Mechanics, by fault domain:
   are restored on exit).  Quantisation reuses the
   :mod:`repro.hw.quantization` backend; stuck-at-zero, sign flips and
   pruning draw per-layer Bernoulli masks.  Pure parameter perturbations
-  — the fused execution engine is unaffected and stays fused.
+  — the execution engine is unaffected.
 - **Neuron faults** perturb each :class:`~repro.snn.SpikingNeuron`'s
   threshold and leak in place (again restored on exit) and install the
   neuron's dead-unit hook (:meth:`SpikingNeuron.set_unit_fault`), which
-  both execution modes honour.  Also fused-safe.
+  the fused scan honours.
 - **Transmission faults** are per-time-step: a :class:`~repro.nn.tap`
-  on each targeted neuron replaces its spike output.  The fused engine
-  fires the tap once per time block in time order, so the whole network
-  stays fused.
+  on each targeted neuron replaces its spike output.  The engine fires
+  the tap once per time block in time order.
 
 Randomness: every (domain, layer) pair gets an independent generator
 seeded from ``(spec.seed, domain, layer)``, so realised faults do not
-depend on layer iteration order or execution mode — the same spec and
-seed reproduces the same faulted network and, for transmission faults,
-the same per-step drop masks in both ``"fused"`` and ``"stepwise"``
-execution.
+depend on layer iteration order — the same spec and seed reproduces the
+same faulted network and, for transmission faults, the same per-step
+drop masks whether the layers run layer-major (the engine) or
+step-major (the tests' reference loop).
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ class FaultInjector:
                         )
 
     # ------------------------------------------------------------------
-    # Weight faults (fused-safe: pure parameter perturbation)
+    # Weight faults (pure parameter perturbation)
     # ------------------------------------------------------------------
     def _weight_layers(self) -> List[Tuple[str, Module]]:
         return [
@@ -224,7 +223,7 @@ class FaultInjector:
             )
 
     # ------------------------------------------------------------------
-    # Neuron faults (fused-safe: parameters + the dead-unit hook)
+    # Neuron faults (parameters + the dead-unit hook)
     # ------------------------------------------------------------------
     def _inject_neuron_faults(self) -> None:
         nf = self.spec.neuron

@@ -154,8 +154,8 @@ class TransmissionFaults:
       dropped packet / lost time step.
 
     Transmission faults are inherently per-step: they are realised as
-    taps on the affected neurons, which the fused engine fires once per
-    time block in time order, so the whole network stays fused.
+    taps on the affected neurons, which the engine fires once per time
+    block in time order.
     """
 
     spike_drop_rate: float = 0.0
@@ -179,8 +179,7 @@ class FaultSpec:
     Compose the three component specs freely; :class:`FaultSpec()` (all
     defaults) is the null spec and injects nothing.  ``seed`` pins every
     random realisation — masks, jitters, per-step drops — so the same
-    spec reproduces the same faulted behaviour run after run, in either
-    execution mode.
+    spec reproduces the same faulted behaviour run after run.
     """
 
     weight: WeightFaults = field(default_factory=WeightFaults)

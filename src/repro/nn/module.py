@@ -173,10 +173,10 @@ class tap:
     is removed on exit, exception or not.  Taps stack: several may
     observe one module, firing in install order.
 
-    The fused SNN engine (:mod:`repro.snn.network`) keeps a tapped
-    module on its vectorised path and fires the tap once per time
-    block, in time order, on row-block views of the folded input and
-    output — so a tap sees the same per-step calls in both engines.
+    The SNN engine (:mod:`repro.snn.network`) keeps a tapped module on
+    its time-folded path and fires the tap once per time block, in
+    time order, on row-block views of the folded input and output — so
+    a tap sees the per-step calls a step-major loop would make.
     """
 
     def __init__(self, modules: Union[Module, Iterable[Module]], fn: Callable) -> None:

@@ -2,7 +2,7 @@
 
 Spike instrumentation reads the one spike counter,
 :func:`repro.snn.analysis.count_spikes`, a layer tap that fires once per
-time block in both engines: :class:`StepMonitor` is that counter plus,
+time block: :class:`StepMonitor` is that counter plus,
 per tap call, a per-layer spike-*rate* histogram sample and a spike
 counter increment in the global metrics registry, and
 :func:`record_spike_profile` gauges the per-layer rates of a finished

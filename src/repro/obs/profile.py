@@ -8,9 +8,7 @@ phases.  This module hooks :meth:`Tensor.from_op` — the one creation
 point every differentiable op funnels through, the same interception
 point :class:`repro.profiling.GraphMemoryMeter` uses — and records one
 event per primitive op: wall time, output bytes, shape, dtype, and the
-enclosing layer / trace span.  It works identically in the fused and
-stepwise temporal engines because both ultimately materialise their
-tensors through ``from_op``.
+enclosing layer / trace span.
 
 Timing model
 ------------
@@ -24,7 +22,7 @@ intermediate tensor is attributed to the next op downstream of it.
 Layer attribution
 -----------------
 The profiler installs a probe into :mod:`repro.snn.network` whose
-temporal loops wrap each layer application in a labelled region
+engine wraps each layer application in a labelled region
 (``L3:Conv2d`` ...); nested regions join with ``/``.  Arbitrary code can
 open its own regions via :func:`region` (a no-op when no profiler is
 active) — the trainers label epoch phases this way.

@@ -1,21 +1,11 @@
 """Simulation-time and memory profiling (paper Section V / Fig. 3)."""
 
-from .memory import (
-    GraphMemoryMeter,
-    MemoryReport,
-    inference_memory,
-    parameter_bytes,
-    training_memory,
-)
-from .timing import EpochTimeComparison, TimingResult, time_callable
+from .memory import GraphMemoryMeter, traced_peak_bytes
+from .timing import TimingResult, time_callable
 
 __all__ = [
-    "EpochTimeComparison",
     "GraphMemoryMeter",
-    "MemoryReport",
     "TimingResult",
-    "inference_memory",
-    "parameter_bytes",
     "time_callable",
-    "training_memory",
+    "traced_peak_bytes",
 ]

@@ -96,18 +96,3 @@ def time_callable(fn: Callable[[], None], repeats: int = 3, warmup: int = 1) -> 
         samples.append(time.perf_counter() - started)
     return TimingResult(samples=samples)
 
-
-@dataclass
-class EpochTimeComparison:
-    """Per-approach epoch times, for the Fig. 3a style comparison."""
-
-    labels: List[str]
-    train_seconds: List[float]
-    inference_seconds: List[float]
-
-    def speedup_vs(self, baseline_label: str) -> List[float]:
-        """Training-time speedups of every approach vs ``baseline_label``."""
-        if baseline_label not in self.labels:
-            raise KeyError(f"no approach labelled '{baseline_label}'")
-        base = self.train_seconds[self.labels.index(baseline_label)]
-        return [base / t for t in self.train_seconds]

@@ -73,7 +73,7 @@ def count_spikes(
     """Count every spiking layer's transmitted spikes within the block.
 
     Taps the neurons through :class:`repro.nn.tap`, which fires once per
-    time block in both engines, so counting never changes the engine.
+    time block, so counting never changes how the network runs.
     Counts start at zero (or at ``counts``, a possibly subclassed
     :class:`SpikeCounts` of this network) and follow any tap installed
     earlier, e.g. transmission faults.
@@ -173,9 +173,9 @@ def count_accumulates(snn: SpikingNetwork) -> Iterator[AccumulateCounts]:
     the block.
 
     Taps the weight layers' inputs through :class:`repro.nn.tap`, which
-    fires once per time block in both engines, so the counts do not
-    depend on the engine or on which path (dense GEMM or sparse gather)
-    computed the outputs.  Counts start at zero.
+    fires once per time block, so the counts do not depend on which
+    path (dense GEMM or sparse gather) computed the outputs.  Counts
+    start at zero.
     """
     counts = AccumulateCounts(snn)
     with tap(counts.layers, counts):

@@ -1,38 +1,35 @@
 """Temporal execution of converted spiking networks.
 
 The spiking network is a *twin* of the source DNN: every weight layer
-(conv/linear/pool/flatten) is applied once per time step, and every
+(conv/linear/pool/flatten) is applied at every time step, and every
 DNN activation is replaced by a stateful :class:`SpikingNeuron`.  The
 network presents the (direct-encoded) input for ``timesteps`` steps and
 accumulates the final linear layer's outputs — the output layer does
 not spike, following standard practice for low-latency SNNs (the class
 decision is the accumulated logit).
 
-Two execution modes compute the identical unroll:
+Execution is layer-major and time-folded: the T input frames are packed
+along the batch axis (``(T*N, C, H, W)``, time-major blocks) so each
+stateless layer runs **one** GEMM over the folded batch instead of T
+small ones, and each stateful module (:class:`SpikingNeuron`,
+:class:`~repro.snn.pooling.SpikingMaxPool`, :class:`TemporalDropout`)
+consumes the folded tensor with a vectorised scan over the time blocks.
+Valid because the body is feed-forward: reordering (step, layer) loops
+preserves every data dependency.  Every spiking module implements
+``forward_fused(x, timesteps)``; the tests compare the engine's spikes,
+logits and BPTT gradients with a step-major reference loop
+(``tests/snn_oracle.py``, ``stepwise_reference``).
 
-- ``"stepwise"`` — the classic step-major loop: T outer steps, each
-  pushing one frame through every layer.
-- ``"fused"`` (default) — layer-major, time-folded execution: the T
-  input frames are packed along the batch axis (``(T*N, C, H, W)``,
-  time-major blocks) so each stateless layer runs **one** GEMM over the
-  folded batch instead of T small ones, and each stateful module
-  (:class:`SpikingNeuron`, :class:`~repro.snn.pooling.SpikingMaxPool`,
-  :class:`TemporalDropout`) consumes the folded tensor with a vectorised
-  scan over the time blocks.  Valid because the body is feed-forward:
-  reordering (step, layer) loops preserves every data dependency.  The
-  fused path produces the same spikes, logits and BPTT gradients as the
-  step-major loop (see ``tests/test_fused_equivalence.py``).
-
-Layer probes (:class:`repro.nn.tap`) run in both engines.  The fused
-engine keeps a tapped module on its vectorised path and fires the tap
-once per time block, in time order, on row-block views of the folded
-input and output; a replacement output is folded back.  Spike counts
-come from such a tap (:func:`repro.snn.analysis.count_spikes`), so
-observing a network never changes its engine.
+Layer probes (:class:`repro.nn.tap`) keep a tapped module on its
+vectorised path: the engine fires the tap once per time block, in time
+order, on row-block views of the folded input and output; a replacement
+output is folded back.  Spike counts come from such a tap
+(:func:`repro.snn.analysis.count_spikes`), so observing a network never
+changes how it runs.
 
 Structure classes:
 
-- :class:`StepWrapper` — applies a stateless DNN module each step;
+- :class:`StepWrapper` — applies a stateless DNN module at every step;
 - :class:`TemporalDropout` — dropout with a mask held fixed across the
   time steps of one forward pass (as in DIET-SNN's SNN-domain training);
 - :class:`SpikingSequential` — ordered chain of spiking modules;
@@ -44,7 +41,6 @@ Structure classes:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
 import numpy as np
@@ -62,7 +58,7 @@ from .neurons import SpikingNeuron
 # ----------------------------------------------------------------------
 # Layer-attribution probe (repro.obs.profile)
 # ----------------------------------------------------------------------
-#: Installed by the op profiler so temporal loops can label which layer
+#: Installed by the op profiler so the engine can label which layer
 #: each primitive op belongs to.  A plain module global rather than an
 #: import: repro.obs imports repro.snn, so this module must never import
 #: the observability stack at top level.  The probe is a
@@ -156,20 +152,21 @@ def _tap_time_blocks(module: Module, x: Tensor, out: Tensor, timesteps: int) -> 
 
 
 def apply_fused(module: Module, x: Tensor, timesteps: int) -> Tensor:
-    """Run ``module`` over a time-folded batch, preserving semantics.
-
-    Dispatches to the module's ``forward_fused`` when it has one, then
-    fires its taps per time block; otherwise unfolds the batch and
-    calls the module step by step (correct for any stateful module).
-    """
+    """Run ``module`` over a time-folded batch, then fire its taps once
+    per time block.  Every module of a spiking body must implement
+    ``forward_fused(x, timesteps)``."""
     fused_fn = getattr(module, "forward_fused", None)
     if fused_fn is None:
-        return fold_time([module(f) for f in unfold_time(x, timesteps)])
+        raise TypeError(
+            f"{type(module).__name__} has no forward_fused(x, timesteps): "
+            "wrap a stateless layer in StepWrapper or implement forward_fused"
+        )
     return _tap_time_blocks(module, x, fused_fn(x, timesteps), timesteps)
 
 
 class SpikingModule(Module):
-    """Base class: one ``forward`` call advances one time step."""
+    """Base class: ``forward_fused(x, timesteps)`` runs all T steps of a
+    time-folded batch."""
 
     def reset_state(self) -> None:
         """Clear temporal state (membranes, dropout masks) recursively."""
@@ -198,9 +195,6 @@ class StepWrapper(SpikingModule):
                 "the stateless layers of STATELESS_LAYERS fold over time"
             )
         self.inner = inner
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.inner.run_taps(x, self._run_inner(x))
 
     def _run_inner(self, x: Tensor) -> Tensor:
         """The inner module's output, without firing its taps."""
@@ -239,27 +233,13 @@ class TemporalDropout(SpikingModule):
         self._mask = None
         super().reset_state()
 
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        if self._mask is None or self._mask.shape != x.data.shape:
-            keep = (self.rng.random(x.data.shape) >= self.p).astype(x.data.dtype)
-            self._mask = keep / (1.0 - self.p)
-        mask = self._mask
-
-        def bwd(g):
-            return (g * mask,)
-
-        return Tensor.from_op(x.data * mask, (x,), bwd, "temporal_dropout")
-
     def forward_fused(self, x: Tensor, timesteps: int) -> Tensor:
         if not self.training or self.p == 0.0:
             return x
         total = x.data.shape[0]
         frame_shape = (total // timesteps,) + x.data.shape[1:]
         if self._mask is None or self._mask.shape != frame_shape:
-            # Same RNG draw as the first step-major step: one mask per
-            # frame, shared by all T time blocks.
+            # One mask per frame, shared by all T time blocks.
             keep = (self.rng.random(frame_shape) >= self.p).astype(x.data.dtype)
             self._mask = keep / (1.0 - self.p)
         mask = self._mask
@@ -279,7 +259,7 @@ class TemporalDropout(SpikingModule):
 
 
 class SpikingSequential(SpikingModule):
-    """Ordered chain of spiking modules (one time step per call)."""
+    """Ordered chain of spiking modules."""
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()
@@ -292,17 +272,6 @@ class SpikingSequential(SpikingModule):
         self._layer_list.append(layer)
         self.add_module(str(index), layer)
         return self
-
-    def forward(self, x: Tensor) -> Tensor:
-        probe = _LAYER_PROBE
-        if probe is None:
-            for layer in self._layer_list:
-                x = layer(x)
-            return x
-        for index, layer in enumerate(self._layer_list):
-            with probe(layer_label(index, layer)):
-                x = layer(x)
-        return x
 
     def forward_fused(self, x: Tensor, timesteps: int) -> Tensor:
         probe = _LAYER_PROBE
@@ -348,10 +317,6 @@ class SpikingResidualBlock(SpikingModule):
         self.shortcut = shortcut
         self.neuron2 = neuron2
 
-    def forward(self, x: Tensor) -> Tensor:
-        branch = self.conv2(self.neuron1(self.conv1(x)))
-        return self.neuron2(branch + self.shortcut(x))
-
     def forward_fused(self, x: Tensor, timesteps: int) -> Tensor:
         branch = apply_fused(
             self.conv2,
@@ -380,33 +345,17 @@ class SpikingNetwork(SpikingModule):
     presented to the first layer at every step.  ``forward`` accepts a
     numpy batch or Tensor and returns the output layer's logits
     averaged over the T steps; differentiable end-to-end through the
-    unroll (BPTT) for SGL fine-tuning.
-
-    ``mode`` selects the execution engine: ``"fused"`` (default) folds
-    the T frames into the batch axis so each stateless layer runs one
-    GEMM and neurons scan their membranes over the time blocks;
-    ``"stepwise"`` is the classic step-major loop.  Both produce
-    equivalent logits, spike counts and BPTT gradients.
+    unroll (BPTT) for SGL fine-tuning.  The T frames are folded into the
+    batch axis, so each stateless layer runs one GEMM and neurons scan
+    their membranes over the time blocks.
     """
 
-    MODES = ("fused", "stepwise")
-
-    def __init__(
-        self,
-        body: SpikingModule,
-        timesteps: int,
-        mode: str = "fused",
-    ) -> None:
+    def __init__(self, body: SpikingModule, timesteps: int) -> None:
         super().__init__()
         if timesteps <= 0:
             raise ValueError("timesteps must be positive")
-        if mode not in self.MODES:
-            raise ValueError(
-                f"mode must be one of {self.MODES}, got '{mode}'"
-            )
         self.body = body
         self.timesteps = timesteps
-        self.mode = mode
         # Activity-adaptive sparse dispatch (repro.snn.dispatch); None
         # keeps every weight layer on the dense path.  Installed into
         # the module-global dispatch context only for eligible passes
@@ -418,29 +367,13 @@ class SpikingNetwork(SpikingModule):
         """Context manager realising a :class:`repro.faults.FaultSpec`
         on this network (see :func:`repro.faults.inject_faults`).
 
-        Every fault domain keeps the fused engine: transmission faults
-        tap the affected neurons, and the fused path fires those taps
-        per time block.  On exit the network is restored bit-for-bit.
+        Transmission faults tap the affected neurons, and the engine
+        fires those taps per time block.  On exit the network is
+        restored bit-for-bit.
         """
         from ..faults import inject_faults as _inject
 
         return _inject(self, spec)
-
-    # ------------------------------------------------------------------
-    # Execution-mode plumbing
-    # ------------------------------------------------------------------
-    @contextmanager
-    def using_mode(self, mode: str):
-        """Pin the execution mode within a block (taps run in either
-        mode)."""
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}, got '{mode}'")
-        previous = self.mode
-        self.mode = mode
-        try:
-            yield self
-        finally:
-            self.mode = previous
 
     # ------------------------------------------------------------------
     # Sparse dispatch plumbing
@@ -481,13 +414,8 @@ class SpikingNetwork(SpikingModule):
         self.reset_state()
         if self._dispatch_eligible():
             with dispatch_context(self._dispatch):
-                return self._run_engine(images)
-        return self._run_engine(images)
-
-    def _run_engine(self, images) -> Tensor:
-        if self.mode == "fused":
-            return self._forward_fused(images)
-        return self._forward_stepwise(images)
+                return self._run(images)
+        return self._run(images)
 
     def _encode_input(self, images) -> Tensor:
         """The one frame presented at every step (direct encoding).
@@ -501,14 +429,7 @@ class SpikingNetwork(SpikingModule):
             return images
         return Tensor(images)
 
-    def _forward_stepwise(self, images) -> Tensor:
-        frame = self._encode_input(images)
-        total = self.body(frame)
-        for _ in range(self.timesteps - 1):
-            total = total + self.body(frame)
-        return total * (1.0 / self.timesteps)
-
-    def _forward_fused(self, images) -> Tensor:
+    def _run(self, images) -> Tensor:
         timesteps = self.timesteps
         # Every step sees the same frame: a tiled batch lets the leading
         # stateless layers run once on (N, ...).
@@ -550,4 +471,4 @@ class SpikingNetwork(SpikingModule):
         return [m for m in self.modules() if isinstance(m, SpikingNeuron)]
 
     def extra_repr(self) -> str:
-        return f"timesteps={self.timesteps}, mode={self.mode}"
+        return f"timesteps={self.timesteps}"

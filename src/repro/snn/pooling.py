@@ -49,26 +49,13 @@ class SpikingMaxPool(SpikingModule):
         self._counts = None
         super().reset_state()
 
-    def forward(self, x: Tensor) -> Tensor:
-        k = self.kernel_size
-        _check_pool_args(x, k, k)
-        frames = pool_windows(x.data, k)
-        if self._counts is None or self._counts.shape != frames.shape:
-            self._counts = np.zeros_like(frames)
-        self._counts += frames
-        out, winners = window_argmax(frames, self._counts)
-
-        def bwd(g):
-            return (route_to_winners(g, winners, k),)
-
-        return Tensor.from_op(out, (x,), bwd, "spiking_max_pool")
-
     def forward_fused(self, x: Tensor, timesteps: int) -> Tensor:
         """Scan the rate-gating dynamics over a time-folded batch.
 
-        The running window counts are summed in place, step after step,
-        in the order of the stepwise ``+=``, so winners and argmax
-        tie-breaks are bit-identical.
+        The running window counts are summed step after step, starting
+        from the counts the previous call left (``None`` after
+        :meth:`reset_state`), so splitting the steps over several calls
+        picks the same winners as one call over all of them.
         """
         total, c, h, w = x.data.shape
         if timesteps <= 0 or total % timesteps:

@@ -52,12 +52,6 @@ class SNNTrainConfig:
       style) trading accuracy against inference energy;
     - ``input_noise_std`` trains with Gaussian input noise (HIRE-SNN
       style) for robustness.
-
-    ``simulation_mode`` selects the temporal engine used for the whole
-    fit (``None`` keeps each network's own setting): ``"fused"`` runs
-    the time-folded layer-major engine — the fast path for the BPTT
-    unroll — and ``"stepwise"`` pins the classic step-major loop.  Both
-    compute the same gradients (see ``tests/test_fused_equivalence.py``).
     """
 
     epochs: int = 20
@@ -71,7 +65,6 @@ class SNNTrainConfig:
     spike_penalty: float = 0.0
     input_noise_std: float = 0.0
     noise_seed: int = 0
-    simulation_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
@@ -82,13 +75,6 @@ class SNNTrainConfig:
             raise ValueError("spike_penalty must be non-negative")
         if self.input_noise_std < 0:
             raise ValueError("input_noise_std must be non-negative")
-        if self.simulation_mode is not None and (
-            self.simulation_mode not in SpikingNetwork.MODES
-        ):
-            raise ValueError(
-                f"simulation_mode must be None or one of "
-                f"{SpikingNetwork.MODES}, got '{self.simulation_mode}'"
-            )
 
 
 def clamp_neuron_parameters(snn: SpikingNetwork) -> None:
@@ -157,9 +143,6 @@ class SNNTrainer:
         if cfg.spike_penalty > 0:
             regularizer = SpikeRateRegularizer(cfg.spike_penalty).attach(snn)
         noise_rng = np.random.default_rng(cfg.noise_seed)
-        previous_mode = snn.mode
-        if cfg.simulation_mode is not None:
-            snn.mode = cfg.simulation_mode
         try:
             self._run_epochs(
                 snn, train_batches_factory, test_batches_factory,
@@ -167,7 +150,6 @@ class SNNTrainer:
                 guard, on_epoch_end, start_epoch,
             )
         finally:
-            snn.mode = previous_mode
             if regularizer is not None:
                 regularizer.detach()
         return history

@@ -60,7 +60,7 @@ def tiny_context(tiny_config):
 
 @pytest.fixture
 def converted_tiny_vgg():
-    """A converted T=2 tiny VGG-11 (eval mode, fused engine) and a batch of
+    """A converted T=2 tiny VGG-11 (eval mode) and a batch of
     16 images: the workload of the paired timing gates."""
     from repro.conversion import ConversionConfig, convert_dnn_to_snn
     from repro.data import DataLoader
@@ -73,6 +73,5 @@ def converted_tiny_vgg():
     )
     loader = DataLoader(rng.random((16, 3, 8, 8)), rng.integers(0, 10, 16), 16)
     snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=2)).snn
-    snn.mode = "fused"
     snn.eval()
     return snn, rng.random((16, 3, 8, 8))

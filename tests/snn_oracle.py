@@ -1,6 +1,18 @@
-"""Shared builders, tolerance contracts and the accumulate oracle of the
-SNN suites (``test_fused_equivalence``, ``test_sparse_kernels``,
-``test_event_driven``).
+"""Shared builders, tolerance contracts, the step-major reference loop
+and the accumulate oracle of the SNN suites (``test_fused_equivalence``,
+``test_sparse_kernels``, ``test_event_driven`` and the neuron, fault,
+observability and dtype tests).
+
+:func:`stepwise_reference` is the classic step-major simulation of a
+:class:`~repro.snn.SpikingNetwork`: T outer steps, each pushing the
+frame through every layer with one membrane update per neuron
+(``U += I``, spike above threshold, subtract on fire), built from
+:mod:`repro.tensor` ops so BPTT gradients for weights, thresholds and
+leaks flow through the unrolled chain.  The library has one engine, the
+time-folded one; every equivalence test compares it with this loop,
+either directly or through :func:`use_engine`, which routes a network's
+calls through the reference so that probes which call the network
+themselves (rasters, drift monitors, fault sessions) run on it.
 
 The oracle prices a weight layer the way Section VI of the paper does:
 every input spike of a hidden layer costs one accumulate per reachable
@@ -12,6 +24,9 @@ counter's fan-out map or the gather kernels, so the exact counts of
 it layer by layer, under either forced routing of the dispatcher.
 """
 
+from contextlib import contextmanager
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -22,21 +37,29 @@ from repro.snn import (
     LIFNeuron,
     SpikingMaxPool,
     SpikingNetwork,
+    SpikingNeuron,
     SpikingResidualBlock,
     SpikingSequential,
     StepWrapper,
     TemporalDropout,
     count_accumulates,
     count_spikes,
+    dispatch_context,
 )
 from repro.snn.dispatch import CrossoverTable
-from repro.tensor import no_grad
+from repro.tensor import Tensor, no_grad, where
+from repro.tensor.conv_ops import (
+    _check_pool_args,
+    pool_windows,
+    route_to_winners,
+    window_argmax,
+)
 
 T = 3
 
-#: Fused vs stepwise engine: BLAS may block a GEMM over the folded
-#: ``(T*N, ...)`` batch differently than T per-step GEMMs, so outputs
-#: agree to within a few ulp rather than bitwise.
+#: The fused engine vs :func:`stepwise_reference`: BLAS may block a GEMM
+#: over the folded ``(T*N, ...)`` batch differently than T per-step
+#: GEMMs, so outputs agree to within a few ulp rather than bitwise.
 FUSED_CONTRACT = dict(rtol=1e-12, atol=1e-14)
 #: Gather kernels vs dense GEMM: events are summed in a different order.
 GATHER_CONTRACT = dict(rtol=1e-9, atol=1e-12)
@@ -63,9 +86,10 @@ NEURON_CONFIGS = [
 ]
 
 
-def build_net(neuron_fn, mode, timesteps=T, dropout=None, seed=0):
+def build_net(neuron_fn, engine="fused", timesteps=T, dropout=None, seed=0):
     """A tiny conv -> neuron -> pool -> linear network, seeded so two
-    builds with the same ``seed`` are exact parameter twins."""
+    builds with the same ``seed`` are exact parameter twins; ``engine``
+    as in :func:`use_engine`."""
     rng = np.random.default_rng(seed)
     layers = [
         StepWrapper(Conv2d(1, 2, 3, padding=1, rng=rng)),
@@ -79,7 +103,182 @@ def build_net(neuron_fn, mode, timesteps=T, dropout=None, seed=0):
         StepWrapper(Linear(2 * 2 * 2, 3, rng=rng)),
     ]
     body = SpikingSequential(*layers)
-    return SpikingNetwork(body, timesteps=timesteps, mode=mode)
+    return use_engine(SpikingNetwork(body, timesteps=timesteps), engine)
+
+
+# ----------------------------------------------------------------------
+# Step-major reference loop
+# ----------------------------------------------------------------------
+#: ``use_engine`` names: the library's engine and the reference loop.
+ENGINES = ("fused", "stepwise")
+
+
+def spike_function(u_temp, v_threshold, beta, surrogate):
+    """Differentiable (via surrogate) spike emission.
+
+    Forward: ``beta * v_th * 1{u > v_th}``.
+
+    Backward:
+    - w.r.t. ``u``: the surrogate window ``g(u, v_th)`` (the paper uses
+      a boxcar equal to 1 on ``[0, 2 v_th]``);
+    - w.r.t. ``v_th``: ``beta * 1{spike}`` from the amplitude term minus
+      the surrogate window from the firing condition — raising the
+      threshold raises each emitted spike's amplitude but suppresses
+      marginal spikes.
+    """
+    v_th = float(v_threshold.data.reshape(-1)[0])
+    if v_th <= 0:
+        raise ValueError(f"spiking threshold must be positive, got {v_th}")
+    fired = u_temp.data > v_th
+    dtype = u_temp.data.dtype
+    out = np.where(fired, dtype.type(beta * v_th), dtype.type(0.0))
+    window = surrogate(u_temp.data, v_th)
+
+    def bwd(g):
+        gu = g * window
+        gv = (g * (beta * fired.astype(g.dtype) - window)).sum()
+        return (gu, np.full(v_threshold.data.shape, gv))
+
+    return Tensor.from_op(out, (u_temp, v_threshold), bwd, "spike")
+
+
+def _masked(x, mask, name):
+    """``x * mask`` for a constant numpy mask (gradient masked alike)."""
+    def bwd(g):
+        return (g * mask,)
+
+    return Tensor.from_op(x.data * mask, (x,), bwd, name)
+
+
+def _neuron_step(neuron, current):
+    """One Eq. (2)-(4) update; the membrane stays in the graph."""
+    membrane = neuron.membrane
+    if membrane is None:
+        membrane = Tensor(np.full_like(current.data, neuron.initial_potential))
+    u_temp = membrane * neuron.leak + current
+    spikes = spike_function(u_temp, neuron.v_threshold, neuron.beta, neuron.surrogate)
+    fired = (spikes.data != 0.0).astype(current.data.dtype)
+    if neuron.reset_mode == "soft":
+        neuron.membrane = u_temp - neuron.v_threshold * Tensor(fired)
+    else:  # hard reset: zero the fired units, graph detached there
+        neuron.membrane = where(
+            fired != 0.0, Tensor(np.zeros_like(u_temp.data)), u_temp
+        )
+    alive = neuron._unit_alive_mask(current.data.shape[1:])
+    if alive is not None:
+        spikes = _masked(spikes, alive.astype(spikes.data.dtype), "dead_units")
+    return spikes
+
+
+def _pool_step(pool, x, state):
+    """One rate-gated pooling step: running window counts pick winners."""
+    k = pool.kernel_size
+    _check_pool_args(x, k, k)
+    frames = pool_windows(x.data, k)
+    counts = state.get(id(pool))
+    if counts is None:
+        counts = state[id(pool)] = np.zeros_like(frames)
+    counts += frames
+    out, winners = window_argmax(frames, counts)
+
+    def bwd(g):
+        return (route_to_winners(g, winners, k),)
+
+    return Tensor.from_op(out, (x,), bwd, "spiking_max_pool")
+
+
+def _dropout_step(dropout, x, state):
+    """The one mask per forward, drawn from the module's generator at
+    frame shape as the engine draws it, applied at every step."""
+    if not dropout.training or dropout.p == 0.0:
+        return x
+    mask = state.get(id(dropout))
+    if mask is None:
+        keep = (dropout.rng.random(x.data.shape) >= dropout.p).astype(x.data.dtype)
+        mask = state[id(dropout)] = keep / (1.0 - dropout.p)
+    return _masked(x, mask, "temporal_dropout")
+
+
+def _step(module, x, state):
+    """``module``'s output for one time step, its taps fired once."""
+    if isinstance(module, SpikingSequential):
+        out = x
+        for layer in module:
+            out = _step(layer, out, state)
+    elif isinstance(module, StepWrapper):
+        out = module.inner.run_taps(x, module._run_inner(x))
+    elif isinstance(module, SpikingNeuron):
+        out = _neuron_step(module, x)
+    elif isinstance(module, SpikingMaxPool):
+        out = _pool_step(module, x, state)
+    elif isinstance(module, TemporalDropout):
+        out = _dropout_step(module, x, state)
+    elif isinstance(module, SpikingResidualBlock):
+        branch = _step(module.conv2, _step(
+            module.neuron1, _step(module.conv1, x, state), state), state)
+        out = _step(module.neuron2, branch + _step(module.shortcut, x, state), state)
+    else:
+        raise TypeError(f"no reference step for {type(module).__name__}")
+    return module.run_taps(x, out) if module._taps else out
+
+
+def _unroll(snn, images):
+    if isinstance(images, Tensor) and images.requires_grad:
+        frame = images
+    else:
+        frame = Tensor(images)
+    state = {}
+    total = _step(snn.body, frame, state)
+    for _ in range(snn.timesteps - 1):
+        total = total + _step(snn.body, frame, state)
+    return total * (1.0 / snn.timesteps)
+
+
+def stepwise_reference(snn, images):
+    """The mean output logits of ``snn`` on ``images``, simulated step by
+    step.
+
+    Same parameters, input path (the analog frame at every step), output
+    decoding (the mean over steps), unit-fault masks, dropout masks and
+    sparse dispatch (no-grad eval passes only) as the engine; taps fire
+    once per layer and step, in step-major order.  Each neuron's
+    ``membrane`` is left at ``U(T)``, still in the graph.
+    """
+    snn.reset_state()
+    if snn._dispatch_eligible():
+        with dispatch_context(snn.sparse_dispatch):
+            return _unroll(snn, images)
+    return _unroll(snn, images)
+
+
+def use_engine(snn, engine):
+    """Return ``snn`` with its calls routed through ``engine``:
+    ``"fused"`` leaves the library's engine, ``"stepwise"`` installs
+    :func:`stepwise_reference` as this instance's ``forward``."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if engine == "stepwise":
+        # A deep copy of the network calls the reference on the copy.
+        snn.forward = partial(stepwise_reference, snn)
+    return snn
+
+
+@contextmanager
+def engine_of(snn, engine):
+    """:func:`use_engine` for the duration of a block."""
+    use_engine(snn, engine)
+    try:
+        yield snn
+    finally:
+        snn.__dict__.pop("forward", None)
+
+
+def run_neuron(neuron, currents):
+    """The spikes, shaped ``(T, ...)``, of one engine call of ``neuron``
+    over the per-step ``currents`` (shape ``(T, ...)``)."""
+    currents = np.asarray(currents, dtype=float)
+    x = Tensor(currents.reshape((-1,) + currents.shape[2:]))
+    return neuron.forward_fused(x, len(currents)).reshape(currents.shape)
 
 
 def images_batch(n=4, seed=3):
@@ -148,8 +347,8 @@ def counted_forward(snn, images, routing=FORCE_DENSE):
     dispatcher forced to ``routing``, observed by the oracle.
 
     Taps record every per-step frame each weight layer receives (the
-    fused engine fires them once per time block, so both engines show
-    the same calls), and the brute-force counts of those frames are
+    engine fires them once per time block, so it shows the same calls as
+    the reference loop), and the brute-force counts of those frames are
     compared with :func:`~repro.snn.analysis.count_accumulates`.
     Returns ``(logits, measured, expected)``: per-image ``(events,
     accumulates)`` for each weight layer in execution order, read from
@@ -224,7 +423,7 @@ def random_nets(draw):
     )
 
 
-def build_random_net(spec, mode):
+def build_random_net(spec, engine="fused"):
     """The network ``spec`` describes; equal specs give parameter twins."""
     rng = np.random.default_rng(spec["seed"])
 
@@ -269,8 +468,9 @@ def build_random_net(spec, mode):
         neuron(),
         StepWrapper(Linear(4, 3, rng=rng)),
     ]
-    return SpikingNetwork(
-        SpikingSequential(*layers), timesteps=spec["timesteps"], mode=mode
+    return use_engine(
+        SpikingNetwork(SpikingSequential(*layers), timesteps=spec["timesteps"]),
+        engine,
     )
 
 

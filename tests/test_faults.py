@@ -20,6 +20,8 @@ from repro.faults import (
 from repro.models import vgg11
 from repro.tensor import no_grad
 
+from .snn_oracle import engine_of
+
 
 @pytest.fixture(scope="module")
 def snn_setup():
@@ -36,8 +38,9 @@ def snn_setup():
 
 
 def _forward(snn, images, mode):
-    snn.mode = mode
-    with no_grad():
+    """No-grad logits from the engine (``"fused"``) or the step-major
+    reference loop (``"stepwise"``)."""
+    with engine_of(snn, mode), no_grad():
         return snn(images).data.copy()
 
 

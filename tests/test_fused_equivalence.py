@@ -1,11 +1,12 @@
-"""Fused (layer-major) vs stepwise (step-major) engine equivalence.
+"""The time-folded engine against the step-major reference loop.
 
-``SpikingNetwork`` executes the same temporal unroll two ways: the
-classic step-major loop and the time-folded layer-major engine (PR 3).
-These tests pin the contract from ``repro.snn.network``: identical
-logits, spike counts and BPTT gradients for every neuron configuration
-(IF/LIF, soft/hard reset, ``beta``, non-zero initial potential) and
-probe (event counting, step monitors, drift diagnosis).
+``SpikingNetwork`` runs the temporal unroll layer-major over a
+time-folded batch; ``snn_oracle.stepwise_reference`` runs it the
+classic step-major way.  These tests pin the contract from
+``repro.snn.network``: the same logits, spike counts and BPTT gradients
+for every neuron configuration (IF/LIF, soft/hard reset, ``beta``,
+non-zero initial potential) and probe (event counting, step monitors,
+drift diagnosis).
 """
 
 import numpy as np
@@ -36,15 +37,19 @@ from repro.tensor import Tensor, no_grad
 from repro.train.lsuv import lsuv_init
 from repro.train.regularizers import SpikeRateRegularizer
 
+from . import snn_oracle
 from .snn_oracle import (
+    ENGINES,
     FUSED_CONTRACT,
     NEURON_CONFIGS,
     T,
     assert_logits_match,
     build_net,
     counted_forward,
+    engine_of,
     images_batch,
     run_recorded,
+    use_engine,
 )
 
 
@@ -70,19 +75,19 @@ class TestForwardEquivalence:
     def test_logits_and_spike_counts_match(self, neuron_fn):
         images = images_batch()
         logits, spikes = {}, {}
-        for mode in SpikingNetwork.MODES:
+        for mode in ENGINES:
             snn = build_net(neuron_fn, mode)
             logits[mode], spikes[mode] = run_recorded(snn, images)
         assert_logits_match(logits["fused"], logits["stepwise"])
         assert spikes["fused"] == spikes["stepwise"] > 0
 
     def test_temporal_dropout_training(self):
-        # The fused mask is sampled at frame shape from the same RNG
-        # stream as the first step-major draw, then shared across the
-        # T time blocks — so training forwards agree exactly.
+        # The engine samples one mask at frame shape from the module's
+        # RNG, as the reference does at its first step, and shares it
+        # across the T time blocks — so training forwards agree.
         images = images_batch()
         logits = {}
-        for mode in SpikingNetwork.MODES:
+        for mode in ENGINES:
             snn = build_net(
                 lambda: IFNeuron(v_threshold=0.6), mode, dropout=0.4,
             )
@@ -94,7 +99,7 @@ class TestForwardEquivalence:
     def test_residual_block_equivalence(self):
         images = np.random.default_rng(3).random((2, 2, 4, 4))
         logits = {}
-        for mode in SpikingNetwork.MODES:
+        for mode in ENGINES:
             rng = np.random.default_rng(7)
             block = SpikingResidualBlock(
                 conv1=StepWrapper(Conv2d(2, 2, 3, padding=1, rng=rng)),
@@ -108,7 +113,7 @@ class TestForwardEquivalence:
                 StepWrapper(Flatten()),
                 StepWrapper(Linear(2 * 4 * 4, 3, bias=False, rng=rng)),
             )
-            snn = SpikingNetwork(body, timesteps=T, mode=mode)
+            snn = use_engine(SpikingNetwork(body, timesteps=T), mode)
             logits[mode], _ = run_recorded(snn, images)
         assert_logits_match(logits["fused"], logits["stepwise"])
 
@@ -116,12 +121,12 @@ class TestForwardEquivalence:
 class TestGradientEquivalence:
     @pytest.mark.parametrize("neuron_fn", NEURON_CONFIGS)
     def test_bptt_gradients_match(self, neuron_fn):
-        # The gradcheck of the tentpole: same surrogate-gradient BPTT
-        # through both engines — weights, threshold, leak, and input.
+        # Same surrogate-gradient BPTT through the engine and the
+        # reference — weights, threshold, leak, and input.
         images = images_batch()
         results = {
             mode: backward_pass(build_net(neuron_fn, mode), images)
-            for mode in SpikingNetwork.MODES
+            for mode in ENGINES
         }
         logits_f, gx_f, grads_f = results["fused"]
         logits_s, gx_s, grads_s = results["stepwise"]
@@ -144,7 +149,7 @@ class TestGradientEquivalence:
             mode: backward_pass(
                 build_net(lambda: IFNeuron(v_threshold=0.6), mode), images,
             )
-            for mode in SpikingNetwork.MODES
+            for mode in ENGINES
         }
         _, gx_f, grads_f = results["fused"]
         _, gx_s, grads_s = results["stepwise"]
@@ -158,13 +163,12 @@ class TestGradientEquivalence:
 
 class TestEventDrivenEquivalence:
     def test_accumulate_counts_match(self):
-        # The fused engine runs the direct-encoded stem once and the
-        # hidden layers once on the folded batch; per image, the
-        # dispatcher's exact counts still equal the stepwise engine's
-        # and the brute-force oracle's.
+        # The engine runs the direct-encoded stem once and the hidden
+        # layers once on the folded batch; per image, the exact counts
+        # still equal the reference loop's and the brute-force oracle's.
         images = images_batch()
         logits, counts = {}, {}
-        for mode in SpikingNetwork.MODES:
+        for mode in ENGINES:
             snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
             logits[mode], counts[mode], expected = counted_forward(snn, images)
             assert counts[mode] == expected
@@ -292,62 +296,42 @@ def _assert_probe_results_match(kind, fused, stepwise):
 
 
 @pytest.fixture
-def neuron_forward_calls(monkeypatch):
-    """Counts per-step ``SpikingNeuron.forward`` calls (the fused
-    engine's neurons run ``forward_fused`` scans instead)."""
+def neuron_scan_calls(monkeypatch):
+    """Counts ``SpikingNeuron.forward_fused`` scans (the reference loop
+    updates its neurons one step at a time instead)."""
     calls = []
-    original = SpikingNeuron.forward
+    original = SpikingNeuron.forward_fused
 
-    def spy(self, current):
+    def spy(self, current, timesteps):
         calls.append(self)
-        return original(self, current)
+        return original(self, current, timesteps)
 
-    monkeypatch.setattr(SpikingNeuron, "forward", spy)
+    monkeypatch.setattr(SpikingNeuron, "forward_fused", spy)
     return calls
 
 
 class TestTapEquivalence:
     @pytest.mark.parametrize("probe", TAP_PROBES)
     def test_tap_user_matches_stepwise_and_stays_fused(
-        self, probe, neuron_forward_calls
+        self, probe, neuron_scan_calls
     ):
         images = images_batch()
         results, calls = {}, {}
-        for mode in SpikingNetwork.MODES:
-            neuron_forward_calls.clear()
+        for mode in ENGINES:
+            neuron_scan_calls.clear()
             snn = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
             results[mode] = probe(snn, images)
-            calls[mode] = len(neuron_forward_calls)
+            calls[mode] = len(neuron_scan_calls)
             for module in snn.modules():
                 assert module._taps == ()
-        assert calls["fused"] == 0
-        assert calls["stepwise"] > 0
+        assert calls["fused"] > 0
+        assert calls["stepwise"] == 0
         assert set(results["fused"]) == set(results["stepwise"])
         for name, (kind, stepwise) in results["stepwise"].items():
             _assert_probe_results_match(kind, results["fused"][name][1], stepwise)
 
 
 class TestModePlumbing:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            build_net(lambda: IFNeuron(), "warp")
-        snn = build_net(lambda: IFNeuron(), "fused")
-        with pytest.raises(ValueError, match="mode must be one of"):
-            with snn.using_mode("warp"):
-                pass
-
-    def test_using_mode_restores(self):
-        snn = build_net(lambda: IFNeuron(v_threshold=0.6), "fused")
-        images = images_batch()
-        with no_grad():
-            baseline = snn(images).data
-        with snn.using_mode("stepwise"):
-            assert snn.mode == "stepwise"
-            with no_grad():
-                pinned = snn(images).data
-        assert snn.mode == "fused"
-        assert np.array_equal(baseline, pinned)
-
     def test_fold_unfold_round_trip(self):
         frames = [Tensor(np.full((2, 3), float(t))) for t in range(T)]
         fused = fold_time(frames)
@@ -382,20 +366,20 @@ def converted():
 
 class TestObsCompatibility:
     def test_step_monitor_series_identical(self, monkeypatch):
-        # A StepMonitor is a layer tap, so a monitored fused network
-        # stays on the fused engine — it never enters the step-major
-        # loop — and records the same series as a stepwise twin.
+        # A StepMonitor is a layer tap, so a monitored network stays on
+        # the engine — it never enters the step-major loop — and records
+        # the same series as a twin run by the reference loop.
         stepwise_calls = []
-        original = SpikingNetwork._forward_stepwise
+        original = snn_oracle.stepwise_reference
 
-        def spy(self, images):
-            stepwise_calls.append(self)
-            return original(self, images)
+        def spy(snn, images):
+            stepwise_calls.append(snn)
+            return original(snn, images)
 
-        monkeypatch.setattr(SpikingNetwork, "_forward_stepwise", spy)
+        monkeypatch.setattr(snn_oracle, "stepwise_reference", spy)
         images = images_batch()
         snapshots, nets = {}, {}
-        for mode in SpikingNetwork.MODES:
+        for mode in ENGINES:
             snn = nets[mode] = build_net(lambda: IFNeuron(v_threshold=0.6), mode)
             snn.eval()
             with observe(), monitored(snn):
@@ -411,14 +395,14 @@ class TestObsCompatibility:
 
     def test_drift_monitor_same_series_under_both_modes(self, converted):
         # Conversion-drift diagnosis taps layer forwards per step; the
-        # fused engine honours those probes, so drift records agree.
+        # engine honours those probes, so drift records agree.
         conversion, model, images = converted
         records = {}
-        for mode in SpikingNetwork.MODES:
+        for mode in ENGINES:
             monitor = DriftMonitor(
                 conversion, model, [(images, np.zeros(len(images)))]
             )
-            with conversion.snn.using_mode(mode):
+            with engine_of(conversion.snn, mode):
                 monitor.snapshot(phase=mode)
             records[mode] = [
                 {k: v for k, v in record.items() if k not in ("ts", "phase")}
@@ -459,15 +443,15 @@ class TestConvertedNetworkEquivalence:
         conversion, _model, images = converted
         snn = conversion.snn
         outputs = {}
-        for mode in SpikingNetwork.MODES:
-            with snn.using_mode(mode):
+        for mode in ENGINES:
+            with engine_of(snn, mode):
                 outputs[mode] = run_recorded(snn, images)
         assert_logits_match(outputs["fused"][0], outputs["stepwise"][0])
         assert outputs["fused"][1] == outputs["stepwise"][1] > 0
 
         grads = {}
-        for mode in SpikingNetwork.MODES:
-            with snn.using_mode(mode):
+        for mode in ENGINES:
+            with engine_of(snn, mode):
                 grads[mode] = backward_pass(snn, images)
         for name in grads["stepwise"][2]:
             np.testing.assert_allclose(

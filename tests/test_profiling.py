@@ -1,4 +1,4 @@
-"""Profiling tests: memory meter, T-scaling, timing utilities."""
+"""Profiling tests: graph meter, measured peaks, T-scaling, timing."""
 
 import tracemalloc
 
@@ -8,16 +8,13 @@ import pytest
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
 from repro.models import vgg11
-from repro.nn import CrossEntropyLoss, Linear, Sequential
+from repro.experiments.fig3 import _one_inference_pass, _one_training_pass
+from repro.nn import CrossEntropyLoss
 from repro.profiling import (
-    EpochTimeComparison,
     GraphMemoryMeter,
-    MemoryReport,
     TimingResult,
-    inference_memory,
-    parameter_bytes,
     time_callable,
-    training_memory,
+    traced_peak_bytes,
 )
 from repro.optim import Adam
 from repro.tensor import Tensor, autograd, no_grad
@@ -59,19 +56,22 @@ class TestGraphMemoryMeter:
         assert Tensor.from_op is original
 
 
-class TestMemoryReport:
-    def test_totals(self):
-        report = MemoryReport(
-            parameters=100.0, gradients=100.0, optimizer_state=200.0, activations=600.0
-        )
-        assert report.total == 1000.0
-        assert report.total_megabytes == pytest.approx(1000.0 / 2**20)
+def _graph_bytes(snn, images, labels):
+    """Bytes of the op outputs one training forward records."""
+    snn.train()
+    with GraphMemoryMeter() as meter:
+        CrossEntropyLoss()(snn(images), labels)
+    return meter.bytes_allocated
 
 
-class TestParameterBytes:
-    def test_counts(self, rng):
-        model = Sequential(Linear(4, 3, bias=False, rng=rng))
-        assert parameter_bytes(model) == 4 * 3 * 8
+def _training_peak(snn, images, labels):
+    """Fig. 3's training-pass memory, read after one warm-up pass (the
+    experiment reads it after its timed passes)."""
+    criterion = CrossEntropyLoss()
+    _one_training_pass(snn, images, labels, criterion)
+    return traced_peak_bytes(
+        lambda: _one_training_pass(snn, images, labels, criterion)
+    )
 
 
 class TestTrainingMemory:
@@ -79,33 +79,61 @@ class TestTrainingMemory:
         """Fig. 3b's core claim: BPTT memory ~ linear in T."""
         model, loader = model_and_loader
         images, labels = next(iter(loader))
-        criterion = CrossEntropyLoss()
-        reports = {}
+        graph = {}
         for t in (2, 5):
             conversion = convert_dnn_to_snn(
                 model, loader, ConversionConfig(timesteps=t)
             )
-            snn = conversion.snn
-            snn.train()
-            reports[t] = training_memory(
-                snn, lambda: criterion(snn(images), labels)
-            )
-        assert reports[5].activations > 2.0 * reports[2].activations
+            graph[t] = _graph_bytes(conversion.snn, images, labels)
+        assert graph[5] > 2.0 * graph[2]
 
-    def test_report_includes_parameter_terms(self, model_and_loader):
+    def test_training_peak_holds_each_steps_graph(self, model_and_loader):
+        """The measured training-pass peak holds the graph it builds, so
+        it grows with T at least as fast as the graph.  On this tiny net
+        the weight gradients and the once-run direct-encoded stem are a
+        large T-independent share, so the peak itself grows ~1.5x from
+        T=2 to T=5 while the graph grows ~2.4x."""
         model, loader = model_and_loader
         images, labels = next(iter(loader))
-        criterion = CrossEntropyLoss()
-        model.train()
-        report = training_memory(
-            model,
-            lambda: criterion(model(Tensor(images)), labels),
-            optimizer_state_copies=2,
-        )
-        params = parameter_bytes(model)
-        assert report.parameters == params
-        assert report.optimizer_state == 2 * params
-        assert report.activations > 0
+        graph, peak = {}, {}
+        for t in (2, 5):
+            snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=t)).snn
+            graph[t] = _graph_bytes(snn, images, labels)
+            peak[t] = _training_peak(snn, images, labels)
+            assert peak[t] > graph[t]
+        assert peak[5] - peak[2] > graph[5] - graph[2]
+
+
+class TestTracedPeak:
+    def test_fig3_peaks_repeat_within_1kb(self, model_and_loader):
+        model, loader = model_and_loader
+        images, labels = next(iter(loader))
+        snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=2)).snn
+        first = _training_peak(snn, images, labels)
+        second = _training_peak(snn, images, labels)
+        assert abs(first - second) < 1024
+        evals = [
+            traced_peak_bytes(lambda: _one_inference_pass(snn, images))
+            for _ in range(3)
+        ]
+        assert abs(evals[2] - evals[1]) < 1024
+        assert 0 < evals[2] < first
+
+    def test_counts_the_run_not_what_was_there(self):
+        held = np.ones(1 << 16)
+        peak = traced_peak_bytes(lambda: np.ones(1 << 14).sum())
+        assert 8 * (1 << 14) <= peak < held.nbytes
+
+    @pytest.mark.parametrize("tracing", [False, True])
+    def test_leaves_tracemalloc_as_found(self, tracing):
+        if tracing:
+            tracemalloc.start()
+        try:
+            traced_peak_bytes(lambda: np.ones(64))
+            assert tracemalloc.is_tracing() is tracing
+        finally:
+            if tracing:
+                tracemalloc.stop()
 
 
 class TestOneGraphPerStep:
@@ -171,39 +199,6 @@ class TestOneGraphPerStep:
         assert autograd._spare is None
 
 
-class TestInferenceMemory:
-    def test_dnn_report(self, model_and_loader):
-        model, _ = model_and_loader
-        report = inference_memory(model, (3, 8, 8), batch_size=4)
-        assert report.gradients == 0.0
-        assert report.activations > 0
-
-    def test_snn_nearly_t_independent(self, model_and_loader):
-        """Fig. 3b: inference memory barely moves with T."""
-        model, loader = model_and_loader
-        totals = {}
-        for t in (2, 5):
-            conversion = convert_dnn_to_snn(
-                model, loader, ConversionConfig(timesteps=t)
-            )
-            totals[t] = inference_memory(conversion.snn, (3, 8, 8), 4).total
-        assert totals[5] < 1.2 * totals[2]
-
-    def test_snn_traced_per_step_and_mode_restored(self, model_and_loader):
-        """The estimate traces the per-step working set, so it does not
-        move with T at all, and it leaves the SNN's engine as it was."""
-        model, loader = model_and_loader
-        totals = {}
-        for t in (2, 5):
-            snn = convert_dnn_to_snn(
-                model, loader, ConversionConfig(timesteps=t)
-            ).snn
-            assert snn.mode == "fused"
-            totals[t] = inference_memory(snn, (3, 8, 8), 4).total
-            assert snn.mode == "fused"
-        assert totals[5] == totals[2]
-
-
 class TestTiming:
     def test_time_callable_stats(self):
         result = time_callable(lambda: sum(range(1000)), repeats=3, warmup=1)
@@ -259,14 +254,3 @@ class TestTiming:
         assert summary["min_s"] == 0.1 and summary["max_s"] == 0.3
         assert summary["p95_s"] <= summary["max_s"]
         json.dumps(summary)
-
-    def test_epoch_comparison_speedups(self):
-        comparison = EpochTimeComparison(
-            labels=["T=2", "T=5"],
-            train_seconds=[1.0, 2.4],
-            inference_seconds=[0.5, 1.2],
-        )
-        speedups = comparison.speedup_vs("T=5")
-        assert speedups == pytest.approx([2.4, 1.0])
-        with pytest.raises(KeyError):
-            comparison.speedup_vs("T=99")

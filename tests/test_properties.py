@@ -9,6 +9,8 @@ from repro.conversion import compute_loss, find_scaling_factors, snn_staircase
 from repro.snn import IFNeuron, boxcar
 from repro.tensor import Tensor, log_softmax, relu, threshold_relu, unbroadcast
 
+from .snn_oracle import run_neuron
+
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 )
@@ -85,9 +87,8 @@ class TestIFNeuronProperties:
     def test_charge_conservation(self, currents, v_th):
         """Eqs. 2-4 invariant: emitted charge + residual = injected."""
         neuron = IFNeuron(v_threshold=v_th)
-        emitted = 0.0
-        for current in currents:
-            emitted += float(neuron(Tensor(np.array([current]))).data[0])
+        spikes = run_neuron(neuron, currents[:, None])
+        emitted = float(spikes.data.sum())
         residual = float(neuron.membrane.data[0])
         np.testing.assert_allclose(emitted + residual, currents.sum(), atol=1e-9)
 
@@ -100,10 +101,8 @@ class TestIFNeuronProperties:
     def test_spike_count_bounded_by_charge(self, current, v_th, steps):
         """An IF neuron can never emit more than injected/v_th spikes."""
         neuron = IFNeuron(v_threshold=v_th)
-        spikes = 0
-        for _ in range(steps):
-            if neuron(Tensor(np.array([current]))).data[0] > 0:
-                spikes += 1
+        out = run_neuron(neuron, np.full((steps, 1), current))
+        spikes = int((out.data > 0).sum())
         assert spikes <= int(current * steps / v_th) + 1
 
     @given(st.floats(min_value=0.05, max_value=0.95), st.integers(2, 6))
@@ -113,10 +112,8 @@ class TestIFNeuronProperties:
         v_th = 1.0
         current = fraction * v_th
         neuron = IFNeuron(v_threshold=v_th)
-        total = sum(
-            float(neuron(Tensor(np.array([current]))).data[0])
-            for _ in range(timesteps)
-        )
+        out = run_neuron(neuron, np.full((timesteps, 1), current))
+        total = float(out.data.sum())
         expected = snn_staircase(np.array([current]), timesteps, v_th)[0] * timesteps
         np.testing.assert_allclose(total, expected, atol=1e-9)
 

@@ -8,7 +8,7 @@ from repro.data import DataLoader
 from repro.hw import precision_sweep, quantize_array, quantize_weights
 from repro.models import vgg11
 from repro.nn import tap
-from repro.snn import SpikingNetwork, StepWrapper
+from repro.snn import StepWrapper
 from repro.tensor import (
     Tensor,
     default_dtype,
@@ -16,6 +16,8 @@ from repro.tensor import (
     set_default_dtype,
 )
 from repro.train import evaluate_snn
+
+from .snn_oracle import ENGINES, use_engine
 
 
 class TestQuantizeArray:
@@ -143,8 +145,9 @@ class TestFloat32FastPath:
         loader = DataLoader(
             rng.random((8, 3, 8, 8)), rng.integers(0, 5, 8), 8
         )
-        snn = convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=2)).snn
-        snn.mode = mode
+        snn = use_engine(
+            convert_dnn_to_snn(model, loader, ConversionConfig(timesteps=2)).snn, mode
+        )
         snn.eval()
         return model, snn
 
@@ -173,11 +176,12 @@ class TestFloat32FastPath:
 
     def test_network_input_follows_default_dtype(self):
         # float64 numpy images are cast once at the input, so the first
-        # weight layer sees float32 frames in both engines.
+        # weight layer sees float32 frames in the engine and the
+        # reference loop.
         images = np.random.default_rng(0).random((2, 3, 8, 8))
         assert images.dtype == np.float64
         with default_dtype(np.float32):
-            for mode in SpikingNetwork.MODES:
+            for mode in ENGINES:
                 _model, snn = self._build_snn(mode)
                 first = next(
                     m.inner for m in snn.modules() if isinstance(m, StepWrapper)

@@ -5,23 +5,24 @@ import pytest
 
 from repro.conversion import snn_staircase
 from repro.snn import IFNeuron, SpikingNeuron
-from repro.tensor import Tensor
+
+from .snn_oracle import run_neuron
 
 
 class TestResetModes:
     def test_soft_reset_conserves_residual(self):
         n = SpikingNeuron(v_threshold=1.0, reset_mode="soft")
-        n(Tensor(np.array([1.7])))
+        run_neuron(n, [[1.7]])
         np.testing.assert_allclose(n.membrane.data, [0.7], atol=1e-12)
 
     def test_hard_reset_discards_residual(self):
         n = SpikingNeuron(v_threshold=1.0, reset_mode="hard")
-        n(Tensor(np.array([1.7])))
+        run_neuron(n, [[1.7]])
         np.testing.assert_allclose(n.membrane.data, [0.0], atol=1e-12)
 
     def test_hard_reset_keeps_subthreshold_membrane(self):
         n = SpikingNeuron(v_threshold=1.0, reset_mode="hard")
-        n(Tensor(np.array([0.4])))
+        run_neuron(n, [[0.4]])
         np.testing.assert_allclose(n.membrane.data, [0.4])
 
     def test_invalid_mode_rejected(self):
@@ -35,10 +36,8 @@ class TestResetModes:
         totals = {}
         for mode in ("soft", "hard"):
             n = SpikingNeuron(v_threshold=v_th, reset_mode=mode)
-            totals[mode] = sum(
-                float(n(Tensor(np.array([current]))).data[0])
-                for _ in range(timesteps)
-            )
+            out = run_neuron(n, np.full((timesteps, 1), current))
+            totals[mode] = float(out.data.sum())
         expected = snn_staircase(
             np.array([current]), timesteps, v_th
         )[0] * timesteps
@@ -50,9 +49,7 @@ class TestResetModes:
         rng = np.random.default_rng(0)
         n = SpikingNeuron(v_threshold=0.8, reset_mode="hard")
         currents = rng.uniform(0.5, 1.5, size=30)
-        emitted = sum(
-            float(n(Tensor(np.array([c]))).data[0]) for c in currents
-        )
+        emitted = float(run_neuron(n, currents[:, None]).data.sum())
         assert emitted + float(n.membrane.data[0]) < currents.sum()
 
     def test_default_is_soft(self):

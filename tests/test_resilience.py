@@ -20,6 +20,8 @@ from repro.train import (
 )
 from repro.utils import CheckpointError, load_checkpoint, save_checkpoint
 
+from .snn_oracle import ENGINES, engine_of
+
 
 def _micro_model(seed=0, num_classes=5):
     return vgg11(
@@ -176,9 +178,8 @@ class TestCheckpointRobustness:
             assert a.leak_value == pytest.approx(b.leak_value)
         images = rng.random((2, 3, 8, 8))
         snn.eval(), fresh.eval()
-        for mode in ("fused", "stepwise"):
-            snn.mode = fresh.mode = mode
-            with no_grad():
+        for mode in ENGINES:
+            with engine_of(snn, mode), engine_of(fresh, mode), no_grad():
                 np.testing.assert_allclose(
                     snn(images).data, fresh(images).data
                 )

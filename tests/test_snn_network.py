@@ -36,7 +36,7 @@ class TestStepWrapper:
         layer = Linear(3, 2, rng=rng)
         wrapper = StepWrapper(layer)
         x = Tensor(rng.normal(size=(4, 3)))
-        np.testing.assert_allclose(wrapper(x).data, layer(x).data)
+        np.testing.assert_allclose(wrapper.forward_fused(x, 2).data, layer(x).data)
 
     def test_repr(self, rng):
         assert "Linear" in repr(StepWrapper(Linear(2, 2, rng=rng)))
@@ -57,31 +57,31 @@ class TestTemporalDropout:
     def test_mask_fixed_across_steps(self, rng):
         drop = TemporalDropout(0.5, rng=rng)
         drop.train()
-        x = Tensor(np.ones((2, 10)))
-        first = drop(x).data
-        second = drop(x).data
+        x = Tensor(np.ones((2 * 2, 10)))
+        first, second = drop.forward_fused(x, 2).data.reshape(2, 2, 10)
         np.testing.assert_allclose(first, second)
+        assert (first == 0).any() and (first != 0).any()
 
     def test_mask_resampled_after_reset(self, rng):
         drop = TemporalDropout(0.5, rng=rng)
         drop.train()
         x = Tensor(np.ones((2, 50)))
-        first = drop(x).data.copy()
+        first = drop.forward_fused(x, 1).data.copy()
         drop.reset_state()
-        second = drop(x).data
+        second = drop.forward_fused(x, 1).data
         assert not np.allclose(first, second)
 
     def test_eval_identity(self, rng):
         drop = TemporalDropout(0.5, rng=rng)
         drop.eval()
         x = Tensor(np.ones((2, 4)))
-        assert drop(x) is x
+        assert drop.forward_fused(x, 1) is x
 
     def test_gradient_through_mask(self, rng):
         drop = TemporalDropout(0.5, rng=rng)
         drop.train()
         x = Tensor(np.ones((1, 20)), requires_grad=True)
-        drop(x).sum().backward()
+        drop.forward_fused(x, 1).sum().backward()
         kept = x.grad != 0
         np.testing.assert_allclose(x.grad[kept], 2.0)
 
@@ -100,7 +100,8 @@ class TestSpikingSequential:
     def test_reset_recurses(self):
         neuron = IFNeuron(v_threshold=1.0)
         seq = SpikingSequential(neuron)
-        neuron(Tensor(np.array([0.5])))
+        seq.forward_fused(Tensor(np.array([0.5])), 1)
+        assert neuron.membrane is not None
         seq.reset_state()
         assert neuron.membrane is None
 
@@ -117,7 +118,7 @@ class TestSpikingResidualBlock:
             IFNeuron(v_threshold=1e-6, beta=1.0),  # always spikes on + input
         )
         x = Tensor(np.ones((1, 2, 4, 4)))
-        out = block(x)
+        out = block.forward_fused(x, 1)
         assert out.shape == (1, 2, 4, 4)
 
     def test_reset_clears_both_neurons(self, rng):
@@ -126,7 +127,7 @@ class TestSpikingResidualBlock:
             StepWrapper(Identity()), n1, StepWrapper(Identity()),
             StepWrapper(Identity()), n2,
         )
-        block(Tensor(np.ones((1, 2))))
+        block.forward_fused(Tensor(np.ones((1, 2))), 1)
         block.reset_state()
         assert n1.membrane is None and n2.membrane is None
 
@@ -168,6 +169,16 @@ class TestSpikingNetwork:
     def test_invalid_timesteps(self):
         with pytest.raises(ValueError):
             SpikingNetwork(SpikingSequential(), timesteps=0)
+
+    def test_module_without_fused_forward_is_named(self, rng):
+        # A bare DNN layer has no forward_fused; nothing falls back to a
+        # per-step loop.
+        body = SpikingSequential(
+            StepWrapper(Flatten()), Linear(16, 3, rng=rng), IFNeuron()
+        )
+        snn = SpikingNetwork(body, timesteps=2)
+        with pytest.raises(TypeError, match="Linear has no forward_fused"):
+            snn(rng.normal(size=(1, 1, 4, 4)))
 
     def test_accepts_tensor_input(self, rng):
         snn = tiny_snn(timesteps=2)
@@ -225,10 +236,12 @@ def tie_heavy_frames(rng, kind, steps, k):
 
 
 def run_stepwise_pool(pool, frames, grads):
+    """One ``forward_fused`` call per step: the window counts carry from
+    call to call."""
     outs, gxs = [], []
     for frame, g in zip(frames, grads):
         x = Tensor(frame, requires_grad=True)
-        out = pool(x)
+        out = pool.forward_fused(x, 1)
         out.backward(g)
         outs.append(out.data)
         gxs.append(x.grad)
@@ -236,7 +249,8 @@ def run_stepwise_pool(pool, frames, grads):
 
 
 class TestSpikingMaxPoolPins:
-    """The stepwise and fused pools against a per-window loop, with ties."""
+    """Per-step and all-steps pool calls against a per-window loop, with
+    ties."""
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("kind", ["relu", "rounded", "spikes"])
@@ -278,7 +292,7 @@ class TestSpikingMaxPoolPins:
     def test_nan_window_yields_nan(self):
         frame = np.ones((1, 1, 4, 4))
         frame[0, 0, 0, 1] = np.nan
-        stepwise = SpikingMaxPool(2)(Tensor(frame)).data
+        stepwise = SpikingMaxPool(2).forward_fused(Tensor(frame), 1).data
         fused = SpikingMaxPool(2).forward_fused(Tensor(np.concatenate([frame, frame])), 2).data
         for out in (stepwise, fused[:1], fused[1:]):
             assert np.isnan(out[0, 0, 0, 0])
@@ -289,7 +303,7 @@ class TestSpikingMaxPool:
     def test_binary_in_binary_out(self, rng):
         pool = SpikingMaxPool(2)
         frame = (rng.random((1, 1, 4, 4)) > 0.5).astype(float)
-        out = pool(Tensor(frame))
+        out = pool.forward_fused(Tensor(frame), 1)
         assert set(np.unique(out.data)) <= {0.0, 1.0}
 
     def test_rate_converges_to_max(self, rng):
@@ -301,7 +315,7 @@ class TestSpikingMaxPool:
         rates = np.array([[0.8, 0.2], [0.1, 0.3]])
         for t in range(steps):
             frame = (rng.random((2, 2)) < rates).astype(float)
-            out = pool(Tensor(frame.reshape(1, 1, 2, 2)))
+            out = pool.forward_fused(Tensor(frame.reshape(1, 1, 2, 2)), 1)
             total += out.data[0, 0, 0, 0]
         assert abs(total / steps - 0.8) < 0.08
 
@@ -317,7 +331,8 @@ class TestSpikingMaxPool:
 
     def test_reset_clears_counts(self, rng):
         pool = SpikingMaxPool(2)
-        pool(Tensor(np.ones((1, 1, 2, 2))))
+        pool.forward_fused(Tensor(np.ones((1, 1, 2, 2))), 1)
+        assert pool._counts is not None
         pool.reset_state()
         assert pool._counts is None
 
@@ -325,12 +340,12 @@ class TestSpikingMaxPool:
         pool = SpikingMaxPool(2)
         frame = np.array([[[[1.0, 0.0], [0.0, 0.0]]]])
         x = Tensor(frame, requires_grad=True)
-        pool(x).sum().backward()
+        pool.forward_fused(x, 1).sum().backward()
         np.testing.assert_allclose(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_indivisible_raises(self, rng):
         with pytest.raises(ValueError):
-            SpikingMaxPool(2)(Tensor(np.ones((1, 1, 3, 3))))
+            SpikingMaxPool(2).forward_fused(Tensor(np.ones((1, 1, 3, 3))), 1)
 
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ Pins the contract from ``repro.tensor.sparse`` + ``repro.snn.dispatch``:
 the CSR spike packing round-trips, the gather kernels match the dense
 layers to float tolerance across geometries / amplitudes / per-event
 values, and a dispatch-routed ``SpikingNetwork`` produces
-the same logits and spike counts as the dense engines — fused and
-stepwise, IF and LIF, soft and hard reset,
+the same logits and spike counts as the dense engine and the
+step-major reference loop, IF and LIF, soft and hard reset,
 under injected dead-unit faults and across warm streaming windows.
 Crossover calibration must be deterministic under an injected clock and
 round-trip through its artefact, and the exact accumulate counter
@@ -57,6 +57,7 @@ from repro.tensor.sparse import (
 )
 
 from .snn_oracle import (
+    ENGINES,
     FORCE_DENSE,
     FORCE_SPARSE,
     GATHER_CONTRACT,
@@ -414,7 +415,7 @@ class TestDispatchRouting:
 class TestExactAccumulates:
     def test_matches_brute_force_oracle(self):
         """Dispatcher op accounting == the brute-force oracle, layer by
-        layer (stepwise: every layer runs per step)."""
+        layer (reference loop: every layer runs per step)."""
         snn = build_net(lambda: IFNeuron(v_threshold=0.6), "stepwise")
         _, measured, expected = counted_forward(snn, images_batch(), FORCE_SPARSE)
         assert measured == expected
@@ -424,13 +425,13 @@ class TestExactAccumulates:
     def test_counts_match_oracle_property(self, spec):
         """Random small nets (conv/linear stems, pool, residual blocks),
         IF/LIF, soft/hard reset, T in 1..5 and activity from all-zero
-        images to saturation: in both engines and both forced routings,
-        per-image events and accumulates equal the oracle exactly, and
-        the logits stay within the gather contract of the stepwise
-        dense engine."""
+        images to saturation: in the engine and the reference loop under
+        both forced routings, per-image events and accumulates equal the
+        oracle exactly, and the logits stay within the gather contract
+        of the dense reference loop."""
         images = random_images(spec)
         reference, _ = run_recorded(build_random_net(spec, "stepwise"), images)
-        for mode in SpikingNetwork.MODES:
+        for mode in ENGINES:
             for routing in (FORCE_SPARSE, FORCE_DENSE):
                 snn = build_random_net(spec, mode)
                 logits, measured, expected = counted_forward(snn, images, routing)
@@ -756,9 +757,9 @@ class TestDispatchObservability:
         assert summary["snn_total_flops"] == estimate
 
     def test_fused_prefix_rescale_matches_stepwise(self):
-        """The fused engine runs the direct-encoding prefix once per
-        forward but fires its taps per time block, so fused and stepwise
-        runs report identical exact accumulates."""
+        """The engine runs the direct-encoding prefix once per forward
+        but fires its taps per time block, so it reports the exact
+        accumulates of the step-major reference loop."""
         images = images_batch()
         labels = np.zeros(len(images), dtype=int)
         totals = {}
