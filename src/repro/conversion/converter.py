@@ -49,12 +49,8 @@ from ..snn import (
     TemporalDropout,
 )
 from ..snn.network import STATELESS_LAYERS
-from .activation_stats import (
-    LayerActivationStats,
-    activation_layers,
-    collect_activation_stats,
-)
-from .specs import NeuronSpec, build_specs
+from .activation_stats import LayerActivationStats, _calibrate, activation_layers
+from .specs import STRATEGIES, NeuronSpec, build_specs
 
 
 @dataclass
@@ -92,8 +88,17 @@ class ConversionConfig:
     strategy_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Checked here, before a conversion spends a calibration forward.
         if self.timesteps <= 0:
             raise ValueError("timesteps must be positive")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown strategy '{self.strategy}'; available: {sorted(STRATEGIES)}"
+            )
+        if self.calibration_batches is not None and self.calibration_batches <= 0:
+            raise ValueError("calibration_batches must be positive or None")
+        if self.max_samples_per_layer <= 0:
+            raise ValueError("max_samples_per_layer must be positive")
 
 
 @dataclass
@@ -220,17 +225,26 @@ def convert_dnn_to_snn(
         activation statistics (labels ignored).
     config:
         Conversion configuration (latency, strategy, ...).
+
+    Calibration reuses the statistics of the model's previous call when
+    the model is unchanged and the consumed images are identical (see
+    :func:`~repro.conversion.collect_activation_stats`), so converting
+    one DNN at several ``T`` or strategies runs its forward once; the
+    ``calibration`` span records ``reused``.  Algorithm 1, the specs and
+    the spiking twin are built on every call.
     """
     with trace.span(
         "calibration", batches=config.calibration_batches
     ) as span:
-        stats = collect_activation_stats(
+        stats, reused = _calibrate(
             model,
             calibration_batches,
-            max_batches=config.calibration_batches,
-            max_samples_per_layer=config.max_samples_per_layer,
+            config.calibration_batches,
+            config.max_samples_per_layer,
         )
-        span.set(layers=len(stats), samples=sum(s.count for s in stats))
+        span.set(
+            layers=len(stats), samples=sum(s.count for s in stats), reused=reused
+        )
     expected = len(activation_layers(model))
     if len(stats) != expected:
         raise RuntimeError("calibration returned wrong number of layer stats")

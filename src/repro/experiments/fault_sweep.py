@@ -211,7 +211,9 @@ def run_fault_sweep(
     result = run_pipeline(config)
     context = result.context
     # run_pipeline fine-tunes its conversion in place, so the "straight
-    # after conversion" model needs a fresh (deterministic) conversion.
+    # after conversion" model needs a fresh (deterministic) conversion;
+    # the DNN and its calibration images are unchanged, so it reuses
+    # run_pipeline's activation statistics.
     converted = convert_only(config, context=context).snn
 
     kinds = list(fault_kinds) if fault_kinds is not None else list(DEFAULT_LADDERS)

@@ -47,15 +47,20 @@ class ActivationRecorder:
         self._count = 0
 
     def record(self, values: np.ndarray) -> None:
-        flat = np.asarray(values, dtype=np.float64).reshape(-1)
         if self.max_samples is not None and self._count >= self.max_samples:
             return
+        # C-order flattening copies a non-contiguous input (a conv output
+        # is a transposed view); that copy is already private.
+        flat = np.asarray(values, dtype=np.float64).reshape(-1)
+        private = not np.may_share_memory(flat, values)
         if self.max_samples is not None:
             remaining = self.max_samples - self._count
             if flat.size > remaining:
                 stride = max(1, flat.size // remaining)
                 flat = flat[::stride][:remaining]
-        self._chunks.append(flat.copy())
+                # A view would keep the whole batch alive: copy the kept part.
+                private = False
+        self._chunks.append(flat if private else flat.copy())
         self._count += flat.size
 
     def values(self) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Conversion pipeline tests: stats collection, specs, twin building."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -351,6 +353,184 @@ class TestConverterVGG:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ConversionConfig(timesteps=0)
+        # Rejected up front, not after a calibration forward.
+        for bad in ({"strategy": "no_such_strategy"}, {"calibration_batches": 0},
+                    {"max_samples_per_layer": 0}):
+            with pytest.raises(ValueError):
+                ConversionConfig(timesteps=2, **bad)
+
+
+def _assert_same_stats(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.percentiles.tobytes() == b.percentiles.tobytes()
+        assert (_bits(a.mu), _bits(a.d_max), _bits(a.mean), a.count) == (
+            _bits(b.mu), _bits(b.d_max), _bits(b.mean), b.count
+        )
+
+
+class TestCalibrationReuse:
+    """An unchanged model calibrated on identical images is run once;
+    any change to what the stats depend on runs it again, and every
+    result equals a fresh calibration bitwise."""
+
+    @pytest.fixture
+    def model(self):
+        return vgg11(
+            num_classes=5, image_size=8, width_multiplier=0.125,
+            dropout=0.1, rng=np.random.default_rng(0),
+        )
+
+    @pytest.fixture
+    def runs(self, model, monkeypatch):
+        """Counts the model's forward calls (a class-level spy: a tap
+        would itself turn reuse off)."""
+        calls = []
+        forward = type(model).forward
+
+        def spy(self, x):
+            calls.append(x.data.shape)
+            return forward(self, x)
+
+        monkeypatch.setattr(type(model), "forward", spy)
+        return calls
+
+    @staticmethod
+    def loader(seed=1, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        images = rng.random((24, 3, 8, 8)).astype(dtype)
+        return DataLoader(images, rng.integers(0, 5, size=24), batch_size=8)
+
+    @staticmethod
+    def fresh(model, loader, **kwargs):
+        """Calibration of a copy of ``model``, which no call has seen."""
+        return collect_activation_stats(copy.deepcopy(model), loader, **kwargs)
+
+    def test_repeat_call_does_not_run_the_model(self, model, runs):
+        first = collect_activation_stats(model, self.loader())
+        assert len(runs) == 3
+        again = collect_activation_stats(model, self.loader())
+        assert len(runs) == 3
+        _assert_same_stats(again, first)
+
+    def test_max_batches_bounds_the_batches_keyed(self, model, runs):
+        collect_activation_stats(model, self.loader(), max_batches=2)
+        assert len(runs) == 2
+        collect_activation_stats(model, self.loader(), max_batches=2)
+        assert len(runs) == 2
+        _assert_same_stats(
+            collect_activation_stats(model, self.loader()),
+            self.fresh(model, self.loader()),
+        )
+        assert len(runs) == 2 + 3 + 3  # a new key, then the fresh copy
+
+    def test_weight_changed_in_place_recomputes(self, model, runs):
+        collect_activation_stats(model, self.loader())
+        conv = next(m for m in model.modules() if isinstance(m, Conv2d))
+        conv.weight.data[0, 0, 0, 0] += 0.5
+        _assert_same_stats(
+            collect_activation_stats(model, self.loader()),
+            self.fresh(model, self.loader()),
+        )
+        assert len(runs) == 3 * 3
+
+    def test_threshold_changed_recomputes(self, model, runs):
+        collect_activation_stats(model, self.loader())
+        layer = activation_layers(model)[0]
+        before = layer.extra_repr()
+        layer.set_threshold(layer.threshold * (1 + 1e-9))
+        assert layer.extra_repr() == before  # only the parameter bytes moved
+        got = collect_activation_stats(model, self.loader())
+        assert got[0].mu == layer.threshold
+        _assert_same_stats(got, self.fresh(model, self.loader()))
+
+    def test_other_images_recompute(self, model, runs):
+        collect_activation_stats(model, self.loader(seed=1))
+        _assert_same_stats(
+            collect_activation_stats(model, self.loader(seed=2)),
+            self.fresh(model, self.loader(seed=2)),
+        )
+        assert len(runs) == 3 * 3
+
+    def test_other_sample_bound_recomputes(self, model, runs):
+        collect_activation_stats(model, self.loader())
+        got = collect_activation_stats(model, self.loader(), max_samples_per_layer=100)
+        _assert_same_stats(got, self.fresh(model, self.loader(), max_samples_per_layer=100))
+        assert got[0].count == 100
+
+    def test_default_dtype_recomputes(self, model, runs):
+        from repro.tensor import default_dtype
+
+        # float32 images: both dtypes feed the same values, cast.
+        clean = collect_activation_stats(model, self.loader(dtype=np.float32))
+        with default_dtype(np.float32):
+            got = collect_activation_stats(model, self.loader(dtype=np.float32))
+            expected = self.fresh(model, self.loader(dtype=np.float32))
+        assert len(runs) == 3 * 3
+        _assert_same_stats(got, expected)
+        assert got[0].percentiles.tobytes() != clean[0].percentiles.tobytes()
+
+    def test_tapped_model_is_always_calibrated(self, model, runs):
+        first = activation_layers(model)[0]
+        clean = collect_activation_stats(model, self.loader())
+        with tap(first, lambda _layer, _x, out: out * 2.0):
+            doubled = collect_activation_stats(model, self.loader())
+            again = collect_activation_stats(model, self.loader())
+        assert len(runs) == 3 * 3
+        _assert_same_stats(again, doubled)
+        assert doubled[1].percentiles.tobytes() != clean[1].percentiles.tobytes()
+        # Nothing was stored under the tap: the clean entry still serves.
+        _assert_same_stats(collect_activation_stats(model, self.loader()), clean)
+        assert len(runs) == 3 * 3
+
+    def test_returned_stats_are_private(self, model, runs):
+        expected = self.fresh(model, self.loader())
+        first = collect_activation_stats(model, self.loader())
+        first[0].percentiles[:] = -1.0
+        second = collect_activation_stats(model, self.loader())
+        _assert_same_stats(second, expected)
+        second[0].percentiles[:] = -1.0
+        _assert_same_stats(collect_activation_stats(model, self.loader()), expected)
+        assert len(runs) == 3 + 3  # the fresh copy, then one calibration
+
+    def test_entry_dies_with_the_model(self):
+        import gc
+        import weakref
+
+        from repro.conversion import activation_stats
+
+        model = vgg11(num_classes=5, image_size=8, width_multiplier=0.125,
+                      rng=np.random.default_rng(0))
+        collect_activation_stats(model, self.loader())
+        assert model in activation_stats._MEMO
+        gc.collect()
+        entries = len(activation_stats._MEMO)
+        alive = weakref.ref(model)
+        del model
+        gc.collect()
+        assert alive() is None
+        assert len(activation_stats._MEMO) == entries - 1
+
+    def test_fault_injection_recomputes_and_restores(self, model, runs):
+        from repro.faults import FaultSpec, inject_faults
+
+        clean = collect_activation_stats(model, self.loader())
+        with inject_faults(model, FaultSpec.pruning(0.3, seed=4)):
+            faulted = collect_activation_stats(model, self.loader())
+            expected = self.fresh(model, self.loader())
+        assert len(runs) == 3 * 3
+        _assert_same_stats(faulted, expected)
+        assert faulted[-1].percentiles.tobytes() != clean[-1].percentiles.tobytes()
+        _assert_same_stats(collect_activation_stats(model, self.loader()), clean)
+
+    def test_conversions_share_one_calibration(self, model, runs):
+        results = [
+            convert_dnn_to_snn(model, self.loader(), ConversionConfig(timesteps=t, strategy=s))
+            for t in (2, 3) for s in ("proposed", "threshold_relu")
+        ]
+        assert len(runs) == 3
+        for result in results[1:]:
+            _assert_same_stats(result.stats, results[0].stats)
 
 
 class TestConverterResNet:

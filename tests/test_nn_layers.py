@@ -173,6 +173,29 @@ class TestActivations:
         recorder.record(rng.normal(size=100))
         assert len(recorder) <= 10
 
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "float32", "strided"])
+    def test_recorder_keeps_its_own_copy(self, rng, layout):
+        """Recorded samples are those of the C-order flattening (strided
+        down to the bound), and writing to the input afterwards leaves
+        them unchanged, whether the flattening copied or not."""
+        x = rng.normal(size=(4, 6, 5))
+        max_samples = None
+        if layout == "transposed":
+            x = x.transpose(0, 2, 1)
+        elif layout == "float32":
+            x = x.astype(np.float32)
+        elif layout == "strided":
+            x = x.transpose(2, 0, 1)
+            max_samples = 33
+        expected = np.asarray(x, dtype=np.float64).reshape(-1)
+        if max_samples is not None:
+            expected = expected[:: expected.size // max_samples][:max_samples]
+        expected = expected.copy()
+        recorder = ActivationRecorder(max_samples=max_samples)
+        recorder.record(x)
+        x[...] = 7.0
+        assert recorder.values().tobytes() == expected.tobytes()
+
     def test_recorder_clear(self, rng):
         recorder = ActivationRecorder()
         recorder.record(rng.normal(size=5))

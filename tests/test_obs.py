@@ -387,10 +387,11 @@ class TestPipelineTracing:
     @pytest.fixture(scope="class")
     def pipeline_runs(self, tmp_path_factory):
         """The tiny pipeline, observed and op-profiled, run twice with the
-        same seed (fresh caches each time) into two run directories."""
+        same seed (fresh caches each time) into two run directories; each
+        run then converts its trained DNN once more."""
         from dataclasses import replace
 
-        from repro.experiments import ExperimentConfig, get_scale, run_pipeline
+        from repro.experiments import ExperimentConfig, convert_only, get_scale, run_pipeline
         from repro.experiments.context import clear_context_cache
         from repro.experiments.pipeline import clear_pipeline_cache
 
@@ -416,7 +417,8 @@ class TestPipelineTracing:
                 clear_context_cache()
                 clear_pipeline_cache()
                 with obs.observe(run_dir, profile=True, seed=config.seed):
-                    run_pipeline(config, fine_tune=False)
+                    result = run_pipeline(config, fine_tune=False)
+                    convert_only(config, context=result.context)
         finally:
             clear_context_cache()
             clear_pipeline_cache()
@@ -428,7 +430,9 @@ class TestPipelineTracing:
         calibration -> Algorithm 1 -> conversion -> SNN eval plus
         per-layer spike-rate histograms."""
         run = load_run(pipeline_runs[0])
-        spans = {s["name"]: s for s in run.spans}
+        spans = {}
+        for s in run.spans:
+            spans.setdefault(s["name"], s)
         for name in ("run_pipeline", "calibration", "algorithm1",
                      "conversion", "snn_eval"):
             assert name in spans, f"missing span {name}"
@@ -437,8 +441,13 @@ class TestPipelineTracing:
         for child in ("calibration", "algorithm1", "conversion", "snn_eval"):
             assert spans[child]["parent_id"] == root_id
             assert spans[child]["depth"] == 1
-        # One algorithm1 span per activation layer (VGG-11 has 9).
-        assert sum(1 for s in run.spans if s["name"] == "algorithm1") == 9
+        # One algorithm1 span per activation layer (VGG-11 has 9) and
+        # conversion, and one calibration forward: the second conversion
+        # of the unchanged DNN reuses the first one's statistics.
+        assert sum(1 for s in run.spans if s["name"] == "algorithm1") == 2 * 9
+        calibrations = [s for s in run.spans if s["name"] == "calibration"]
+        assert [s["fields"]["reused"] for s in calibrations] == [False, True]
+        assert calibrations[1]["parent_id"] is None
 
         histograms = run.metrics["histograms"]
         spike_rates = [k for k in histograms if k.startswith("snn.spike_rate")]
